@@ -102,9 +102,17 @@ def asym_E_log(order: int, prec: int = DEFAULT_PREC) -> AsymptoticSeries:
     )
 
 
+def _abs_real(z) -> float:
+    """|z| as a float; z must be real (ints, Fractions, floats, mpfs)."""
+    try:
+        return abs(float(z))
+    except TypeError:
+        raise DomainError(f"z must be real, got {z!r}") from None
+
+
 def optimal_truncation(z, max_order: int | None = None) -> int:
     """Smallest-term index for a tail ~ n!/z^(n+1): round(|z|), clamped."""
-    n = int(round(abs(float(z))))
+    n = int(round(_abs_real(z)))
     if max_order is not None:
         n = min(n, max_order)
     return n
@@ -114,6 +122,7 @@ def eval_asym(a: AsymptoticSeries, z, N: int, prec: int = DEFAULT_PREC) -> mpf:
     """front(z) + tail_sign * e^(rho z) * sum_{n<N} tail_n z^(-n-1)."""
     if N > a.order:
         raise DomainError(f"truncation {N} exceeds available order {a.order}")
+    _abs_real(z)  # rejects a complex z before to_mpf would raise TypeError
     wp = prec + 16
     with workprec(wp):
         zv = to_mpf(z, wp)
@@ -146,7 +155,7 @@ def direct_E_eval(which: str, z, prec: int = DEFAULT_PREC, alpha: Rational | Non
         alpha = Fraction(alpha)
         if alpha.denominator == 1 and alpha <= 0:
             raise DomainError("E_alpha pole at nonpositive integer alpha")
-    zf = abs(float(z))
+    zf = _abs_real(z)
     wp = prec + math.ceil(zf * math.log2(math.e)) + 32
     with workprec(wp):
         zv = to_mpf(z, wp)

@@ -348,7 +348,8 @@ def _cmd_fit(args) -> None:
         raise _UsageError(f"input file {path} does not exist")
     values = []
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        # skip the "# key,value" footer lines that sequence CSVs end with
+        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
         if reader.fieldnames is None or "numerator" not in reader.fieldnames:
             raise _UsageError("fit input needs an n,numerator,denominator CSV")
         for row in reader:

@@ -455,13 +455,14 @@ def _a_direct(k: int, wp: int) -> mpf:
     with workprec(wp):
         acc = mpf(0)
         floor = mpf(2) ** (-wp)
+        term = 1 / mp.factorial(k)  # 1/(n! (n+k)!) at n = 0
         n = 0
         while True:
-            term = 1 / (mp.factorial(n) * mp.factorial(n + k))
             acc += term
             if n > 4 and term < floor:
                 break
             n += 1
+            term /= n * (n + k)
         return +((-1) ** k * acc)
 
 

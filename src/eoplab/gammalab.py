@@ -5,8 +5,11 @@ polygamma series  Psi^(n)(x) = sum_k (-1)^(n+1) n! / (k+x)^(n+1)  converge too
 slowly to evaluate at hundreds of bits, so the production path shifts the
 argument upward by the exact recurrence Psi(x+1) = Psi(x) + 1/x and finishes
 with the Euler-Maclaurin (Stirling-type) tail; the defining series stay around
-as low-precision test oracles. All routines take rational arguments, return
-``mpf`` values carrying at least ``prec`` significand bits, and are pure.
+as low-precision test oracles. The four such tails (Euler's constant, digamma,
+polygamma, log Gamma) all sum B_2k-weighted inverse powers until a term drops
+below 2^-wp, through the one loop :func:`_bernoulli_tail`. All routines take
+rational arguments, return ``mpf`` values carrying at least ``prec``
+significand bits, and are pure.
 
 Derivatives of Gamma are produced by the Leibniz recursion
 Gamma^(j+1) = sum_i binom(j,i) Psi^(i) Gamma^(j-i); derivatives of 1/Gamma by
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from mpmath import mp, mpf, workprec
 
@@ -58,6 +62,27 @@ def _require_off_poles(x: Fraction, what: str) -> None:
         raise DomainError(f"{what} has a pole at nonpositive integer {x}")
 
 
+def _bernoulli_tail(acc: mpf, coeffs, first: mpf, step: mpf, tiny: mpf, cap, what: str) -> mpf:
+    """acc + sum_{k>=1} c_k / (first * step^(k-1)), the Stirling-type tail.
+
+    ``coeffs`` yields c_1, c_2, ..., each already rounded by the caller (B_2k
+    times that caller's weight). Terms are added one at a time; summation stops
+    after the first term with |term| < tiny, and past k = cap it raises
+    ``PrecisionError``. Runs inside the caller's working precision.
+    """
+    power = first
+    k = 1
+    for c in coeffs:
+        term = c / power
+        acc += term
+        if abs(term) < tiny:
+            return acc
+        k += 1
+        if k > cap:
+            raise PrecisionError(f"{what} did not converge")
+        power *= step
+
+
 def euler_gamma(prec: int = DEFAULT_PREC) -> mpf:
     """Euler's constant via Euler-Maclaurin applied to H_m - log m."""
     wp = prec + _GUARD
@@ -68,37 +93,19 @@ def euler_gamma(prec: int = DEFAULT_PREC) -> mpf:
     with workprec(wp):
         acc = to_mpf(h, wp) - mp.log(m) - mpf(1) / (2 * m)
         msq = mpf(m) * m
-        mk = msq
-        tiny = mpf(2) ** (-wp - 4)
-        k = 1
-        while True:
-            term = to_mpf(bernoulli(2 * k), wp) / (2 * k) / mk
-            acc += term
-            if abs(term) < tiny:
-                break
-            k += 1
-            mk *= msq
-            if 2 * k > 3 * m:
-                raise PrecisionError("Euler-Maclaurin tail for gamma did not converge")
+        coeffs = (to_mpf(bernoulli(2 * k), wp) / (2 * k) for k in count(1))
+        # m is a power of two, so k > 3m/2 is the same as 2k > 3m
+        acc = _bernoulli_tail(acc, coeffs, msq, msq, mpf(2) ** (-wp - 4), 3 * m // 2,
+                              "Euler-Maclaurin tail for gamma")
         return +acc
 
 
 def _psi_asymptotic(X: mpf, wp: int) -> mpf:
     # Psi(X) = log X - 1/(2X) - sum_k B_{2k} / (2k X^{2k}), X large
-    acc = mp.log(X) - 1 / (2 * X)
     Xsq = X * X
-    Xk = Xsq
-    tiny = mpf(2) ** (-wp - 4)
-    k = 1
-    while True:
-        term = to_mpf(bernoulli(2 * k), wp) / (2 * k) / Xk
-        acc -= term
-        if abs(term) < tiny:
-            return acc
-        k += 1
-        Xk *= Xsq
-        if k > 8 * float(X):
-            raise PrecisionError("digamma asymptotic tail did not converge")
+    coeffs = (to_mpf(-bernoulli(2 * k), wp) / (2 * k) for k in count(1))
+    return _bernoulli_tail(mp.log(X) - 1 / (2 * X), coeffs, Xsq, Xsq, mpf(2) ** (-wp - 4),
+                           8 * float(X), "digamma asymptotic tail")
 
 
 def psi(x: Rational, prec: int = DEFAULT_PREC) -> mpf:
@@ -113,6 +120,14 @@ def psi(x: Rational, prec: int = DEFAULT_PREC) -> mpf:
         shift += 1 / (x + j)
     with workprec(wp):
         return +(_psi_asymptotic(to_mpf(x + m, wp), wp) - to_mpf(shift, wp))
+
+
+def _polygamma_coeffs(n: int, wp: int):
+    """B_2k (2k+n-1)!/(2k)! rounded to wp bits, for k = 1, 2, ..."""
+    w = math.factorial(n + 1) // 2
+    for k in count(1):
+        yield to_mpf(bernoulli(2 * k) * w, wp)
+        w = w * (2 * k + n) * (2 * k + n + 1) // ((2 * k + 1) * (2 * k + 2))
 
 
 def polygamma(n: int, x: Rational, prec: int = DEFAULT_PREC) -> mpf:
@@ -133,21 +148,9 @@ def polygamma(n: int, x: Rational, prec: int = DEFAULT_PREC) -> mpf:
         # Psi^(n)(X) = (-1)^(n-1) [ (n-1)!/X^n + n!/(2 X^(n+1)) + tail ]
         acc = mpf(math.factorial(n - 1)) / X**n + mpf(nfact) / (2 * X ** (n + 1))
         Xsq = X * X
-        Xk = X**n * Xsq
-        tiny = mpf(2) ** (-wp - 4) * abs(acc)
-        k = 1
-        while True:
-            c = bernoulli(2 * k) * Fraction(
-                math.factorial(2 * k + n - 1), math.factorial(2 * k)
-            )
-            term = to_mpf(c, wp) / Xk
-            acc += term
-            if abs(term) < tiny:
-                break
-            k += 1
-            Xk *= Xsq
-            if k > 8 * float(X):
-                raise PrecisionError("polygamma asymptotic tail did not converge")
+        acc = _bernoulli_tail(acc, _polygamma_coeffs(n, wp), X**n * Xsq, Xsq,
+                              mpf(2) ** (-wp - 4) * abs(acc), 8 * float(X),
+                              "polygamma asymptotic tail")
         sign = 1 if (n - 1) % 2 == 0 else -1
         return +(sign * acc - (-1) ** n * nfact * to_mpf(shift, wp))
 
@@ -155,19 +158,9 @@ def polygamma(n: int, x: Rational, prec: int = DEFAULT_PREC) -> mpf:
 def _log_gamma_large(X: mpf, wp: int) -> mpf:
     # Stirling: (X-1/2) log X - X + log(2 pi)/2 + sum_k B_{2k}/(2k(2k-1) X^(2k-1))
     acc = (X - mpf(1) / 2) * mp.log(X) - X + mp.log(2 * mp.pi) / 2
-    Xsq = X * X
-    Xk = X
-    tiny = mpf(2) ** (-wp - 4)
-    k = 1
-    while True:
-        term = to_mpf(bernoulli(2 * k), wp) / ((2 * k) * (2 * k - 1)) / Xk
-        acc += term
-        if abs(term) < tiny:
-            return acc
-        k += 1
-        Xk *= Xsq
-        if k > 8 * float(X):
-            raise PrecisionError("Stirling tail did not converge")
+    coeffs = (to_mpf(bernoulli(2 * k), wp) / ((2 * k) * (2 * k - 1)) for k in count(1))
+    return _bernoulli_tail(acc, coeffs, X, X * X, mpf(2) ** (-wp - 4), 8 * float(X),
+                           "Stirling tail")
 
 
 def gamma_value(x: Rational, prec: int = DEFAULT_PREC) -> mpf:

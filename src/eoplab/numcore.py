@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
+import threading
 
 from mpmath import mp, mpf, workprec
 
@@ -86,26 +86,43 @@ def binomial_general(n: int, k: int, alpha: Rational) -> Rational:
     return num / den
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_list(m: int) -> tuple[Fraction, ...]:
-    """B_0..B_m (second convention, B_1 = -1/2) via the defining recurrence.
+# Exact B_0..B_{2j-1} with j = len(_tangent_column) (first convention,
+# B_1 = -1/2), grown in place by _grow_bernoulli and never rebuilt. B_{2i} comes from the tangent number
+# T_i = (2i-1)! [x^(2i-1)] tan x: B_{2i} = (-1)^(i-1) 2i T_i / (4^i (4^i - 1)).
+_BERNOULLI = [Fraction(1), Fraction(-1, 2)]
+# Column j of the tangent-number triangle of Brent and Harvey ("Fast
+# computation of Bernoulli, Tangent and Secant numbers", 2011):
+# V(j, 1) = (j-1)!, V(j, r) = (j-r) V(j-1, r) + (j-r+2) V(j, r-1), T_j = V(j, j).
+# Column j+1 needs only column j, so the table grows without a rebuild.
+_tangent_column = [1]
+_grow_lock = threading.Lock()
 
-    B_j = -1/(j+1) * sum_{i<j} binom(j+1, i) B_i, so step j needs Pascal row j+1.
-    """
-    out = [Fraction(1)]
-    binom = [1, 1]
-    for j in range(1, m + 1):
-        binom = [1] + [binom[i] + binom[i + 1] for i in range(len(binom) - 1)] + [1]
-        s = sum(binom[i] * out[i] for i in range(j) if out[i])
-        out.append(Fraction(-s) / (j + 1) if not isinstance(s, Fraction) else -s / (j + 1))
-    return tuple(out)
+
+def _grow_bernoulli(k: int) -> None:
+    """Extend the table through B_k, one tangent number at a time."""
+    global _tangent_column
+    with _grow_lock:
+        col = _tangent_column
+        while len(_BERNOULLI) <= k:
+            j = len(col)
+            b = Fraction(j * col[-1], (4**j - 1) << (2 * j - 1))
+            _BERNOULLI.extend((b if j % 2 else -b, Fraction(0)))
+            v = j * col[0]  # V(j+1, 1) = j!; below, i = j+1-r for r = 2..j
+            nxt = [v]
+            for i, c in zip(range(j - 1, 0, -1), col[1:]):
+                v = i * c + (i + 2) * v
+                nxt.append(v)
+            nxt.append(2 * v)
+            col = _tangent_column = nxt
 
 
 def bernoulli(k: int) -> Rational:
-    """Exact Bernoulli number B_k."""
+    """Exact Bernoulli number B_k, with B_1 = -1/2."""
     if k < 0:
         raise DomainError("bernoulli needs k >= 0")
-    return _bernoulli_list(max(k, 8))[k]
+    if k >= len(_BERNOULLI):
+        _grow_bernoulli(k)
+    return _BERNOULLI[k]
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,17 @@ def test_direct_eval_domain_errors():
         direct_E_eval("nope", 10, 64)
 
 
+def test_complex_z_rejected():
+    a = asym_E_log(8, 64)
+    for z in (complex(10, 1), mp.mpc(10, 1)):
+        with pytest.raises(DomainError):
+            optimal_truncation(z)
+        with pytest.raises(DomainError):
+            direct_E_eval("E_alpha", z, 64, alpha=F(1, 2))
+        with pytest.raises(DomainError):
+            eval_asym(a, z, 4, 64)
+
+
 def test_transfer_rate_check_positive_alphas():
     for alpha, predicted in ((F(1, 2), F(-1, 2)), (F(1, 3), F(-2, 3))):
         run = gamma_seq(alpha, 1000, method="recurrence")

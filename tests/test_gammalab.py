@@ -102,6 +102,31 @@ def test_gamma_values():
         assert _close(gamma_value(F(-1, 2), PREC), -2 * mp.sqrt(mp.pi))
 
 
+def _relative_error(got, want, prec):
+    with workprec(prec + 64):
+        return abs(got - want) / abs(want)
+
+
+def test_gamma_one_third_at_4096_bits():
+    # Gamma(1/3)^3 = 2^(7/3) pi K(m) / 3^(1/4) with m = sin^2(pi/12) (AGM route;
+    # mpmath.gamma itself needs seconds at this precision)
+    prec = 4096
+    got = gamma_value(F(1, 3), prec)
+    with workprec(prec + 64):
+        m = (2 - mp.sqrt(3)) / 4
+        want = mp.cbrt(2 ** (mpf(7) / 3) * mp.pi * mp.ellipk(m) / mp.root(3, 4))
+        assert _relative_error(got, want, prec) < mpf(2) ** -prec
+
+
+def test_psi_and_polygamma_at_2048_bits():
+    prec = 2048
+    with workprec(prec + 64):
+        want_psi = mp.psi(0, mpf(2) / 7)
+        want_pg = mp.psi(2, mpf(-5) / 3)
+    assert _relative_error(psi(F(2, 7), prec), want_psi, prec) < mpf(2) ** -prec
+    assert _relative_error(polygamma(2, F(-5, 3), prec), want_pg, prec) < mpf(2) ** -prec
+
+
 def test_gamma_poles_rejected():
     for bad in (F(0), F(-3)):
         with pytest.raises(DomainError):

@@ -1,9 +1,12 @@
+import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from mpmath import mp, mpf, workprec
 
+from eoplab import numcore
 from eoplab.numcore import (
     DomainError,
     PolyQ,
@@ -94,6 +97,39 @@ def test_bernoulli_values():
     assert bernoulli(4) == F(-1, 30)
     assert bernoulli(12) == F(-691, 2730)
     assert all(bernoulli(k) == 0 for k in (3, 5, 7, 9, 11))
+
+
+def _bernoulli_by_recurrence(m):
+    """B_0..B_m by B_j = -1/(j+1) sum_{i<j} binom(j+1, i) B_i (independent oracle)."""
+    out = [F(1)]
+    for j in range(1, m + 1):
+        out.append(-sum(math.comb(j + 1, i) * out[i] for i in range(j)) / (j + 1))
+    return out
+
+
+def test_bernoulli_matches_mpmath_bernfrac():
+    for k in range(401):
+        p, q = mpmath.bernfrac(k)
+        assert bernoulli(k) == F(int(p), int(q)), k
+
+
+def test_bernoulli_matches_defining_recurrence():
+    assert [bernoulli(k) for k in range(121)] == _bernoulli_by_recurrence(120)
+
+
+def test_bernoulli_table_grows_out_of_order(monkeypatch):
+    # start from the initial table (B_0, B_1) so that 300 and 401 each grow it
+    monkeypatch.setattr(numcore, "_BERNOULLI", [F(1), F(-1, 2)])
+    monkeypatch.setattr(numcore, "_tangent_column", [1])
+    for k in (300, 2, 401):
+        p, q = mpmath.bernfrac(k)
+        assert bernoulli(k) == F(int(p), int(q)), k
+    assert len(numcore._BERNOULLI) > 401
+
+
+def test_bernoulli_rejects_negative_index():
+    with pytest.raises(DomainError):
+        bernoulli(-1)
 
 
 def test_to_mpf_rounds_at_requested_precision():
