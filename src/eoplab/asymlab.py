@@ -24,6 +24,7 @@ from .numcore import (
     DomainError,
     PrecisionError,
     Rational,
+    least_squares_line,
     pochhammer,
     to_mpf,
 )
@@ -156,6 +157,8 @@ def direct_E_eval(which: str, z, prec: int = DEFAULT_PREC, alpha: Rational | Non
         if alpha.denominator == 1 and alpha <= 0:
             raise DomainError("E_alpha pole at nonpositive integer alpha")
     zf = _abs_real(z)
+    if z <= 0:
+        raise DomainError(f"direct summation needs real z > 0, got {z}")
     wp = prec + math.ceil(zf * math.log2(math.e)) + 32
     with workprec(wp):
         zv = to_mpf(z, wp)
@@ -214,7 +217,9 @@ def transfer_rate_check(
             if d > 0:
                 xs.append(math.log(n))
                 ys.append(float(mp.log(d)))
-    slope = _ls_slope(xs, ys)
+    if len(xs) < 2:
+        raise DomainError("not enough points for a slope fit")
+    slope, _ = least_squares_line(xs, ys)
     ok = abs(slope - float(predicted_exponent)) <= tolerance
     return RateCheckReport(
         empirical_exponent=slope,
@@ -223,13 +228,3 @@ def transfer_rate_check(
         window=(lo, hi),
         passed=ok,
     )
-
-
-def _ls_slope(xs: list, ys: list) -> float:
-    n = len(xs)
-    if n < 2:
-        raise DomainError("not enough points for a slope fit")
-    sx, sy = sum(xs), sum(ys)
-    sxx = sum(x * x for x in xs)
-    sxy = sum(x * y for x, y in zip(xs, ys))
-    return (n * sxy - sx * sy) / (n * sxx - sx * sx)

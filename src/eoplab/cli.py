@@ -4,7 +4,8 @@ Exact sequences are emitted as ``n,numerator,denominator`` CSV rows; numeric
 tables as ``n,value`` with a fixed digit count. JSON artifacts carry numeric
 values as decimal strings, never as binary floats. Every command writes a
 manifest recording the command, parameters, precision, and output files;
-``eop replay <manifest>`` re-runs it and must reproduce the outputs.
+``eop replay <manifest>`` re-runs the recorded command (it does not compare
+the new outputs with the recorded ones).
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 precision failure.
 """
@@ -15,10 +16,12 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from mpmath import mp, workprec
 
@@ -32,33 +35,26 @@ EXIT_DOMAIN = 2
 EXIT_PRECISION = 3
 
 
-@dataclass
-class RunManifest:
-    command: str
-    params: dict
-    precision_bits: int
-    tool_version: str
-    outputs: list
-
-
 class _UsageError(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern plus p/q: "--alpha -5/3" is a value, not an option
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):
         raise _UsageError(message)
 
 
 def _parse_rational(text: str) -> Fraction:
     """Accept only p or p/q integer strings; decimals are rejected."""
-    t = text.strip()
-    parts = t.split("/")
+    parts = text.strip().split("/")
     try:
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
-        if len(parts) == 2:
-            return Fraction(int(parts[0]), int(parts[1]))
+        if len(parts) <= 2:
+            return Fraction(*map(int, parts))
     except (ValueError, ZeroDivisionError):
         pass
     raise _UsageError(f"expected an exact rational like 3 or -1/2, got {text!r}")
@@ -69,218 +65,109 @@ def _digits(value, d: int, prec: int) -> str:
         return mp.nstr(value, d, strip_zeros=False)
 
 
-def _default_prec() -> int:
-    env = os.environ.get("EOP_DEFAULT_PREC")
-    if env:
+def _precision(prec: int | None) -> int:
+    """The --prec value, else EOP_DEFAULT_PREC, else DEFAULT_PREC; at least 1 bit."""
+    if prec is None:
+        env = os.environ.get("EOP_DEFAULT_PREC")
         try:
-            return int(env)
+            prec = int(env) if env else DEFAULT_PREC
         except ValueError:
             raise _UsageError(f"EOP_DEFAULT_PREC must be an integer, got {env!r}")
-    return DEFAULT_PREC
+    if prec < 1:
+        raise _UsageError(f"precision must be at least 1 bit, got {prec}")
+    return prec
 
 
-def _write_exact_csv(path: Path, rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "numerator", "denominator"])
-        for n, v in rows:
-            w.writerow([n, v.numerator, v.denominator])
+def _ratio(v: Fraction) -> list:
+    return [str(v.numerator), str(v.denominator)]
 
 
-def _write_numeric_csv(path: Path, rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "value"])
-        for n, v in rows:
-            w.writerow([n, v])
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand. ``compute(args)`` returns (params, body, rows, footer): the
+    recorded parameters, the other JSON fields, the CSV rows and its footer."""
+
+    name: str
+    help: str
+    args: tuple  # (flag, add_argument keywords) pairs
+    compute: Callable
+    records_digits: bool  # the manifest records --digits
+    exact_rows: bool  # CSV rows are n,numerator,denominator, else n,value
 
 
-def _emit(out_dir: Path, name: str, payload: dict, fmt: str, exact_rows=None,
-          numeric_rows=None, footer=None) -> list:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    if fmt == "csv":
-        path = out_dir / f"{name}.csv"
-        if exact_rows is not None:
-            _write_exact_csv(path, exact_rows)
-        else:
-            _write_numeric_csv(path, numeric_rows or [])
-        if footer:
-            with path.open("a", encoding="utf-8") as fh:
-                for key, val in footer.items():
-                    fh.write(f"# {key},{val}\n")
-        outputs.append(str(path))
+def _sequence(args) -> tuple:
+    params = {"n": args.n, "method": args.method}
+    if args.cmd == "gamma-approx":
+        run = constructions.gamma_seq(args.alpha, args.n, args.method, args.prec)
+        params["alpha"] = str(args.alpha)
     else:
-        path = out_dir / f"{name}.json"
-        with path.open("w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        outputs.append(str(path))
-    return outputs
-
-
-def _finalize(out_dir: Path, name: str, manifest: RunManifest) -> None:
-    man_path = out_dir / f"{name}.manifest.json"
-    with man_path.open("w", encoding="utf-8") as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for f in manifest.outputs:
-        print(f)
-    print(man_path)
-
-
-def _sequence_command(args, which: str) -> None:
-    prec = args.prec
-    if which == "gamma":
-        run = constructions.gamma_seq(args.alpha, args.n, method=args.method, prec=prec)
-        name = "gamma_approx"
-        params = {"alpha": str(args.alpha), "n": args.n, "method": args.method}
-    else:
-        run = constructions.euler_seq(args.n, method=args.method, prec=prec)
-        name = "euler_approx"
-        params = {"n": args.n, "method": args.method}
+        run = constructions.euler_seq(args.n, args.method, args.prec)
     estimates = {}
     if run.limit is not None:
-        estimates["limit_estimate"] = _digits(run.limit, args.digits, prec)
+        estimates["limit_estimate"] = _digits(run.limit, args.digits, args.prec)
     if run.rate_exponent is not None:
         estimates["rate_exponent"] = f"{run.rate_exponent:.6f}"
     if "exact_agreement" in run.metadata:
         estimates["exact_agreement"] = run.metadata["exact_agreement"]
-    payload = {
-        "command": name,
-        "params": params,
-        "precision_bits": prec,
-        "values": [
-            [n, str(v.numerator), str(v.denominator)] for n, v in enumerate(run.values)
-        ],
-        "estimates": estimates,
-    }
-    outputs = _emit(
-        Path(args.out), name, payload, args.format,
-        exact_rows=list(enumerate(run.values)), footer=estimates,
-    )
-    manifest = RunManifest(name, {**params, "format": args.format,
-                                  "digits": args.digits},
-                           prec, __version__, outputs)
-    payload["manifest"] = asdict(manifest)
-    if args.format == "json":
-        _emit(Path(args.out), name, payload, "json")
-    _finalize(Path(args.out), name, manifest)
+    rows = list(enumerate(run.values))
+    body = {"values": [[n, *_ratio(v)] for n, v in rows], "estimates": estimates}
+    return params, body, rows, estimates
 
 
-def _cmd_gamma_approx(args) -> None:
-    _sequence_command(args, "gamma")
-
-
-def _cmd_euler_approx(args) -> None:
-    _sequence_command(args, "euler")
-
-
-def _cmd_pade(args) -> None:
+def _pade(args) -> tuple:
     p, q = constructions.pade_exp(args.n)
-    params = {"n": args.n}
-    rows = []
-    pz = qz = None
+    params, body, rows = {"n": args.n}, {"estimates": {}}, []
+    for name, poly in (("p", p), ("q", q)):
+        body[f"{name}_coeffs"] = [_ratio(c) for c in poly.coeffs]
+        rows += [(f"{name}{i}", c) for i, c in enumerate(poly.coeffs)]
     if args.z is not None:
         pz, qz = p(args.z), q(args.z)
         params["z"] = str(args.z)
-    payload = {
-        "command": "pade",
-        "params": params,
-        "precision_bits": args.prec,
-        "p_coeffs": [[str(c.numerator), str(c.denominator)] for c in p.coeffs],
-        "q_coeffs": [[str(c.numerator), str(c.denominator)] for c in q.coeffs],
-        "estimates": {},
-    }
-    for i, c in enumerate(p.coeffs):
-        rows.append((f"p{i}", c))
-    for i, c in enumerate(q.coeffs):
-        rows.append((f"q{i}", c))
-    if pz is not None:
-        payload["estimates"] = {
+        body["estimates"] = {
             "p_at_z": f"{pz.numerator}/{pz.denominator}",
             "q_at_z": f"{qz.numerator}/{qz.denominator}",
         }
-        rows.append(("p(z)", pz))
-        rows.append(("q(z)", qz))
-    outputs = _emit(Path(args.out), "pade", payload, args.format, exact_rows=rows)
-    manifest = RunManifest("pade", {**params, "format": args.format}, args.prec,
-                           __version__, outputs)
-    payload["manifest"] = asdict(manifest)
-    if args.format == "json":
-        _emit(Path(args.out), "pade", payload, "json")
-    _finalize(Path(args.out), "pade", manifest)
+        rows += [("p(z)", pz), ("q(z)", qz)]
+    return params, body, rows, None
 
 
-def _cmd_e_convergents(args) -> None:
-    rows = []
-    for n in range(1, args.n + 1):
-        num, den = constructions.e_convergents(n)
-        rows.append((n, Fraction(num, den)))
-    payload = {
-        "command": "e_convergents",
-        "params": {"n": args.n},
-        "precision_bits": args.prec,
-        "values": [[n, str(v.numerator), str(v.denominator)] for n, v in rows],
-        "estimates": {},
-    }
-    outputs = _emit(Path(args.out), "e_convergents", payload, args.format,
-                    exact_rows=rows)
-    manifest = RunManifest("e_convergents", {"n": args.n, "format": args.format},
-                           args.prec, __version__, outputs)
-    payload["manifest"] = asdict(manifest)
-    if args.format == "json":
-        _emit(Path(args.out), "e_convergents", payload, "json")
-    _finalize(Path(args.out), "e_convergents", manifest)
+def _e_convergents(args) -> tuple:
+    rows = [(n, Fraction(*constructions.e_convergents(n))) for n in range(1, args.n + 1)]
+    body = {"values": [[n, *_ratio(v)] for n, v in rows], "estimates": {}}
+    return {"n": args.n}, body, rows, None
 
 
-def _cmd_intseq(args) -> None:
+def _intseq(args) -> tuple:
     res = constructions.intseq(args.k, args.prec)
     consts = constructions.intseq_constants(args.prec)
     rows = [(k, Fraction(res.U[k], res.V[k]) if res.V[k] else Fraction(res.U[k]))
             for k in range(len(res.U))]
-    payload = {
-        "command": "intseq",
-        "params": {"k": args.k},
-        "precision_bits": args.prec,
+    estimates = {
+        "recurrence_disagreement": _digits(res.recurrence_disagreement, 8, args.prec),
+        **{key: _digits(getattr(consts, key), args.digits, args.prec)
+           for key in ("wronskian", "a", "b", "c", "d")},
+    }
+    body = {
         "U": [str(u) for u in res.U],
         "V": [str(v) for v in res.V],
         "A": [_digits(a, args.digits, args.prec) for a in res.A],
-        "estimates": {
-            "recurrence_disagreement": _digits(
-                res.recurrence_disagreement, 8, args.prec
-            ),
-            "wronskian": _digits(consts.wronskian, args.digits, args.prec),
-            "a": _digits(consts.a, args.digits, args.prec),
-            "b": _digits(consts.b, args.digits, args.prec),
-            "c": _digits(consts.c, args.digits, args.prec),
-            "d": _digits(consts.d, args.digits, args.prec),
-        },
+        "estimates": estimates,
     }
-    outputs = _emit(Path(args.out), "intseq", payload, args.format, exact_rows=rows,
-                    footer=payload["estimates"])
-    manifest = RunManifest("intseq", {"k": args.k, "format": args.format,
-                                      "digits": args.digits},
-                           args.prec, __version__, outputs)
-    payload["manifest"] = asdict(manifest)
-    if args.format == "json":
-        _emit(Path(args.out), "intseq", payload, "json")
-    _finalize(Path(args.out), "intseq", manifest)
+    return {"k": args.k}, body, rows, estimates
 
 
-def _cmd_asym_check(args) -> None:
+def _asym_check(args) -> tuple:
     prec = args.prec
-    which = "E_alpha" if args.which == "ealpha" else "E_loglike"
-    alpha = args.alpha if which == "E_alpha" else None
-    if which == "E_alpha" and alpha is None:
+    if args.which == "ealpha" and args.alpha is None:
         raise _UsageError("--which ealpha requires --alpha")
+    alpha = args.alpha if args.which == "ealpha" else None
+    which = "E_loglike" if alpha is None else "E_alpha"
     direct = asymlab.direct_E_eval(which, args.z, prec, alpha=alpha)
     order = max(8, int(round(abs(float(args.z)))) + 8)
-    series = (
-        asymlab.asym_E_alpha(alpha, order, prec)
-        if which == "E_alpha"
-        else asymlab.asym_E_log(order, prec)
-    )
+    if alpha is None:
+        series = asymlab.asym_E_log(order, prec)
+    else:
+        series = asymlab.asym_E_alpha(alpha, order, prec)
     nstar = asymlab.optimal_truncation(args.z, series.order)
     approx = asymlab.eval_asym(series, args.z, nstar, prec)
     with workprec(prec + 16):
@@ -289,185 +176,155 @@ def _cmd_asym_check(args) -> None:
     params = {"which": args.which, "z": str(args.z)}
     if alpha is not None:
         params["alpha"] = str(alpha)
-    payload = {
-        "command": "asym_check",
-        "params": params,
-        "precision_bits": prec,
-        "values": [],
-        "estimates": {
-            "direct": _digits(direct, args.digits, prec),
-            "asymptotic": _digits(approx, args.digits, prec),
-            "optimal_truncation": nstar,
-            "relative_error": _digits(rel, 8, prec),
-            "pass": passed,
-        },
+    estimates = {
+        "direct": _digits(direct, args.digits, prec),
+        "asymptotic": _digits(approx, args.digits, prec),
+        "optimal_truncation": nstar,
+        "relative_error": _digits(rel, 8, prec),
+        "pass": passed,
     }
-    rows = [("direct", _digits(direct, args.digits, prec)),
-            ("asymptotic", _digits(approx, args.digits, prec)),
-            ("optimal_truncation", nstar),
-            ("relative_error", _digits(rel, 8, prec)),
-            ("pass", passed)]
-    outputs = _emit(Path(args.out), "asym_check", payload, args.format,
-                    numeric_rows=rows)
-    manifest = RunManifest("asym_check", {**params, "format": args.format,
-                                          "digits": args.digits},
-                           prec, __version__, outputs)
-    payload["manifest"] = asdict(manifest)
-    if args.format == "json":
-        _emit(Path(args.out), "asym_check", payload, "json")
-    _finalize(Path(args.out), "asym_check", manifest)
+    return params, {"values": [], "estimates": estimates}, list(estimates.items()), None
 
 
-def _cmd_gamma_deriv(args) -> None:
+def _gamma_deriv(args) -> tuple:
     derivs = gammalab.gamma_deriv(args.order, args.s, args.prec)
     rows = [(k, _digits(v, args.digits, args.prec)) for k, v in enumerate(derivs.values)]
-    payload = {
-        "command": "gamma_deriv",
-        "params": {"s": str(args.s), "order": args.order},
-        "precision_bits": args.prec,
-        "values": [[k, _digits(v, args.digits, args.prec)]
-                   for k, v in enumerate(derivs.values)],
-        "estimates": {},
-    }
-    outputs = _emit(Path(args.out), "gamma_deriv", payload, args.format,
-                    numeric_rows=rows)
-    manifest = RunManifest(
-        "gamma_deriv",
-        {"s": str(args.s), "order": args.order, "format": args.format,
-         "digits": args.digits},
-        args.prec, __version__, outputs)
-    payload["manifest"] = asdict(manifest)
-    if args.format == "json":
-        _emit(Path(args.out), "gamma_deriv", payload, "json")
-    _finalize(Path(args.out), "gamma_deriv", manifest)
+    params = {"s": str(args.s), "order": args.order}
+    return params, {"values": rows, "estimates": {}}, rows, None
 
 
-def _cmd_fit(args) -> None:
+def _fit(args) -> tuple:
     path = Path(args.input)
     if not path.exists():
         raise _UsageError(f"input file {path} does not exist")
-    values = []
     with path.open(newline="", encoding="utf-8") as fh:
         # skip the "# key,value" footer lines that sequence CSVs end with
         reader = csv.DictReader(line for line in fh if not line.startswith("#"))
         if reader.fieldnames is None or "numerator" not in reader.fieldnames:
             raise _UsageError("fit input needs an n,numerator,denominator CSV")
-        for row in reader:
-            values.append(Fraction(int(row["numerator"]), int(row["denominator"])))
+        values = [Fraction(int(row["numerator"]), int(row["denominator"]))
+                  for row in reader]
     fit = constructions.fit_growth(values, prec=args.prec)
-    payload = {
-        "command": "fit",
-        "params": {"input": str(path)},
-        "precision_bits": args.prec,
-        "values": [],
-        "estimates": {
-            "q": f"{fit.q:.10g}",
-            "u": f"{fit.u:.10g}",
-            "v": fit.v,
-            "sub_geometric": fit.sub_geometric,
-            "factorial_order": fit.factorial_order,
-            "oscillatory": fit.oscillatory,
-        },
+    estimates = {
+        "q": f"{fit.q:.10g}",
+        "u": f"{fit.u:.10g}",
+        "v": fit.v,
+        "sub_geometric": fit.sub_geometric,
+        "factorial_order": fit.factorial_order,
+        "oscillatory": fit.oscillatory,
     }
-    rows = list(payload["estimates"].items())
-    outputs = _emit(Path(args.out), "fit", payload, args.format, numeric_rows=rows)
-    manifest = RunManifest("fit", {"input": str(path), "format": args.format},
-                           args.prec, __version__, outputs)
-    payload["manifest"] = asdict(manifest)
-    if args.format == "json":
-        _emit(Path(args.out), "fit", payload, "json")
-    _finalize(Path(args.out), "fit", manifest)
+    body = {"values": [], "estimates": estimates}
+    return {"input": str(path)}, body, list(estimates.items()), None
+
+
+_METHOD = ("--method",
+           dict(choices=("closed", "recurrence", "series", "all"), default="all"))
+_N = ("--n", dict(type=int, required=True))
+
+COMMANDS = (
+    _Command("gamma-approx", "sequence converging to Gamma(alpha)",
+             (("--alpha", dict(type=_parse_rational, required=True)), _N, _METHOD),
+             _sequence, True, True),
+    _Command("euler-approx", "sequence converging to Euler's constant",
+             (_N, _METHOD), _sequence, True, True),
+    _Command("pade", "diagonal rational approximant to exp",
+             (_N, ("--z", dict(type=_parse_rational, default=None))),
+             _pade, False, True),
+    _Command("e-convergents", "continued-fraction convergents of e",
+             (_N,), _e_convergents, False, True),
+    _Command("intseq", "integer pair for the Bessel-type ratio",
+             (("--k", dict(type=int, required=True)),), _intseq, True, True),
+    _Command("asym-check", "asymptotic expansion vs direct summation",
+             (("--which", dict(choices=("ealpha", "elog"), required=True)),
+              ("--alpha", dict(type=_parse_rational, default=None)),
+              ("--z", dict(type=_parse_rational, required=True))),
+             _asym_check, True, False),
+    _Command("gamma-deriv", "derivatives of Gamma at a rational point",
+             (("--s", dict(type=_parse_rational, required=True)),
+              ("--order", dict(type=int, required=True))),
+             _gamma_deriv, True, False),
+    _Command("fit", "growth-model fit of an exact CSV sequence",
+             (("--input", dict(required=True)),), _fit, False, False),
+)
+
+
+def _dump_json(obj, fh) -> None:
+    json.dump(obj, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+def _run(command: _Command, args) -> None:
+    """Compute, then write the artifact and the manifest, each once."""
+    params, body, rows, footer = command.compute(args)
+    name = command.name.replace("-", "_")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"{name}.{args.format}"
+    recorded = {**params, "format": args.format}
+    if command.records_digits:
+        recorded["digits"] = args.digits
+    manifest = {"command": name, "params": recorded, "precision_bits": args.prec,
+                "tool_version": __version__, "outputs": [str(path)]}
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        if args.format == "json":
+            _dump_json({"command": name, "params": params, "precision_bits": args.prec,
+                        **body, "manifest": manifest}, fh)
+        else:
+            w = csv.writer(fh, lineterminator="\n")
+            if command.exact_rows:
+                w.writerow(["n", "numerator", "denominator"])
+                rows = [(n, v.numerator, v.denominator) for n, v in rows]
+            else:
+                w.writerow(["n", "value"])
+            w.writerows(rows)
+            for key, val in (footer or {}).items():
+                fh.write(f"# {key},{val}\n")
+    man_path = out_dir / f"{name}.manifest.json"
+    with man_path.open("w", encoding="utf-8") as fh:
+        _dump_json(manifest, fh)
+    print(path)
+    print(man_path)
 
 
 def _cmd_replay(args) -> int:
     with open(args.manifest, encoding="utf-8") as fh:
         man = json.load(fh)
+    # --key=value, so that a negative rational is never read as an option
     argv = [man["command"].replace("_", "-")]
-    params = dict(man["params"])
-    for key, val in params.items():
-        argv.extend([f"--{key.replace('_', '-')}", str(val)])
-    argv.extend(["--prec", str(man["precision_bits"])])
-    argv.extend(["--out", args.out or str(Path(args.manifest).parent)])
+    argv += [f"--{key.replace('_', '-')}={val}" for key, val in man["params"].items()]
+    argv += [f"--prec={man['precision_bits']}",
+             f"--out={args.out or Path(args.manifest).parent}"]
     return main(argv)
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--digits", type=int, default=30)
-    p.add_argument("--prec", type=int, default=None,
-                   help="precision in bits (default 256 or EOP_DEFAULT_PREC)")
-    p.add_argument("--out", default=".", help="output directory")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="eop", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    g = sub.add_parser("gamma-approx", help="sequence converging to Gamma(alpha)")
-    g.add_argument("--alpha", type=_parse_rational, required=True)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--method", choices=("closed", "recurrence", "series", "all"),
-                   default="all")
-    _add_common(g)
-    g.set_defaults(fn=_cmd_gamma_approx)
-
-    e = sub.add_parser("euler-approx", help="sequence converging to Euler's constant")
-    e.add_argument("--n", type=int, required=True)
-    e.add_argument("--method", choices=("closed", "recurrence", "series", "all"),
-                   default="all")
-    _add_common(e)
-    e.set_defaults(fn=_cmd_euler_approx)
-
-    p = sub.add_parser("pade", help="diagonal rational approximant to exp")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--z", type=_parse_rational, default=None)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_pade)
-
-    c = sub.add_parser("e-convergents", help="continued-fraction convergents of e")
-    c.add_argument("--n", type=int, required=True)
-    _add_common(c)
-    c.set_defaults(fn=_cmd_e_convergents)
-
-    i = sub.add_parser("intseq", help="integer pair for the Bessel-type ratio")
-    i.add_argument("--k", type=int, required=True)
-    _add_common(i)
-    i.set_defaults(fn=_cmd_intseq)
-
-    a = sub.add_parser("asym-check", help="asymptotic expansion vs direct summation")
-    a.add_argument("--which", choices=("ealpha", "elog"), required=True)
-    a.add_argument("--alpha", type=_parse_rational, default=None)
-    a.add_argument("--z", type=_parse_rational, required=True)
-    _add_common(a)
-    a.set_defaults(fn=_cmd_asym_check)
-
-    d = sub.add_parser("gamma-deriv", help="derivatives of Gamma at a rational point")
-    d.add_argument("--s", type=_parse_rational, required=True)
-    d.add_argument("--order", type=int, required=True)
-    _add_common(d)
-    d.set_defaults(fn=_cmd_gamma_deriv)
-
-    f = sub.add_parser("fit", help="growth-model fit of an exact CSV sequence")
-    f.add_argument("--input", required=True)
-    _add_common(f)
-    f.set_defaults(fn=_cmd_fit)
-
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        for flag, kwargs in command.args:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--digits", type=int, default=30)
+        p.add_argument("--prec", type=int, default=None,
+                       help="precision in bits (default 256 or EOP_DEFAULT_PREC)")
+        p.add_argument("--out", default=".", help="output directory")
+        p.set_defaults(command=command)
     r = sub.add_parser("replay", help="re-run a manifest")
     r.add_argument("manifest")
     r.add_argument("--out", default=None)
-    r.set_defaults(fn=_cmd_replay)
     return parser
 
 
 def main(argv: list | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "prec", None) is None and args.cmd != "replay":
-            args.prec = _default_prec()
-        rc = args.fn(args)
-        return EXIT_OK if rc is None else rc
+        args = _build_parser().parse_args(argv)
+        if args.cmd == "replay":
+            return _cmd_replay(args)
+        args.prec = _precision(args.prec)
+        _run(args.command, args)
+        return EXIT_OK
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -30,6 +30,7 @@ from .numcore import (
     PolyQ,
     PrecisionError,
     Rational,
+    least_squares_line,
     to_mpf,
 )
 from .series import (
@@ -637,18 +638,10 @@ def limit_estimate(values: list, prec: int = DEFAULT_PREC) -> LimitEstimate:
             if d != 0:
                 xs.append(math.log(n))
                 ys.append(float(mp.log(to_mpf(d, wp))))
-    rate = _ls_slope(xs, ys) if len(xs) >= 4 else None
+    rate = least_squares_line(xs, ys)[0] if len(xs) >= 4 else None
     return LimitEstimate(
         limit=to_mpf(est, prec), rate_exponent=rate, degenerate=False, method=method,
     )
-
-
-def _ls_slope(xs: list, ys: list) -> float:
-    n = len(xs)
-    sx, sy = sum(xs), sum(ys)
-    sxx = sum(x * x for x in xs)
-    sxy = sum(x * y for x, y in zip(xs, ys))
-    return (n * sxy - sx * sy) / (n * sxx - sx * sx)
 
 
 def _logabs(v: Fraction) -> float:
@@ -708,16 +701,7 @@ def fit_growth(values: list, prec: int = DEFAULT_PREC) -> GrowthFit:
     if not oscillatory:
         # log r_n = log q - (u+1)/n + O(1/n^2): intercept of LS against 1/n
         xs = [1.0 / idx[i] for i in range(len(idx) - 1) if idx[i + 1] == idx[i] + 1]
-        n_ = len(xs)
-        sx, sy = sum(xs), sum(ratios)
-        sxx = sum(x * x for x in xs)
-        sxy = sum(x * y for x, y in zip(xs, ratios))
-        denom = n_ * sxx - sx * sx
-        if abs(denom) < 1e-30:
-            logq = sy / n_
-        else:
-            slope = (n_ * sxy - sx * sy) / denom
-            logq = (sy - slope * sx) / n_
+        _, logq = least_squares_line(xs, ratios)
     else:
         quarter = max(1, len(idx) // 4)
         j1 = max(idx[:quarter], key=lambda n: la[n])
@@ -729,12 +713,7 @@ def fit_growth(values: list, prec: int = DEFAULT_PREC) -> GrowthFit:
         for n in idx:
             xs.append(math.log(n))
             ys.append(la[n] - n * logq - v * math.log(math.log(n)))
-        k = len(xs)
-        sx, sy = sum(xs), sum(ys)
-        sxx = sum(x * x for x in xs)
-        sxy = sum(x * y for x, y in zip(xs, ys))
-        slope = (k * sxy - sx * sy) / (k * sxx - sx * sx)
-        icpt = (sy - slope * sx) / k
+        slope, icpt = least_squares_line(xs, ys)
         res = sum((y - slope * x - icpt) ** 2 for x, y in zip(xs, ys))
         if best is None or res < best[0]:
             best = (res, slope, v)

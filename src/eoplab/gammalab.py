@@ -208,8 +208,12 @@ def gamma_deriv(n: int, x: Rational, prec: int = DEFAULT_PREC) -> GammaDerivs:
 
 
 def _jet_mul(a: list, b: list, length: int) -> list:
-    out = [mpf(0)] * length
+    """Truncated product of two jets whose entries are all mpf or all Fraction;
+    sums start from a zero of that type."""
+    out = [0 * a[0]] * length
     for i, ai in enumerate(a[:length]):
+        if ai == 0:
+            continue
         for j in range(min(len(b), length - i)):
             out[i + j] += ai * b[j]
     return out
@@ -220,7 +224,7 @@ def _jet_recip(a: list, length: int) -> list:
         raise DomainError("jet reciprocal needs a nonzero constant term")
     out = [1 / a[0]]
     for k in range(1, length):
-        acc = mpf(0)
+        acc = 0 * a[0]
         for j in range(1, min(k, len(a) - 1) + 1):
             acc += a[j] * out[k - j]
         out.append(-acc / a[0])
@@ -268,26 +272,6 @@ def _frac_part(t: Fraction) -> Fraction:
     return t - math.floor(t)
 
 
-def _rational_jet_mul(a: list, b: list, length: int) -> list:
-    out = [Fraction(0)] * length
-    for i, ai in enumerate(a[:length]):
-        if ai == 0:
-            continue
-        for j in range(min(len(b), length - i)):
-            out[i + j] += ai * b[j]
-    return out
-
-
-def _rational_jet_recip(a: list, length: int) -> list:
-    out = [1 / a[0]]
-    for k in range(1, length):
-        acc = Fraction(0)
-        for j in range(1, min(k, len(a) - 1) + 1):
-            acc += a[j] * out[k - j]
-        out.append(-acc / a[0])
-    return out
-
-
 def _kernel_jet(alpha: Fraction, n: int, length: int) -> list:
     """Jet in (y - alpha) of Gamma(1-{y})/Gamma(-y-n), with floor(alpha) frozen.
 
@@ -299,13 +283,13 @@ def _kernel_jet(alpha: Fraction, n: int, length: int) -> list:
     if n >= -fl:
         jet = [Fraction(1)]
         for m in range(n + fl + 1):
-            jet = _rational_jet_mul(jet, [-alpha - n + m, Fraction(-1)], length)
+            jet = _jet_mul(jet, [-alpha - n + m, Fraction(-1)], length)
         return jet + [Fraction(0)] * (length - len(jet))
     jet = [Fraction(1)]
     for m in range(-n - fl - 1):
-        jet = _rational_jet_mul(jet, [-alpha + fl + 1 + m, Fraction(-1)], length)
+        jet = _jet_mul(jet, [-alpha + fl + 1 + m, Fraction(-1)], length)
     jet += [Fraction(0)] * (length - len(jet))
-    return _rational_jet_recip(jet, length)
+    return _jet_recip(jet, length)
 
 
 def y_alpha_i(alpha: Rational, i: int, N: int) -> TruncatedSeries:

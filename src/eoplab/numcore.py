@@ -59,6 +59,21 @@ def double_run(fn, prec: int, guard: int = GUARD_BITS):
     return lo
 
 
+def least_squares_line(xs: list, ys: list) -> tuple:
+    """Slope and intercept of the least-squares line through the points (xs, ys).
+
+    The slope is 0 when the xs have no spread (one point, or all equal), so the
+    intercept is then the mean of the ys.
+    """
+    n = len(xs)
+    sx, sy = sum(xs), sum(ys)
+    sxx = sum(x * x for x in xs)
+    sxy = sum(x * y for x, y in zip(xs, ys))
+    denom = n * sxx - sx * sx
+    slope = 0.0 if abs(denom) < 1e-30 else (n * sxy - sx * sy) / denom
+    return slope, (sy - slope * sx) / n
+
+
 def pochhammer(a: Rational, n: int) -> Rational:
     """Rising factorial a(a+1)...(a+n-1); 1 for n=0."""
     if n < 0:

@@ -134,6 +134,11 @@ def test_direct_eval_domain_errors():
         direct_E_eval("E_alpha", 10, 64, alpha=F(-1))
     with pytest.raises(DomainError):
         direct_E_eval("nope", 10, 64)
+    for z in (0, F(-3), mpf(-1) / 3):
+        with pytest.raises(DomainError):
+            direct_E_eval("E_loglike", z, 64)
+        with pytest.raises(DomainError):
+            direct_E_eval("E_alpha", z, 64, alpha=F(1, 2))
 
 
 def test_complex_z_rejected():

@@ -13,6 +13,7 @@ from eoplab.numcore import (
     bernoulli,
     binomial_general,
     double_run,
+    least_squares_line,
     pochhammer,
     poly_eval,
     poly_gcd,
@@ -150,3 +151,11 @@ def test_double_run_accepts_stable_and_rejects_drifting():
 
     with pytest.raises(PrecisionError):
         double_run(drifting, 128)
+
+
+def test_least_squares_line():
+    xs = [1.0, 2.0, 4.0, 8.0]
+    assert least_squares_line(xs, [3 * x - 1 for x in xs]) == pytest.approx((3, -1))
+    # no spread in x: a flat line through the mean
+    assert least_squares_line([2.0], [5.0]) == (0.0, 5.0)
+    assert least_squares_line([2.0, 2.0], [1.0, 4.0]) == (0.0, 2.5)
