@@ -27,6 +27,7 @@ from mpmath import mp, workprec
 
 from . import __version__
 from .numcore import DEFAULT_PREC, DomainError, PrecisionError, to_mpf
+from .holonomic import LeadingCoefficientVanishes
 from . import asymlab, constructions, gammalab
 
 EXIT_OK = 0
@@ -286,9 +287,21 @@ def _run(command: _Command, args) -> None:
     print(man_path)
 
 
+def _read_manifest(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            man = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise _UsageError(f"cannot read manifest {path}: {exc}")
+    if not (isinstance(man, dict) and isinstance(man.get("command"), str)
+            and isinstance(man.get("params"), dict) and "precision_bits" in man):
+        raise _UsageError(f"{path} is not an eop manifest: it needs the keys "
+                          "command, params and precision_bits")
+    return man
+
+
 def _cmd_replay(args) -> int:
-    with open(args.manifest, encoding="utf-8") as fh:
-        man = json.load(fh)
+    man = _read_manifest(args.manifest)
     # --key=value, so that a negative rational is never read as an option
     argv = [man["command"].replace("_", "-")]
     argv += [f"--{key.replace('_', '-')}={val}" for key, val in man["params"].items()]
@@ -323,12 +336,15 @@ def main(argv: list | None = None) -> int:
         if args.cmd == "replay":
             return _cmd_replay(args)
         args.prec = _precision(args.prec)
+        if args.digits < 1:
+            raise _UsageError(f"--digits must be at least 1, got {args.digits}")
         _run(args.command, args)
         return EXIT_OK
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DomainError as exc:
+    except (DomainError, LeadingCoefficientVanishes,
+            constructions.RouteDisagreement) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except PrecisionError as exc:

@@ -10,6 +10,12 @@ Sequences are produced by independent routes that must agree exactly:
 * the integer pair (U_k, V_k) attached to the Bessel-type ratio F(1)/F'(1),
   with the recurrence A_{k+1} = k A_k + A_{k-1}.
 
+The exact kernels work on integer numerators over one common denominator and
+build each output ``Fraction`` once: the closed routes and the Pade numerator
+are binomial transforms of integer sequences, and the recurrence route unrolls
+the recurrence derived from the generating ODE (``holonomic.unroll``).
+Disagreeing routes raise :class:`RouteDisagreement`.
+
 Limit and growth-model estimation work on the exact rational data: the limit
 uses a smooth-window weighted tail mean (exact in rational arithmetic), which
 handles the sqrt(n)-phase oscillation these sequences exhibit, with an Aitken
@@ -42,9 +48,16 @@ from .series import (
     log_over_one_minus_z,
     partial_sums,
 )
-from .holonomic import DifferentialOperator, HolonomicSequence, LinearRecurrence, unroll
+from .holonomic import (
+    DifferentialOperator,
+    HolonomicSequence,
+    LinearRecurrence,
+    ode_to_recurrence,
+    unroll,
+)
 
 __all__ = [
+    "RouteDisagreement",
     "ApproximationRun",
     "LimitEstimate",
     "GrowthFit",
@@ -74,6 +87,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Result containers
 # ---------------------------------------------------------------------------
+
+
+class RouteDisagreement(ArithmeticError):
+    """Independent routes to the same exact sequence gave different values."""
 
 
 @dataclass(frozen=True)
@@ -121,13 +138,9 @@ def gamma_generating_ode(alpha: Rational) -> DifferentialOperator:
 
 
 def gamma_coefficient_recurrence(alpha: Rational) -> LinearRecurrence:
-    """Order-3 recurrence satisfied by the gamma-family coefficients."""
-    a = Fraction(alpha)
-    c3 = PolyQ([9 + 3 * a, 6 + a, 1])
-    c2 = PolyQ([-17 - 9 * a - a * a, -14 - 4 * a, -3])
-    c1 = PolyQ([10 + 9 * a + 2 * a * a, 11 + 5 * a, 3])
-    c0 = PolyQ([-2 - 3 * a - a * a, -3 - 2 * a, -1])
-    return LinearRecurrence([c0, c1, c2, c3])
+    """Order-3 recurrence satisfied by the gamma-family coefficients, derived
+    from :func:`gamma_generating_ode`."""
+    return ode_to_recurrence(gamma_generating_ode(alpha))
 
 
 def gamma_seed_values(alpha: Rational) -> tuple[Fraction, Fraction, Fraction]:
@@ -147,15 +160,9 @@ def euler_generating_ode() -> DifferentialOperator:
 
 
 def euler_coefficient_recurrence() -> LinearRecurrence:
-    """(n+3)^2 P_{n+3} - (3n^2+14n+17) P_{n+2} + (n+2)(3n+5) P_{n+1} - (n+1)(n+2) P_n = 0."""
-    return LinearRecurrence(
-        [
-            PolyQ([-2, -3, -1]),
-            PolyQ([10, 11, 3]),
-            PolyQ([-17, -14, -3]),
-            PolyQ([9, 6, 1]),
-        ]
-    )
+    """(n+3)^2 P_{n+3} - (3n^2+14n+17) P_{n+2} + (n+2)(3n+5) P_{n+1} - (n+1)(n+2) P_n = 0,
+    derived from :func:`euler_generating_ode`."""
+    return ode_to_recurrence(euler_generating_ode())
 
 
 def _check_gamma_domain(alpha: Fraction) -> None:
@@ -165,24 +172,35 @@ def _check_gamma_domain(alpha: Fraction) -> None:
         raise DomainError(f"alpha={alpha} violates the convergence condition alpha < 1")
 
 
-def _gamma_closed(alpha: Fraction, N: int) -> list:
-    # P_n = sum_k binom(n+alpha, k+alpha) (-1)^k / (k! (k+alpha));
-    # binom(n+alpha, k+alpha) = C[n] / (C[k] (n-k)!) with C[j] = (alpha+1)_j.
-    C = [Fraction(1)]
-    for j in range(1, N):
-        C.append(C[-1] * (alpha + j))
-    fact = [1]
-    for j in range(1, N):
-        fact.append(fact[-1] * j)
-    D = [
-        Fraction((-1) ** k) / (C[k] * fact[k] * (k + alpha)) for k in range(N)
-    ]
+def _binomial_transform(a: list) -> list:
+    """[sum_k binom(n, k) a_k for n < len(a)], by repeated sums of neighbours."""
     out = []
-    for n in range(N):
-        s = Fraction(0)
-        for k in range(n + 1):
-            s += D[k] / fact[n - k]
-        out.append(C[n] * s)
+    while a:
+        out.append(a[0])
+        a = [x + y for x, y in zip(a, a[1:])]
+    return out
+
+
+def _gamma_closed(alpha: Fraction, N: int) -> list:
+    # P_n = sum_k binom(n+alpha, k+alpha) (-1)^k / (k! (k+alpha)).  With
+    # alpha = p/q and c_n = prod_{1<=j<=n} (p+jq) this is
+    # c_n/(q^n n!) sum_k binom(n,k) E_k, E_k = (-1)^k q^(k+1) / (c_k (kq+p)),
+    # and every E_k is an integer a_k over M = c_{N-1} lcm_k(kq+p).
+    p, q = alpha.numerator, alpha.denominator
+    lin = [k * q + p for k in range(N)]
+    lcm = math.lcm(*lin)
+    tail = [1] * N  # tail[k] = c_{N-1} / c_k
+    for k in range(N - 2, -1, -1):
+        tail[k] = tail[k + 1] * lin[k + 1]
+    a = [(-1) ** k * q ** (k + 1) * tail[k] * (lcm // lin[k]) for k in range(N)]
+    den = tail[0] * lcm  # q^n n! M at n = 0
+    out = []
+    c = 1
+    for n, s in enumerate(_binomial_transform(a)):
+        if n:
+            c *= lin[n]
+            den *= q * n
+        out.append(Fraction(c * s, den))
     return out
 
 
@@ -193,28 +211,22 @@ def _gamma_series(alpha: Fraction, N: int) -> list:
 
 
 def _gamma_recurrence(alpha: Fraction, N: int) -> list:
-    seeds = gamma_seed_values(alpha)
-    seq = HolonomicSequence(gamma_coefficient_recurrence(alpha), seeds)
-    return unroll(seq, N) if N >= 3 else list(seeds[:N])
+    seq = HolonomicSequence(gamma_coefficient_recurrence(alpha), gamma_seed_values(alpha))
+    return unroll(seq, N)
 
 
 def _euler_closed(N: int) -> list:
-    # P_n = sum_{k=1}^n (-1)^k binom(n,k) (1/k) (1 - 1/k!)
-    fact = [1]
-    for j in range(1, N):
-        fact.append(fact[-1] * j)
-    ek = [Fraction(0)] + [
-        Fraction(fact[k] - 1, k * fact[k]) for k in range(1, N)
-    ]
-    out = []
-    for n in range(N):
-        s = Fraction(0)
-        b = 1
-        for k in range(1, n + 1):
-            b = b * (n - k + 1) // k
-            s += (-1) ** k * b * ek[k]
-        out.append(s)
-    return out
+    # P_n = sum_{k=1}^n (-1)^k binom(n,k) e_k with e_k = (k! - 1)/(k k!); every
+    # e_k is an integer over M = lcm(1..N-1) (N-1)!
+    lcm = math.lcm(*range(1, N))
+    top = math.factorial(N - 1)
+    a = [0]
+    fact = 1
+    for k in range(1, N):
+        fact *= k
+        a.append((-1) ** k * (fact - 1) * (lcm // k) * (top // fact))
+    M = lcm * top
+    return [Fraction(s, M) for s in _binomial_transform(a)]
 
 
 def _euler_series(N: int) -> list:
@@ -224,9 +236,8 @@ def _euler_series(N: int) -> list:
 
 
 def _euler_recurrence(N: int) -> list:
-    seeds = (Fraction(0), Fraction(0), Fraction(1, 4))
-    seq = HolonomicSequence(euler_coefficient_recurrence(), seeds)
-    return unroll(seq, N) if N >= 3 else list(seeds[:N])
+    seq = HolonomicSequence(euler_coefficient_recurrence(), (0, 0, Fraction(1, 4)))
+    return unroll(seq, N)
 
 
 _GAMMA_METHODS = {
@@ -236,9 +247,9 @@ _GAMMA_METHODS = {
 }
 
 _EULER_METHODS = {
-    "closed": lambda N: _euler_closed(N),
-    "recurrence": lambda N: _euler_recurrence(N),
-    "series": lambda N: _euler_series(N),
+    "closed": _euler_closed,
+    "recurrence": _euler_recurrence,
+    "series": _euler_series,
 }
 
 
@@ -262,9 +273,8 @@ def gamma_seq(
     if method == "all":
         routes = {name: fn(alpha, N) for name, fn in _GAMMA_METHODS.items()}
         vals = routes["closed"]
-        agree = all(routes[k] == vals for k in routes)
-        if not agree:
-            raise ArithmeticError("method disagreement in gamma_seq")
+        if not all(routes[k] == vals for k in routes):
+            raise RouteDisagreement("method disagreement in gamma_seq")
         meta = {"methods": sorted(routes), "exact_agreement": True}
     elif method in _GAMMA_METHODS:
         vals = _GAMMA_METHODS[method](alpha, N)
@@ -284,7 +294,7 @@ def euler_seq(N: int, method: str = "all", prec: int = DEFAULT_PREC) -> Approxim
         routes = {name: fn(N) for name, fn in _EULER_METHODS.items()}
         vals = routes["closed"]
         if not all(routes[k] == vals for k in routes):
-            raise ArithmeticError("method disagreement in euler_seq")
+            raise RouteDisagreement("method disagreement in euler_seq")
         meta = {"methods": sorted(routes), "exact_agreement": True}
     elif method in _EULER_METHODS:
         vals = _EULER_METHODS[method](N)
@@ -333,16 +343,11 @@ def pade_exp(n: int) -> tuple[PolyQ, PolyQ]:
     """
     if n < 0:
         raise DomainError("need n >= 0")
-    q = [
-        Fraction((-1) ** (n - k) * math.comb(2 * n - k, n), math.factorial(k))
-        for k in range(n + 1)
-    ]
-    p = []
-    for j in range(n + 1):
-        acc = Fraction(0)
-        for k in range(j + 1):
-            acc += q[k] / math.factorial(j - k)
-        p.append(acc)
+    # k! q_k = (-1)^(n-k) binom(2n-k, n), and j! p_j = sum_k binom(j,k) k! q_k
+    signed = [(-1) ** (n - k) * math.comb(2 * n - k, n) for k in range(n + 1)]
+    facts = [math.factorial(k) for k in range(n + 1)]
+    q = [Fraction(c, f) for c, f in zip(signed, facts)]
+    p = [Fraction(c, f) for c, f in zip(_binomial_transform(signed), facts)]
     return PolyQ(p), PolyQ(q)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .numcore import DomainError, PolyQ, Rational, poly_gcd
 from .series import TruncatedSeries
@@ -177,22 +177,41 @@ def ode_to_recurrence(op: DifferentialOperator) -> LinearRecurrence:
 
 
 def unroll(seq: HolonomicSequence, N: int) -> list[Fraction]:
-    """Exact terms P_0..P_{N-1}; raises if a leading coefficient vanishes."""
+    """Exact terms P_0..P_{N-1}; raises if a leading coefficient vanishes.
+
+    The coefficients are cleared to integer polynomials once, and the window
+    is carried as integer numerators over one running denominator, so each
+    term is normalised once, at the end. Every eighth step the window drops
+    its common content, which keeps the integers near the reduced size.
+    """
     r = seq.recurrence.order
-    vals = list(seq.initial[:N])
-    lead = seq.recurrence.coeffs[-1]
-    lower = seq.recurrence.coeffs[:-1]
+    polys = seq.recurrence.coeffs
+    clear = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    polys = [[int(c * clear) for c in reversed(p.coeffs)] for p in polys]
+    den = lcm(*(v.denominator for v in seq.initial))
+    window = [int(v * den) for v in seq.initial]
+    terms = []
     for n in range(N - r):
-        ln = lead(Fraction(n))
-        if ln == 0:
+        *lower, lead = [_horner(p, n) for p in polys]
+        if lead == 0:
             raise LeadingCoefficientVanishes(n)
-        acc = Fraction(0)
-        for j, p in enumerate(lower):
-            pj = p(Fraction(n))
-            if pj != 0:
-                acc += pj * vals[n + j]
-        vals.append(-acc / ln)
-    return vals
+        new = -sum(c * w for c, w in zip(lower, window) if c)
+        den *= lead
+        window = [w * lead for w in window[1:]] + [new]
+        if n % 8 == 7:
+            g = gcd(den, *window)
+            den //= g
+            window = [w // g for w in window]
+        terms.append((window[-1], den))
+    return list(seq.initial[:N]) + [Fraction(num, d) for num, d in terms]
+
+
+def _horner(coeffs: list[int], n: int) -> int:
+    """The integer polynomial with coefficients highest degree first, at n."""
+    out = 0
+    for c in coeffs:
+        out = out * n + c
+    return out
 
 
 def check_series_satisfies(op: DifferentialOperator, f: TruncatedSeries) -> bool:

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from eoplab import constructions
 from eoplab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+from eoplab.holonomic import LinearRecurrence
+from eoplab.numcore import PolyQ
 
 
 def _case(case_id, *argvs, digests=None):
@@ -154,12 +157,29 @@ def _exit_code(argv, capsys):
     "frobnicate",
     "gamma-approx --alpha=1/3 --n 10 --prec -5",
     "gamma-approx --alpha=1/3 --n 10 --prec 0",
+    "gamma-deriv --s=1/3 --order 1 --digits 0",
+    "gamma-deriv --s=1/3 --order 1 --digits -3",
+    "replay missing.json",
 ])
 def test_usage_errors_exit_1(workdir, capsys, argv):
     rc, err = _exit_code(argv.split(), capsys)
     assert rc == EXIT_USAGE
     assert err.startswith("usage error: ")
     assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[1, 2]",
+    '{"params": {"n": 5}, "precision_bits": 64}',
+    '{"command": "e_convergents", "precision_bits": 64}',
+    '{"command": "e_convergents", "params": {"n": 5}}',
+])
+def test_replay_of_a_malformed_manifest_exits_1(workdir, capsys, text):
+    (workdir / "bad.json").write_text(text, encoding="utf-8")
+    rc, err = _exit_code(["replay", "bad.json", "--out", "b"], capsys)
+    assert rc == EXIT_USAGE and err.startswith("usage error: ")
+    assert [p.name for p in workdir.iterdir()] == ["bad.json"]
 
 
 def test_fit_rejects_a_csv_without_numerators(workdir, capsys):
@@ -187,6 +207,25 @@ def test_domain_errors_exit_2(workdir, capsys, argv):
     rc, err = _exit_code(argv.split(), capsys)
     assert rc == EXIT_DOMAIN
     assert err.startswith("domain error: ")
+    assert list(workdir.iterdir()) == []
+
+
+def test_route_disagreement_exits_2(workdir, capsys, monkeypatch):
+    monkeypatch.setitem(constructions._GAMMA_METHODS, "series", lambda alpha, N: [0] * N)
+    rc, err = _exit_code("gamma-approx --alpha=1/3 --n 20".split(), capsys)
+    assert rc == EXIT_DOMAIN
+    assert err == "domain error: method disagreement in gamma_seq\n"
+    assert list(workdir.iterdir()) == []
+
+
+def test_vanishing_leading_coefficient_exits_2(workdir, capsys, monkeypatch):
+    # leading coefficient n - 5 dies at n = 5
+    broken = LinearRecurrence([PolyQ([1]), PolyQ([]), PolyQ([]), PolyQ([-5, 1])])
+    monkeypatch.setattr(constructions, "gamma_coefficient_recurrence", lambda alpha: broken)
+    rc, err = _exit_code("gamma-approx --alpha=1/3 --n 20 --method recurrence".split(),
+                         capsys)
+    assert rc == EXIT_DOMAIN
+    assert err == "domain error: leading recurrence coefficient vanishes at n=5\n"
     assert list(workdir.iterdir()) == []
 
 

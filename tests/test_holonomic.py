@@ -34,6 +34,23 @@ from eoplab.series import (
 SEVEN_ALPHAS = [F(1, 2), F(1, 3), F(2, 3), F(-1, 2), F(3, 5), F(-4, 7), F(5, 11)]
 
 
+def published_gamma_recurrence(alpha):
+    """The gamma-family recurrence as published, before normalisation."""
+    a = F(alpha)
+    return LinearRecurrence([
+        PolyQ([-2 - 3 * a - a * a, -3 - 2 * a, -1]),
+        PolyQ([10 + 9 * a + 2 * a * a, 11 + 5 * a, 3]),
+        PolyQ([-17 - 9 * a - a * a, -14 - 4 * a, -3]),
+        PolyQ([9 + 3 * a, 6 + a, 1]),
+    ])
+
+
+# (n+3)^2 P_{n+3} - (3n^2+14n+17) P_{n+2} + (n+2)(3n+5) P_{n+1} - (n+1)(n+2) P_n = 0
+PUBLISHED_EULER_RECURRENCE = LinearRecurrence(
+    [PolyQ([-2, -3, -1]), PolyQ([10, 11, 3]), PolyQ([-17, -14, -3]), PolyQ([9, 6, 1])]
+)
+
+
 def _gamma_series(alpha, order):
     return binomial_series(alpha + 1, order) * euler_substitution(
         e_alpha_series(alpha, order), order
@@ -53,13 +70,34 @@ def test_exp_operator_gives_first_order_recurrence():
 
 def test_euler_ode_translates_to_published_recurrence():
     got = ode_to_recurrence(euler_generating_ode())
-    assert got == euler_coefficient_recurrence().normalized()
+    assert got == PUBLISHED_EULER_RECURRENCE.normalized()
+    assert euler_coefficient_recurrence() == got
 
 
 @pytest.mark.parametrize("alpha", SEVEN_ALPHAS)
 def test_gamma_ode_translates_to_published_recurrence(alpha):
     got = ode_to_recurrence(gamma_generating_ode(alpha))
-    assert got == gamma_coefficient_recurrence(alpha).normalized()
+    assert got == published_gamma_recurrence(alpha).normalized()
+    assert gamma_coefficient_recurrence(alpha) == got
+
+
+@pytest.mark.parametrize("alpha", [F(1, 3), F(-7, 11)])
+def test_derived_gamma_recurrence_is_the_published_one_times_q_squared(alpha):
+    derived = gamma_coefficient_recurrence(alpha)
+    scaled = [p * alpha.denominator**2 for p in published_gamma_recurrence(alpha).coeffs]
+    assert derived.coeffs == tuple(scaled)
+
+
+def test_published_and_derived_recurrences_unroll_alike():
+    # every gamma/euler sequence the golden CLI corpus pins, and the seed step
+    for alpha, N in ((F(1, 3), 40), (F(-5, 3), 24), (F(1, 3), 20), (F(-5, 3), 20)):
+        seeds = gamma_seed_values(alpha)
+        want = unroll(HolonomicSequence(published_gamma_recurrence(alpha), seeds), N)
+        assert unroll(HolonomicSequence(gamma_coefficient_recurrence(alpha), seeds), N) == want
+    for N in (32, 40, 12):
+        seeds = [0, 0, F(1, 4)]
+        want = unroll(HolonomicSequence(PUBLISHED_EULER_RECURRENCE, seeds), N)
+        assert unroll(HolonomicSequence(euler_coefficient_recurrence(), seeds), N) == want
 
 
 def test_unroll_euler_seed_step():
@@ -142,7 +180,7 @@ def test_round_trip_euler():
 
 
 def test_normalization_idempotent():
-    for rec in (euler_coefficient_recurrence(), gamma_coefficient_recurrence(F(2, 3))):
+    for rec in (PUBLISHED_EULER_RECURRENCE, published_gamma_recurrence(F(2, 3))):
         once = rec.normalized()
         assert once.normalized() == once
     messy = LinearRecurrence(
