@@ -9,11 +9,9 @@ from .numcore import (  # noqa: F401
     PolyQ,
     PrecisionError,
     Rational,
-    binomial_general,
     bernoulli,
     double_run,
     pochhammer,
-    poly_eval,
     to_mpf,
 )
 from .series import TruncatedSeries  # noqa: F401

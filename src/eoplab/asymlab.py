@@ -16,14 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from mpmath import mp, mpf, workprec
 
 from .numcore import (
     DEFAULT_PREC,
     DomainError,
-    PrecisionError,
     Rational,
+    capped_sum,
     least_squares_line,
     pochhammer,
     to_mpf,
@@ -146,7 +147,8 @@ def direct_E_eval(which: str, z, prec: int = DEFAULT_PREC, alpha: Rational | Non
 
     Alternating sums lose about |z| log2(e) bits to cancellation, so the
     working precision is prec + ceil(|z| log2 e) + 32 guard bits; summation
-    stops when terms drop below 2^(-working precision) relative.
+    stops after the first term past n = |z| whose absolute value is below
+    2^(-working precision).
     """
     if which not in ("E_alpha", "E_loglike"):
         raise DomainError(f"unknown function {which!r}")
@@ -156,28 +158,24 @@ def direct_E_eval(which: str, z, prec: int = DEFAULT_PREC, alpha: Rational | Non
         alpha = Fraction(alpha)
         if alpha.denominator == 1 and alpha <= 0:
             raise DomainError("E_alpha pole at nonpositive integer alpha")
+    else:
+        alpha = Fraction(0)  # E(-z) is the alpha = 0 sum without its n = 0 term
     zf = _abs_real(z)
     if z <= 0:
         raise DomainError(f"direct summation needs real z > 0, got {z}")
     wp = prec + math.ceil(zf * math.log2(math.e)) + 32
     with workprec(wp):
-        zv = to_mpf(z, wp)
-        floor = mpf(2) ** (-wp)
-        acc = mpf(0)
-        term = mpf(1)  # z^n / n!
-        n = 0
-        while True:
-            if which == "E_alpha":
-                acc += (-1) ** n * term / to_mpf(n + alpha, wp)
-            elif n >= 1:
-                acc += (-1) ** n * term / n
-            n += 1
-            term *= zv / n
-            if n > zf and term < floor * max(mpf(1), abs(acc)):
-                break
-            if n > 1000 + 100 * zf:
-                raise PrecisionError("direct summation failed to converge")
-        return +acc
+        return +capped_sum(_taylor_terms(to_mpf(z, wp), alpha), mpf(2) ** (-wp),
+                           1001 + int(100 * zf), "direct summation", least=int(zf) + 1)
+
+
+def _taylor_terms(z: mpf, alpha: Fraction):
+    """(-z)^n / (n! (n + alpha)) for n = 0, 1, ..., and 0 where n + alpha = 0."""
+    p, q = alpha.numerator, alpha.denominator
+    t = mpf(1)  # (-z)^n / n!
+    for n in count():
+        yield t * q / (n * q + p) if n * q + p else mpf(0)
+        t *= -z / (n + 1)
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,11 @@ fallback for fast (eventually geometric) convergence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 
 from mpmath import mp, mpf, workprec
 
@@ -36,6 +38,7 @@ from .numcore import (
     PolyQ,
     PrecisionError,
     Rational,
+    capped_sum,
     least_squares_line,
     to_mpf,
 )
@@ -205,7 +208,7 @@ def _gamma_closed(alpha: Fraction, N: int) -> list:
 
 
 def _gamma_series(alpha: Fraction, N: int) -> list:
-    inner = euler_substitution(e_alpha_series(alpha, N), N)
+    inner = euler_substitution(e_alpha_series(alpha, N))
     prod = binomial_series(alpha + 1, N) * inner
     return list(prod.coeffs)
 
@@ -230,7 +233,7 @@ def _euler_closed(N: int) -> list:
 
 
 def _euler_series(N: int) -> list:
-    inner = partial_sums(euler_substitution(e_log_series(N), N))
+    inner = partial_sums(euler_substitution(e_log_series(N)))
     total = log_over_one_minus_z(N) - inner
     return list(total.coeffs)
 
@@ -253,57 +256,47 @@ _EULER_METHODS = {
 }
 
 
-def _finish_run(run: ApproximationRun, prec: int) -> ApproximationRun:
-    if len(run.values) >= 16:
-        est = limit_estimate(run.values, prec=prec)
-        run.limit = est.limit
-        run.rate_exponent = est.rate_exponent
-        run.metadata["limit_method"] = est.method
-    return run
-
-
 def gamma_seq(
     alpha: Rational, N: int, method: str = "all", prec: int = DEFAULT_PREC
 ) -> ApproximationRun:
     """Exact P_0..P_{N-1} converging to Gamma(alpha) for rational alpha < 1."""
     alpha = Fraction(alpha)
     _check_gamma_domain(alpha)
-    if N < 1:
-        raise DomainError("need N >= 1")
-    if method == "all":
-        routes = {name: fn(alpha, N) for name, fn in _GAMMA_METHODS.items()}
-        vals = routes["closed"]
-        if not all(routes[k] == vals for k in routes):
-            raise RouteDisagreement("method disagreement in gamma_seq")
-        meta = {"methods": sorted(routes), "exact_agreement": True}
-    elif method in _GAMMA_METHODS:
-        vals = _GAMMA_METHODS[method](alpha, N)
-        meta = {"methods": [method]}
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    meta.update({"N": N, "precision_bits": prec, "alpha": str(alpha)})
-    run = ApproximationRun(label=f"gamma(alpha={alpha})", values=vals, metadata=meta)
-    return _finish_run(run, prec)
+    routes = {name: functools.partial(fn, alpha) for name, fn in _GAMMA_METHODS.items()}
+    return _run_routes(f"gamma(alpha={alpha})", "gamma_seq", routes, N, method, prec,
+                       {"alpha": str(alpha)})
 
 
 def euler_seq(N: int, method: str = "all", prec: int = DEFAULT_PREC) -> ApproximationRun:
     """Exact P_0..P_{N-1} converging to Euler's constant."""
+    return _run_routes("euler", "euler_seq", _EULER_METHODS, N, method, prec, {})
+
+
+def _run_routes(label: str, what: str, routes: dict, N: int, method: str, prec: int,
+                extra: dict) -> ApproximationRun:
+    """Run one route, or all of them under the exact-agreement gate, and
+    estimate the limit."""
     if N < 1:
         raise DomainError("need N >= 1")
     if method == "all":
-        routes = {name: fn(N) for name, fn in _EULER_METHODS.items()}
-        vals = routes["closed"]
-        if not all(routes[k] == vals for k in routes):
-            raise RouteDisagreement("method disagreement in euler_seq")
-        meta = {"methods": sorted(routes), "exact_agreement": True}
-    elif method in _EULER_METHODS:
-        vals = _EULER_METHODS[method](N)
+        results = {name: fn(N) for name, fn in routes.items()}
+        vals = results["closed"]
+        if not all(v == vals for v in results.values()):
+            raise RouteDisagreement(f"method disagreement in {what}")
+        meta = {"methods": sorted(results), "exact_agreement": True}
+    elif method in routes:
+        vals = routes[method](N)
         meta = {"methods": [method]}
     else:
         raise DomainError(f"unknown method {method!r}")
-    meta.update({"N": N, "precision_bits": prec})
-    run = ApproximationRun(label="euler", values=vals, metadata=meta)
-    return _finish_run(run, prec)
+    meta.update({"N": N, "precision_bits": prec, **extra})
+    run = ApproximationRun(label=label, values=vals, metadata=meta)
+    if len(vals) >= 16:
+        est = limit_estimate(vals, prec=prec)
+        run.limit = est.limit
+        run.rate_exponent = est.rate_exponent
+        meta["limit_method"] = est.method
+    return run
 
 
 def gamma_limit(alpha: Rational, N: int = 1000, prec: int = DEFAULT_PREC) -> mpf:
@@ -405,48 +398,37 @@ def e_cf_quotients(count: int) -> list:
 
 def bessel_f(x, prec: int = DEFAULT_PREC, deriv: int = 0) -> mpf:
     """F(x) = sum_n x^n / n!^2 (or its derivative) by direct summation."""
-    wp = prec + 16
-    with workprec(wp):
-        xv = to_mpf(x, wp)
-        acc = mpf(0)
-        floor = mpf(2) ** (-wp)
-        n = deriv
-        while True:
-            c = mpf(1)
-            for j in range(n - deriv + 1, n + 1):
-                c *= j
-            term = c * xv ** (n - deriv) / mp.factorial(n) ** 2
-            acc += term
-            if n > 4 + 2 * abs(float(xv)) and abs(term) < floor * max(mpf(1), abs(acc)):
-                break
-            n += 1
-        return +acc
+    return _bessel_sum(x, prec, deriv, harmonic=False)
 
 
 def bessel_g(x, prec: int = DEFAULT_PREC, deriv: int = 0) -> mpf:
     """G(x) = -2 sum_n H_n x^n / n!^2 (or its derivative)."""
+    return _bessel_sum(x, prec, deriv, harmonic=True)
+
+
+def _bessel_sum(x, prec: int, d: int, harmonic: bool) -> mpf:
     wp = prec + 16
     with workprec(wp):
         xv = to_mpf(x, wp)
-        acc = mpf(0)
-        floor = mpf(2) ** (-wp)
-        h = mpf(0)
-        n = 0
-        while True:
-            if n >= 1:
-                h += mpf(1) / n
-            if n >= deriv:
-                c = mpf(1)
-                for j in range(n - deriv + 1, n + 1):
-                    c *= j
-                term = h * c * xv ** (n - deriv) / mp.factorial(n) ** 2
-                acc += term
-                if n > 4 + 2 * abs(float(xv)) and abs(term) < floor * max(
-                    mpf(1), abs(acc)
-                ):
-                    break
-            n += 1
-        return +(-2 * acc)
+        # terms peak near n = sqrt|x|; past n = 4 + 2|x| each is under 3/4 of the
+        # one before, so 4 wp more terms reach 2^-wp
+        least = max(0, 5 + int(2 * abs(xv)) - d)
+        acc = capped_sum(_bessel_terms(xv, d, harmonic), mpf(2) ** (-wp), least + 4 * wp,
+                         "Bessel-type series", least=least)
+        return +(-2 * acc if harmonic else acc)
+
+
+def _bessel_terms(x: mpf, d: int, harmonic: bool):
+    """t_n = x^(n-d) / ((n-d)! n!) for n = d, d+1, ..., times H_n if harmonic:
+    the terms of F^(d)(x), or of G^(d)(x) / (-2)."""
+    t = mpf(1) / math.factorial(d)
+    h = mpf(0)
+    for n in range(1, d + 1):
+        h += mpf(1) / n
+    for n in count(d):
+        yield h * t if harmonic else t
+        t = t * x / ((n + 1 - d) * (n + 1))
+        h += mpf(1) / (n + 1)
 
 
 @dataclass(frozen=True)
@@ -459,17 +441,17 @@ class IntSeqResult:
 
 def _a_direct(k: int, wp: int) -> mpf:
     with workprec(wp):
-        acc = mpf(0)
-        floor = mpf(2) ** (-wp)
-        term = 1 / mp.factorial(k)  # 1/(n! (n+k)!) at n = 0
-        n = 0
-        while True:
-            acc += term
-            if n > 4 and term < floor:
-                break
-            n += 1
-            term /= n * (n + k)
+        # 1/(n! (n+k)!) <= 1/n!^2 <= 2^-n for n >= 2, so wp + 2 terms reach 2^-wp
+        acc = capped_sum(_a_terms(k), mpf(2) ** (-wp), wp + 2, "A_k series", least=5)
         return +((-1) ** k * acc)
+
+
+def _a_terms(k: int):
+    """1/(n! (n+k)!) for n = 0, 1, ..."""
+    term = 1 / mp.factorial(k)
+    for n in count(1):
+        yield term
+        term /= n * (n + k)
 
 
 def intseq(kmax: int, prec: int = DEFAULT_PREC) -> IntSeqResult:
@@ -549,29 +531,25 @@ def intseq_generating_check(z, prec: int = DEFAULT_PREC) -> dict:
         zv = to_mpf(z, wp)
         if not abs(zv) < 1:
             raise DomainError("the identity check needs |z| < 1")
-        floor = mpf(2) ** (-wp)
-        U = [0, 1]
-        V = [1, 0]
-        sU = mpf(0)
-        sV = mpf(0)
-        k = 0
-        while True:
-            while len(U) <= k:
-                m = len(U)
-                U.append((m - 1) * U[m - 1] + U[m - 2])
-                V.append((m - 1) * V[m - 1] + V[m - 2])
-            t = zv**k / mp.factorial(k)
-            sU += U[k] * t
-            sV += V[k] * t
-            if k >= 8 and abs(t) * max(abs(U[k]), abs(V[k])) < floor:
-                break
-            k += 1
+        # 0 <= U_k, V_k <= k!, so a term is at most |z|^k, below 2^-wp by k = wp/(1-|z|)
+        floor, cap = mpf(2) ** (-wp), 9 + int(wp / (1 - abs(zv)))
+        sU = capped_sum(_egf_terms(0, 1, zv), floor, cap, "U generating series", least=8)
+        sV = capped_sum(_egf_terms(1, 0, zv), floor, cap, "V generating series", least=8)
         Fz = bessel_f(1 - zv, wp)
         Gz = bessel_g(1 - zv, wp)
         logF = mp.log(1 - zv) * Fz
         rhsU = -consts.a * Fz - consts.b * Gz - consts.b * logF
         rhsV = consts.c * Fz + consts.d * Gz + consts.d * logF
         return {"U": +abs(sU - rhsU), "V": +abs(sV - rhsV)}
+
+
+def _egf_terms(u0: int, u1: int, z: mpf):
+    """u_k z^k / k! for the solution of u_{k+1} = k u_k + u_{k-1} from u0, u1."""
+    t = mpf(1)  # z^k / k!
+    for k in count(1):
+        yield u0 * t
+        u0, u1 = u1, k * u1 + u0
+        t = t * z / k
 
 
 # ---------------------------------------------------------------------------

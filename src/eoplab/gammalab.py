@@ -6,10 +6,11 @@ slowly to evaluate at hundreds of bits, so the production path shifts the
 argument upward by the exact recurrence Psi(x+1) = Psi(x) + 1/x and finishes
 with the Euler-Maclaurin (Stirling-type) tail; the defining series stay around
 as low-precision test oracles. The four such tails (Euler's constant, digamma,
-polygamma, log Gamma) all sum B_2k-weighted inverse powers until a term drops
-below 2^-wp, through the one loop :func:`_bernoulli_tail`. All routines take
-rational arguments, return ``mpf`` values carrying at least ``prec``
-significand bits, and are pure.
+polygamma, log Gamma) all sum B_2k-weighted inverse powers, generated by
+:func:`_stirling_terms`, until a term drops below 2^-wp, through the package's
+one summation loop :func:`numcore.capped_sum`. All routines take rational
+arguments, return ``mpf`` values carrying at least ``prec`` significand bits,
+and are pure.
 
 Derivatives of Gamma are produced by the Leibniz recursion
 Gamma^(j+1) = sum_i binom(j,i) Psi^(i) Gamma^(j-i); derivatives of 1/Gamma by
@@ -29,9 +30,9 @@ from mpmath import mp, mpf, workprec
 from .numcore import (
     DEFAULT_PREC,
     DomainError,
-    PrecisionError,
     Rational,
     bernoulli,
+    capped_sum,
     to_mpf,
 )
 from .series import TruncatedSeries
@@ -62,24 +63,15 @@ def _require_off_poles(x: Fraction, what: str) -> None:
         raise DomainError(f"{what} has a pole at nonpositive integer {x}")
 
 
-def _bernoulli_tail(acc: mpf, coeffs, first: mpf, step: mpf, tiny: mpf, cap, what: str) -> mpf:
-    """acc + sum_{k>=1} c_k / (first * step^(k-1)), the Stirling-type tail.
+def _stirling_terms(coeffs, first: mpf, step: mpf):
+    """c_k / (first * step^(k-1)) for k = 1, 2, ..., the Stirling-type tail terms.
 
     ``coeffs`` yields c_1, c_2, ..., each already rounded by the caller (B_2k
-    times that caller's weight). Terms are added one at a time; summation stops
-    after the first term with |term| < tiny, and past k = cap it raises
-    ``PrecisionError``. Runs inside the caller's working precision.
+    times that caller's weight).
     """
     power = first
-    k = 1
     for c in coeffs:
-        term = c / power
-        acc += term
-        if abs(term) < tiny:
-            return acc
-        k += 1
-        if k > cap:
-            raise PrecisionError(f"{what} did not converge")
+        yield c / power
         power *= step
 
 
@@ -95,8 +87,8 @@ def euler_gamma(prec: int = DEFAULT_PREC) -> mpf:
         msq = mpf(m) * m
         coeffs = (to_mpf(bernoulli(2 * k), wp) / (2 * k) for k in count(1))
         # m is a power of two, so k > 3m/2 is the same as 2k > 3m
-        acc = _bernoulli_tail(acc, coeffs, msq, msq, mpf(2) ** (-wp - 4), 3 * m // 2,
-                              "Euler-Maclaurin tail for gamma")
+        acc = capped_sum(_stirling_terms(coeffs, msq, msq), mpf(2) ** (-wp - 4),
+                         3 * m // 2, "Euler-Maclaurin tail for gamma", acc)
         return +acc
 
 
@@ -104,8 +96,8 @@ def _psi_asymptotic(X: mpf, wp: int) -> mpf:
     # Psi(X) = log X - 1/(2X) - sum_k B_{2k} / (2k X^{2k}), X large
     Xsq = X * X
     coeffs = (to_mpf(-bernoulli(2 * k), wp) / (2 * k) for k in count(1))
-    return _bernoulli_tail(mp.log(X) - 1 / (2 * X), coeffs, Xsq, Xsq, mpf(2) ** (-wp - 4),
-                           8 * float(X), "digamma asymptotic tail")
+    return capped_sum(_stirling_terms(coeffs, Xsq, Xsq), mpf(2) ** (-wp - 4), int(8 * X),
+                      "digamma asymptotic tail", mp.log(X) - 1 / (2 * X))
 
 
 def psi(x: Rational, prec: int = DEFAULT_PREC) -> mpf:
@@ -148,9 +140,9 @@ def polygamma(n: int, x: Rational, prec: int = DEFAULT_PREC) -> mpf:
         # Psi^(n)(X) = (-1)^(n-1) [ (n-1)!/X^n + n!/(2 X^(n+1)) + tail ]
         acc = mpf(math.factorial(n - 1)) / X**n + mpf(nfact) / (2 * X ** (n + 1))
         Xsq = X * X
-        acc = _bernoulli_tail(acc, _polygamma_coeffs(n, wp), X**n * Xsq, Xsq,
-                              mpf(2) ** (-wp - 4) * abs(acc), 8 * float(X),
-                              "polygamma asymptotic tail")
+        acc = capped_sum(_stirling_terms(_polygamma_coeffs(n, wp), X**n * Xsq, Xsq),
+                         mpf(2) ** (-wp - 4) * abs(acc), int(8 * X),
+                         "polygamma asymptotic tail", acc)
         sign = 1 if (n - 1) % 2 == 0 else -1
         return +(sign * acc - (-1) ** n * nfact * to_mpf(shift, wp))
 
@@ -159,8 +151,8 @@ def _log_gamma_large(X: mpf, wp: int) -> mpf:
     # Stirling: (X-1/2) log X - X + log(2 pi)/2 + sum_k B_{2k}/(2k(2k-1) X^(2k-1))
     acc = (X - mpf(1) / 2) * mp.log(X) - X + mp.log(2 * mp.pi) / 2
     coeffs = (to_mpf(bernoulli(2 * k), wp) / ((2 * k) * (2 * k - 1)) for k in count(1))
-    return _bernoulli_tail(acc, coeffs, X, X * X, mpf(2) ** (-wp - 4), 8 * float(X),
-                           "Stirling tail")
+    return capped_sum(_stirling_terms(coeffs, X, X * X), mpf(2) ** (-wp - 4), int(8 * X),
+                      "Stirling tail", acc)
 
 
 def gamma_value(x: Rational, prec: int = DEFAULT_PREC) -> mpf:

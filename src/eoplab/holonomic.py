@@ -67,22 +67,12 @@ class DifferentialOperator:
                 deriv = deriv.differentiate()
             if p.is_zero():
                 continue
-            term = _poly_times_series(p, deriv)
+            # z^j shifts indices up, so p times the series needs p only below its order
+            n = deriv.order
+            padded = TruncatedSeries(p.coeffs[:n] + (0,) * (n - len(p.coeffs)))
+            term = padded * deriv
             out = term if out is None else out + term
         return out if out is not None else TruncatedSeries([])
-
-
-def _poly_times_series(p: PolyQ, f: TruncatedSeries) -> TruncatedSeries:
-    # z^j shifts indices up, so coefficients 0..order-1 of the result only
-    # need f up to its own guaranteed order; the order is preserved.
-    n = f.order
-    out = [Fraction(0)] * n
-    for j, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        for i in range(n - j):
-            out[i + j] += c * f.coeffs[i]
-    return TruncatedSeries(out)
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,33 @@ def double_run(fn, prec: int, guard: int = GUARD_BITS):
     return lo
 
 
+def capped_sum(terms, tiny: mpf, cap: int, what: str, acc=0, least: int = 0) -> mpf:
+    """acc + terms[0] + terms[1] + ..., added one at a time at the ambient precision.
+
+    Stops after the first term of index >= ``least`` with |term| < ``tiny``
+    (leading terms may be exactly zero or still growing), and raises
+    ``PrecisionError`` once ``cap`` terms have been added without stopping.
+    ``tiny`` must be a positive mpf; callers run this inside their ``workprec``.
+    """
+    _, _, texp, tbc = tiny._mpf_
+    top = texp + tbc  # 2^(top-1) <= tiny < 2^top
+    for i, term in zip(range(cap), terms):
+        acc += term
+        if i < least:
+            continue
+        # Compare a nonzero finite term, man*2^exp in [2^(mag-1), 2^mag), by its
+        # binary magnitude: abs(term) would round a new mpf for every term. An
+        # exact comparison settles a tie with tiny's magnitude, zero and inf/nan.
+        _, man, exp, bc = term._mpf_
+        mag = exp + bc
+        if man and mag != top:
+            if mag < top:
+                return acc
+        elif abs(term) < tiny:
+            return acc
+    raise PrecisionError(f"{what} did not converge")
+
+
 def least_squares_line(xs: list, ys: list) -> tuple:
     """Slope and intercept of the least-squares line through the points (xs, ys).
 
@@ -82,23 +109,6 @@ def pochhammer(a: Rational, n: int) -> Rational:
     for i in range(n):
         out *= a + i
     return out
-
-
-def binomial_general(n: int, k: int, alpha: Rational) -> Rational:
-    """Binomial with shifted rational entries: prod_{j=k+1}^{n} (j+alpha) / (n-k)!.
-
-    Equals Gamma(n+alpha+1) / (Gamma(k+alpha+1) (n-k)!) whenever that quotient
-    is defined; the product form is exact for all rational alpha with k <= n.
-    """
-    if not 0 <= k <= n:
-        raise DomainError("binomial_general needs 0 <= k <= n")
-    num = Fraction(1)
-    for j in range(k + 1, n + 1):
-        num *= j + alpha
-    den = 1
-    for j in range(2, n - k + 1):
-        den *= j
-    return num / den
 
 
 # Exact B_0..B_{2j-1} with j = len(_tangent_column) (first convention,
@@ -250,11 +260,6 @@ class PolyQ:
             return "PolyQ(0)"
         parts = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c != 0]
         return "PolyQ(" + " + ".join(parts) + ")"
-
-
-def poly_eval(p: PolyQ, x: Rational) -> Rational:
-    """Exact Horner evaluation."""
-    return p(Fraction(x))
 
 
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:

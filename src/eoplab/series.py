@@ -17,20 +17,17 @@ from .numcore import DomainError, Rational, pochhammer
 
 __all__ = [
     "TruncatedSeries",
-    "series_arith",
     "compose",
     "hadamard",
     "partial_sums",
     "euler_substitution",
     "binomial_series",
     "log_over_one_minus_z",
-    "geometric_series",
     "exp_series",
     "e_alpha_series",
     "e_log_series",
     "bessel_f_series",
     "bessel_g_series",
-    "efunction_series",
 ]
 
 
@@ -120,19 +117,6 @@ def _common_denominator(coeffs) -> tuple[int, list[int]]:
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
-def series_arith(f: TruncatedSeries, g: TruncatedSeries, op: str) -> TruncatedSeries:
-    """Dispatch add/sub/mul/div; exact to the guaranteed order."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "div":
-        return f / g
-    raise DomainError(f"unknown series operation {op!r}")
-
-
 def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """f(g(z)) by Horner over series; g must have zero constant term.
 
@@ -171,19 +155,19 @@ def partial_sums(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def euler_substitution(f: TruncatedSeries, order: int | None = None) -> TruncatedSeries:
+def euler_substitution(f: TruncatedSeries) -> TruncatedSeries:
     """Compose f with -z/(1-z), the substitution behind both sequence constructions.
 
     Same result as ``compose(f, -z/(1-z))`` but each Horner step multiplies by
     the inner series in O(order) integer additions (negate, shift, prefix-sum),
-    over a single common denominator. Guaranteed order min(order, f.order).
+    over a single common denominator. Guaranteed order f.order.
     """
-    n = f.order if order is None else min(order, f.order)
+    n = f.order
     if n == 0:
         return TruncatedSeries([])
-    den, nums_f = _common_denominator(f.coeffs[:f.order])
+    den, nums_f = _common_denominator(f.coeffs)
     acc = [0] * n
-    for k in range(f.order - 1, -1, -1):
+    for k in range(n - 1, -1, -1):
         # acc <- acc * (-z/(1-z)) + f_k, over the fixed denominator `den`
         new = [0] * n
         run = 0
@@ -201,11 +185,6 @@ def binomial_series(beta: Rational, order: int) -> TruncatedSeries:
     for n in range(1, order):
         out.append(out[-1] * (beta + n - 1) / n)
     return TruncatedSeries(out[:order])
-
-
-def geometric_series(order: int) -> TruncatedSeries:
-    """1/(1-z), the Hadamard unit."""
-    return TruncatedSeries([Fraction(1)] * order)
 
 
 def log_over_one_minus_z(order: int) -> TruncatedSeries:
@@ -268,20 +247,3 @@ def bessel_g_series(order: int) -> TruncatedSeries:
         out.append(-2 * h * inv_sq)
     return TruncatedSeries(out[:order])
 
-
-_GENERATORS = {
-    "exp": lambda order, alpha: exp_series(order),
-    "E_alpha": lambda order, alpha: e_alpha_series(alpha, order),
-    "E_loglike": lambda order, alpha: e_log_series(order),
-    "F_bessel": lambda order, alpha: bessel_f_series(order),
-    "G_bessel": lambda order, alpha: bessel_g_series(order),
-}
-
-
-def efunction_series(name: str, order: int, alpha: Rational | None = None) -> TruncatedSeries:
-    """Generator dispatch for the named entire series used by the constructions."""
-    if name not in _GENERATORS:
-        raise DomainError(f"unknown series name {name!r}")
-    if name == "E_alpha" and alpha is None:
-        raise DomainError("E_alpha needs the alpha parameter")
-    return _GENERATORS[name](order, alpha)

@@ -52,15 +52,11 @@ PUBLISHED_EULER_RECURRENCE = LinearRecurrence(
 
 
 def _gamma_series(alpha, order):
-    return binomial_series(alpha + 1, order) * euler_substitution(
-        e_alpha_series(alpha, order), order
-    )
+    return binomial_series(alpha + 1, order) * euler_substitution(e_alpha_series(alpha, order))
 
 
 def _euler_series(order):
-    return log_over_one_minus_z(order) - partial_sums(
-        euler_substitution(e_log_series(order), order)
-    )
+    return log_over_one_minus_z(order) - partial_sums(euler_substitution(e_log_series(order)))
 
 
 def test_exp_operator_gives_first_order_recurrence():

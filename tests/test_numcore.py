@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -10,12 +11,12 @@ from eoplab import numcore
 from eoplab.numcore import (
     DomainError,
     PolyQ,
+    PrecisionError,
     bernoulli,
-    binomial_general,
+    capped_sum,
     double_run,
     least_squares_line,
     pochhammer,
-    poly_eval,
     poly_gcd,
     to_mpf,
 )
@@ -36,13 +37,18 @@ def test_pochhammer_splitting_identity():
         assert pochhammer(a, m + n) == pochhammer(a, m) * pochhammer(a + m, n)
 
 
+def _binomial_general(n, k, alpha):
+    # binom(n+alpha, k+alpha) = prod_{j=k+1}^{n} (j+alpha) / (n-k)!
+    return pochhammer(k + 1 + alpha, n - k) / math.factorial(n - k)
+
+
 def test_binomial_general():
-    assert binomial_general(5, 5, F(22, 7)) == 1
-    assert binomial_general(1, 0, F(1, 2)) == F(3, 2)
+    assert _binomial_general(5, 5, F(22, 7)) == 1
+    assert _binomial_general(1, 0, F(1, 2)) == F(3, 2)
     # n = k = 0 feeds the first sequence value 1/alpha downstream
-    assert binomial_general(0, 0, F(1, 2)) * F(1) / (F(0) + F(1, 2)) == 2
+    assert _binomial_general(0, 0, F(1, 2)) * F(1) / (F(0) + F(1, 2)) == 2
     with pytest.raises(DomainError):
-        binomial_general(2, 3, F(1, 2))
+        _binomial_general(2, 3, F(1, 2))
 
 
 def test_rational_field_spot_checks():
@@ -58,10 +64,10 @@ def test_rational_field_spot_checks():
 
 
 def test_poly_eval_examples():
-    assert poly_eval(PolyQ([]), F(3, 7)) == 0
+    assert PolyQ([])(F(3, 7)) == 0
     # leading ODE coefficient z - 3z^2 + 3z^3 - z^4 vanishes at z = 1
-    assert poly_eval(PolyQ([0, 1, -3, 3, -1]), F(1)) == 0
-    assert poly_eval(PolyQ([-2, 1]), F(1)) == -1
+    assert PolyQ([0, 1, -3, 3, -1])(F(1)) == 0
+    assert PolyQ([-2, 1])(F(1)) == -1
 
 
 def test_poly_arithmetic_roundtrip():
@@ -159,3 +165,36 @@ def test_least_squares_line():
     # no spread in x: a flat line through the mean
     assert least_squares_line([2.0], [5.0]) == (0.0, 5.0)
     assert least_squares_line([2.0, 2.0], [1.0, 4.0]) == (0.0, 2.5)
+
+
+def test_capped_sum_raises_past_its_cap():
+    with pytest.raises(PrecisionError, match="ones did not converge"):
+        capped_sum(itertools.repeat(mpf(1)), mpf(2) ** -10, 50, "ones")
+    # the cap-th term may still stop the sum
+    assert capped_sum(iter([mpf(1), mpf(0)]), mpf(2) ** -10, 2, "x") == 1
+
+
+def test_capped_sum_skips_zero_terms_before_least():
+    terms = [mpf(0), mpf(0), mpf(1), mpf(2) ** -20, mpf(5)]
+    assert capped_sum(iter(terms), mpf(2) ** -10, 10, "x", least=2) == 1 + mpf(2) ** -20
+    assert capped_sum(iter(terms), mpf(2) ** -10, 10, "x") == 0
+
+
+def test_capped_sum_returns_after_the_first_small_term():
+    terms = iter([mpf(3), mpf(-1), -mpf(2) ** -30, mpf(7)])
+    assert capped_sum(terms, mpf(2) ** -10, 10, "x", acc=mpf(1)) == 3 - mpf(2) ** -30
+    assert next(terms) == 7
+
+
+@pytest.mark.parametrize("term,small", [
+    (mpf(2) ** -12, True),            # a binary magnitude below tiny's
+    (mpf(2) ** -11, True),            # tiny's binary magnitude, below it
+    (-mpf(2) ** -11, True),
+    (mpf(3) / 2 ** 12, False),        # tiny itself
+    (mpf(7) / 2 ** 13, False),        # tiny's binary magnitude, above it
+    (mpf(2) ** -10, False),           # a binary magnitude above tiny's
+])
+def test_capped_sum_threshold_is_exact(term, small):
+    tiny = mpf(3) / 2 ** 12  # in [2^-11, 2^-10)
+    got = capped_sum(iter([term, mpf(1), mpf(0)]), tiny, 5, "x")
+    assert got == (term if small else term + 1)
