@@ -26,9 +26,12 @@ from typing import Callable
 from mpmath import mp, workprec
 
 from . import __version__
-from .numcore import DEFAULT_PREC, DomainError, PrecisionError, to_mpf
+from .numcore import (DEFAULT_PREC, DomainError, PrecisionError, RouteDisagreement,
+                      to_mpf)
 from .holonomic import LeadingCoefficientVanishes
-from . import asymlab, constructions, gammalab
+
+# Each command imports the module it runs (constructions, asymlab or gammalab)
+# when it runs, so a job does not pay for importing the others.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,6 +100,8 @@ class _Command:
 
 
 def _sequence(args) -> tuple:
+    from . import constructions
+
     params = {"n": args.n, "method": args.method}
     if args.cmd == "gamma-approx":
         run = constructions.gamma_seq(args.alpha, args.n, args.method, args.prec)
@@ -116,6 +121,8 @@ def _sequence(args) -> tuple:
 
 
 def _pade(args) -> tuple:
+    from . import constructions
+
     p, q = constructions.pade_exp(args.n)
     params, body, rows = {"n": args.n}, {"estimates": {}}, []
     for name, poly in (("p", p), ("q", q)):
@@ -133,12 +140,17 @@ def _pade(args) -> tuple:
 
 
 def _e_convergents(args) -> tuple:
-    rows = [(n, Fraction(*constructions.e_convergents(n))) for n in range(1, args.n + 1)]
+    from . import constructions
+
+    rows = [(n, Fraction(*pair))
+            for n, pair in enumerate(constructions.e_convergent_rows(args.n), 1)]
     body = {"values": [[n, *_ratio(v)] for n, v in rows], "estimates": {}}
     return {"n": args.n}, body, rows, None
 
 
 def _intseq(args) -> tuple:
+    from . import constructions
+
     res = constructions.intseq(args.k, args.prec)
     consts = constructions.intseq_constants(args.prec)
     rows = [(k, Fraction(res.U[k], res.V[k]) if res.V[k] else Fraction(res.U[k]))
@@ -158,6 +170,8 @@ def _intseq(args) -> tuple:
 
 
 def _asym_check(args) -> tuple:
+    from . import asymlab
+
     prec = args.prec
     if args.which == "ealpha" and args.alpha is None:
         raise _UsageError("--which ealpha requires --alpha")
@@ -188,6 +202,8 @@ def _asym_check(args) -> tuple:
 
 
 def _gamma_deriv(args) -> tuple:
+    from . import gammalab
+
     derivs = gammalab.gamma_deriv(args.order, args.s, args.prec)
     rows = [(k, _digits(v, args.digits, args.prec)) for k, v in enumerate(derivs.values)]
     params = {"s": str(args.s), "order": args.order}
@@ -195,6 +211,8 @@ def _gamma_deriv(args) -> tuple:
 
 
 def _fit(args) -> tuple:
+    from . import constructions
+
     path = Path(args.input)
     if not path.exists():
         raise _UsageError(f"input file {path} does not exist")
@@ -343,8 +361,7 @@ def main(argv: list | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, LeadingCoefficientVanishes,
-            constructions.RouteDisagreement) as exc:
+    except (DomainError, LeadingCoefficientVanishes, RouteDisagreement) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except PrecisionError as exc:

@@ -38,6 +38,7 @@ from .numcore import (
     PolyQ,
     PrecisionError,
     Rational,
+    RouteDisagreement,
     capped_sum,
     least_squares_line,
     to_mpf,
@@ -75,6 +76,7 @@ __all__ = [
     "pade_exp",
     "pade_reflection_signs",
     "e_convergents",
+    "e_convergent_rows",
     "cf_convergents",
     "e_cf_quotients",
     "bessel_f",
@@ -90,10 +92,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Result containers
 # ---------------------------------------------------------------------------
-
-
-class RouteDisagreement(ArithmeticError):
-    """Independent routes to the same exact sequence gave different values."""
 
 
 @dataclass(frozen=True)
@@ -351,17 +349,24 @@ def pade_reflection_signs(n: int) -> dict:
     return {"plus": p == refl, "minus": p == -refl}
 
 
+def e_convergent_rows(N: int) -> list:
+    """[(|n! P_n(1)|, |n! Q_n(1)|) for n = 1..N]: convergent numerators and
+    denominators of e, unreduced, from u_{n+1} = (4n+2) u_n + u_{n-1} with
+    u_0 = (1, 1) and u_1 = (3, 1)."""
+    if N < 1:
+        raise DomainError("need n >= 1")
+    prev, cur = (1, 1), (3, 1)
+    rows = [cur]
+    for n in range(1, N):
+        k = 4 * n + 2
+        prev, cur = cur, (k * cur[0] + prev[0], k * cur[1] + prev[1])
+        rows.append(cur)
+    return rows
+
+
 def e_convergents(n: int) -> tuple[int, int]:
     """(|n! P_n(1)|, |n! Q_n(1)|), an exact convergent numerator/denominator of e."""
-    if n < 1:
-        raise DomainError("need n >= 1")
-    p, q = pade_exp(n)
-    fact = math.factorial(n)
-    num = fact * p(Fraction(1))
-    den = fact * q(Fraction(1))
-    if num.denominator != 1 or den.denominator != 1:
-        raise ArithmeticError("n! P_n(1) failed to be an integer")
-    return abs(int(num)), abs(int(den))
+    return e_convergent_rows(n)[-1]
 
 
 def cf_convergents(partial_quotients: list) -> list:
@@ -407,14 +412,18 @@ def bessel_g(x, prec: int = DEFAULT_PREC, deriv: int = 0) -> mpf:
 
 
 def _bessel_sum(x, prec: int, d: int, harmonic: bool) -> mpf:
-    wp = prec + 16
+    # t_{n+1}/t_n = x/((n+1-d)(n+1)): the terms peak near n = sqrt|x|, and from
+    # n = d + ceil(2 sqrt|x|) on each is under 1/4 of the one before (3/8 with
+    # the factor H_{n+1}/H_n <= 3/2), so past that index the first term below
+    # 2^-wp bounds the tail. The largest term is under e^(2 sqrt|x|) < 2^(3 sqrt|x|),
+    # so 3 (least + wp) terms reach 2^-wp; for x < 0 the terms alternate and
+    # cancel down to the sum, so that many more bits are carried.
+    root = 2 * math.sqrt(abs(x))
+    least = math.ceil(root)
+    wp = prec + 16 + (int(1.5 * root) + 1 if x < 0 else 0)
     with workprec(wp):
-        xv = to_mpf(x, wp)
-        # terms peak near n = sqrt|x|; past n = 4 + 2|x| each is under 3/4 of the
-        # one before, so 4 wp more terms reach 2^-wp
-        least = max(0, 5 + int(2 * abs(xv)) - d)
-        acc = capped_sum(_bessel_terms(xv, d, harmonic), mpf(2) ** (-wp), least + 4 * wp,
-                         "Bessel-type series", least=least)
+        acc = capped_sum(_bessel_terms(to_mpf(x, wp), d, harmonic), mpf(2) ** (-wp),
+                         3 * (least + wp), "Bessel-type series", least=least)
         return +(-2 * acc if harmonic else acc)
 
 
@@ -599,9 +608,12 @@ def limit_estimate(values: list, prec: int = DEFAULT_PREC) -> LimitEstimate:
             degenerate=True, method="constant",
         )
     method = "window"
-    lo = N // 4
-    weights = [_win_weight(i, N - lo) for i in range(N - lo)]
-    est = sum(w * v for w, v in zip(weights, vals[lo:])) / sum(weights)
+    tail = vals[N // 4:]
+    weights = [_win_weight(i, len(tail)) for i in range(len(tail))]
+    # one integer sum over the common denominator of the tail
+    den = math.lcm(*(v.denominator for v in tail))
+    est = Fraction(sum(w * v.numerator * (den // v.denominator)
+                       for w, v in zip(weights, tail)), den * sum(weights))
     step = max(1, N // 8)
     d_end = abs(vals[-1] - vals[-1 - step])
     d_mid = abs(vals[N // 2] - vals[N // 2 - step])
@@ -613,14 +625,16 @@ def limit_estimate(values: list, prec: int = DEFAULT_PREC) -> LimitEstimate:
     elif d_mid == 0 and d_end == 0 and vals[-1] == vals[N // 2]:
         est = vals[-1]
         method = "tail-constant"
+    # log|P_n - est| = log|num_n den_est - num_est den_n| - log(den_n den_est),
+    # each log taken of an exact integer
+    p, q = est.numerator, est.denominator
     xs, ys = [], []
-    wp = prec + 16
-    with workprec(wp):
-        for n in range(max(16, N // 10), N):
-            d = abs(vals[n] - est)
-            if d != 0:
-                xs.append(math.log(n))
-                ys.append(float(mp.log(to_mpf(d, wp))))
+    for n in range(max(16, N // 10), N):
+        v = vals[n]
+        d = abs(v.numerator * q - p * v.denominator)
+        if d:
+            xs.append(math.log(n))
+            ys.append(math.log(d) - math.log(v.denominator * q))
     rate = least_squares_line(xs, ys)[0] if len(xs) >= 4 else None
     return LimitEstimate(
         limit=to_mpf(est, prec), rate_exponent=rate, degenerate=False, method=method,

@@ -7,13 +7,20 @@ inside an explicit ``workprec`` context; every public numeric routine takes a
 There is no interval arithmetic: correctness of numeric routines is enforced by
 the double-run protocol (recompute at twice the precision and compare), see
 :func:`double_run`.
+
+:func:`int_cauchy` is the exact product kernel for integer coefficient vectors;
+above a size threshold it packs both vectors into one ``Decimal`` each
+(Kronecker substitution) and multiplies them in a private exact context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
+import sys
 import threading
 
 from mpmath import mp, mpf, workprec
@@ -33,6 +40,10 @@ class DomainError(ValueError):
 
 class PrecisionError(ArithmeticError):
     """A numeric routine could not meet the requested precision."""
+
+
+class RouteDisagreement(ArithmeticError):
+    """Independent routes to the same exact sequence gave different values."""
 
 
 def to_mpf(q, prec: int = DEFAULT_PREC) -> mpf:
@@ -84,6 +95,98 @@ def capped_sum(terms, tiny: mpf, cap: int, what: str, acc=0, least: int = 0) -> 
         elif abs(term) < tiny:
             return acc
     raise PrecisionError(f"{what} did not converge")
+
+
+# Below this many output coefficients the schoolbook double loop beats the
+# packed product. Measured on the gamma series route's product
+# (fields of 300-650 digits): the packed product is 1.7x slower at n = 100,
+# about even at n = 128 and 1.6x faster at n = 200; for random vectors of
+# 300- or 2000-bit entries the two tie near n = 64-100.
+KRONECKER_MIN = 128
+
+# A private exact context: multiplication of integral Decimals never rounds,
+# and if it had to, the trap would raise instead of returning a wrong digit.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         Emin=decimal.MIN_EMIN,
+                         traps=[decimal.Inexact, decimal.Rounded])
+
+
+def int_cauchy(a: list, b: list, n: int) -> list:
+    """The first n coefficients of (sum_i a_i z^i)(sum_j b_j z^j), integer vectors.
+
+    For n below ``KRONECKER_MIN`` this is the schoolbook double loop. Above it
+    the product is one big multiplication (Kronecker substitution z = 10^d): each
+    vector is packed into a decimal digit string of d-digit fields with
+    10^d > 2 n max|a| max|b|, the two ``Decimal`` values are multiplied once
+    (libmpdec switches to a number-theoretic transform for large operands,
+    where CPython's int product is Karatsuba), and the low n fields are read
+    back as balanced signed digits. Every int <-> decimal conversion is per
+    field (converting the packed number at once would be quadratic): through
+    ``str`` and ``int`` while d is within ``sys.get_int_max_str_digits()``,
+    else through ``Decimal(int)`` and ``int(Decimal(str))``, which that limit
+    does not cover. Neither the limit nor the thread's decimal context is
+    changed.
+    """
+    if n <= 0:
+        return []
+    a, b = a[:n], b[:n]
+    if n < KRONECKER_MIN:
+        out = [0] * n
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b[:n - i]):
+                    if y:
+                        out[i + j] += x * y
+        return out
+    bound = 2 * n * max(map(abs, a), default=0) * max(map(abs, b), default=0)
+    if bound == 0:  # a zero vector; the fields below would not hold the other one
+        return [0] * n
+    # 10^d > 2^bit_length > bound, as 0.30103 > log10(2)
+    d = bound.bit_length() * 30103 // 100000 + 1
+    base = 10**d
+    # str(int) and int(str) are faster, but each call is capped at
+    # sys.get_int_max_str_digits() digits; wider fields go through Decimal
+    if d <= (sys.get_int_max_str_digits() or d):
+        to_str, to_int = str, int
+    else:
+        to_str, to_int = _decimal_str, _decimal_int
+    product = _EXACT.multiply(_pack(a, n, d, base, to_str), _pack(b, n, d, base, to_str))
+    digits = str(product).rjust(n * d, "0")
+    top = len(digits)
+    out = []
+    carry = False
+    half = base >> 1
+    for k in range(n):
+        v = to_int(digits[top - (k + 1) * d:top - k * d]) + carry
+        carry = v >= half
+        out.append(v - base if carry else v)
+    return out
+
+
+def _decimal_str(x: int) -> str:
+    return str(Decimal(x))
+
+
+def _decimal_int(s: str) -> int:
+    return int(Decimal(s))
+
+
+def _pack(v: list, n: int, d: int, base: int, to_str) -> Decimal:
+    """sum_i v_i 10^(d i) mod 10^(d n) as one Decimal: a negative field borrows
+    10^d from the field above it, and the borrow out of field n - 1 is dropped."""
+    zero = "0" * d
+    fields = []
+    borrow = False
+    for i in range(n):
+        x = v[i] if i < len(v) else 0
+        if borrow:
+            x -= 1
+        borrow = x < 0
+        if borrow:
+            x += base
+        fields.append(to_str(x).rjust(d, "0") if x else zero)
+    fields.reverse()
+    return Decimal("".join(fields))
 
 
 def least_squares_line(xs: list, ys: list) -> tuple:

@@ -5,6 +5,11 @@ operation reports the order it can guarantee (min-of-inputs for ring
 operations; composition is limited by the valuation of the inner series).
 Operations never pad with zeros, so exact-equality tests between series
 computed along different routes compare only guaranteed coefficients.
+
+A product brings both factors to integer numerators over one denominator each
+and multiplies the numerator vectors with :func:`numcore.int_cauchy`: a
+schoolbook loop for short vectors, else one Kronecker-substituted ``Decimal``
+product, subquadratic through libmpdec's number-theoretic transform.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .numcore import DomainError, Rational, pochhammer
+from .numcore import DomainError, Rational, int_cauchy, pochhammer
 
 __all__ = [
     "TruncatedSeries",
@@ -76,16 +81,8 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         fd, fn = _common_denominator(self.coeffs[:n])
         gd, gn = _common_denominator(other.coeffs[:n])
-        out = [0] * n
-        for i, a in enumerate(fn):
-            if a == 0:
-                continue
-            for j in range(n - i):
-                b = gn[j]
-                if b:
-                    out[i + j] += a * b
         den = fd * gd
-        return TruncatedSeries([Fraction(c, den) for c in out])
+        return TruncatedSeries([Fraction(c, den) for c in int_cauchy(fn, gn, n)])
 
     __rmul__ = __mul__
 

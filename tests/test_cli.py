@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -225,6 +228,17 @@ def test_route_disagreement_exits_2(workdir, capsys, monkeypatch):
     assert rc == EXIT_DOMAIN
     assert err == "domain error: method disagreement in gamma_seq\n"
     assert list(workdir.iterdir()) == []
+
+
+def test_importing_the_cli_leaves_the_command_modules_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, eoplab.cli; print(sorted(m for m in sys.modules "
+            "if m in ('eoplab.asymlab', 'eoplab.constructions', 'eoplab.gammalab')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_vanishing_leading_coefficient_exits_2(workdir, capsys, monkeypatch):

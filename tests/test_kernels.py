@@ -4,15 +4,21 @@ Each oracle below is the plain per-term Fraction loop that the kernel used to
 be; the kernels must give the same values under ``==``.
 """
 
+import decimal
 import math
+import sys
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from eoplab import numcore
 from eoplab.constructions import (
     _euler_closed,
     _gamma_closed,
+    e_convergent_rows,
+    e_convergents,
     gamma_coefficient_recurrence,
     gamma_seed_values,
     pade_exp,
@@ -23,7 +29,21 @@ from eoplab.holonomic import (
     LinearRecurrence,
     unroll,
 )
-from eoplab.numcore import PolyQ
+from eoplab.numcore import KRONECKER_MIN, DomainError, PolyQ, int_cauchy
+from eoplab.series import binomial_series, e_alpha_series, euler_substitution
+
+
+def oracle_int_cauchy(a, b, n):
+    """The double loop that TruncatedSeries.__mul__ ran before int_cauchy."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x == 0:
+            continue
+        for j in range(min(n - i, len(b))):
+            y = b[j]
+            if y:
+                out[i + j] += x * y
+    return out
 
 
 def oracle_gamma_closed(alpha, N):
@@ -165,3 +185,99 @@ def test_both_unrolls_stop_at_the_same_vanishing_index(r, root, cofactor, data):
     with pytest.raises(LeadingCoefficientVanishes) as old:
         oracle_unroll(seq, N)
     assert new.value.n == old.value.n <= root
+
+
+# Entries of a few bits up to about 1 300 digits, zeros included, so that the
+# products' fields span the str and Decimal conversions.
+entries = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2**64, 2**64),
+                    st.integers(-10**1300, 10**1300))
+sizes = st.one_of(st.integers(0, 3), st.integers(KRONECKER_MIN - 8, KRONECKER_MIN + 40))
+
+
+@st.composite
+def cauchy_cases(draw):
+    """(a, b, n): vectors as long as n, or a little shorter or longer."""
+    n = draw(sizes)
+    a = draw(st.lists(entries, min_size=max(0, n - 2), max_size=n + 2))
+    b = draw(st.lists(entries, min_size=max(0, n - 2), max_size=n + 2))
+    return a, b, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(cauchy_cases())
+@example(([], [], 0))
+@example(([5], [-7], 1))
+@example(([1, -2], [-3, 4], 2))
+@example(([0] * 200, [1] * 200, 200))
+def test_int_cauchy_matches_the_double_loop(case):
+    a, b, n = case
+    assert int_cauchy(a, b, n) == oracle_int_cauchy(a, b, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.lists(entries, min_size=n, max_size=n), st.lists(entries, min_size=n, max_size=n),
+    st.just(n))))
+@example(([0, 0], [0, -11], 2))
+@example(([-1], [-1], 1))
+def test_packed_product_matches_the_double_loop_at_small_sizes(case):
+    # the packed path on its edge cases: one field, borrows into the dropped
+    # top field, all-zero vectors
+    a, b, n = case
+    with mock.patch.object(numcore, "KRONECKER_MIN", 1):
+        assert int_cauchy(a, b, n) == oracle_int_cauchy(a, b, n)
+
+
+def test_int_cauchy_all_negative_product():
+    n = KRONECKER_MIN + 20
+    a = [-(3 * i + 1) ** 5 for i in range(n)]
+    b = [(7 * i + 2) ** 9 for i in range(n)]
+    got = int_cauchy(a, b, n)
+    assert all(c < 0 for c in got)
+    assert got == oracle_int_cauchy(a, b, n)
+
+
+def test_int_cauchy_wide_field_leaves_process_state_alone():
+    # a coefficient past the int/str digit limit goes through Decimal; neither
+    # that limit nor the thread's decimal context may change
+    n = KRONECKER_MIN + 4
+    a = [-(10**4400) - 7] + [(-1) ** i * (i + 1) for i in range(1, n)]
+    b = [3**i for i in range(n)]
+    limit = sys.get_int_max_str_digits()
+    ctx = decimal.getcontext()
+    before = repr(ctx)
+    got = int_cauchy(a, b, n)
+    assert got == oracle_int_cauchy(a, b, n)
+    assert got[0].bit_length() > 4300 * 3.32
+    assert sys.get_int_max_str_digits() == limit
+    assert decimal.getcontext() is ctx and repr(ctx) == before
+
+
+@pytest.mark.parametrize("N", [KRONECKER_MIN - 1, KRONECKER_MIN + 1, 300])
+def test_gamma_series_product_matches_the_double_loop(N):
+    inner = euler_substitution(e_alpha_series(F(-7, 11), N))
+    outer = binomial_series(F(4, 11), N)
+    prod = outer * inner
+    den_f = math.lcm(*(c.denominator for c in outer.coeffs))
+    den_g = math.lcm(*(c.denominator for c in inner.coeffs))
+    fn = [c.numerator * (den_f // c.denominator) for c in outer.coeffs]
+    gn = [c.numerator * (den_g // c.denominator) for c in inner.coeffs]
+    want = [F(c, den_f * den_g) for c in oracle_int_cauchy(fn, gn, N)]
+    assert list(prod.coeffs) == want
+
+
+def oracle_e_convergent(n):
+    """(|n! P_n(1)|, |n! Q_n(1)|) from the Pade approximant itself."""
+    p, q = pade_exp(n)
+    fact = math.factorial(n)
+    num, den = fact * p(F(1)), fact * q(F(1))
+    assert num.denominator == den.denominator == 1
+    return abs(num.numerator), abs(den.numerator)
+
+
+def test_e_convergent_rows_match_pade_evaluation():
+    rows = e_convergent_rows(80)
+    assert rows == [oracle_e_convergent(n) for n in range(1, 81)]
+    assert all(e_convergents(n) == rows[n - 1] for n in (1, 2, 40, 80))
+    with pytest.raises(DomainError):
+        e_convergent_rows(0)

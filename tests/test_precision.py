@@ -55,22 +55,35 @@ def _rel(got, want):
 
 
 def _bessel_closed_forms(x):
-    # F = I0(s), F' = I1(s)/r and, with c = log(x)/2 + gamma,
-    # G = -2 (K0(s) + c I0(s)), G' = -2 (I0(s)/(2x) + (c I1(s) - K1(s))/r),
-    # where r = sqrt(x) and s = 2r
-    r = mp.sqrt(x)
-    i0, i1 = mpmath.besseli(0, 2 * r), mpmath.besseli(1, 2 * r)
-    k0, k1 = mpmath.besselk(0, 2 * r), mpmath.besselk(1, 2 * r)
-    c = mp.log(x) / 2 + mp.euler
+    # With r = sqrt|x|, s = 2r and c = log|x|/2 + gamma: for x > 0,
+    # F = I0(s), F' = I1(s)/r, G = -2 (K0(s) + c I0(s)),
+    # G' = -2 (I0(s)/(2x) + (c I1(s) - K1(s))/r); for x < 0,
+    # F = J0(s), F' = J1(s)/r, G = pi Y0(s) - 2c J0(s),
+    # G' = pi Y1(s)/r + J0(s)/|x| - 2c J1(s)/r
+    r = mp.sqrt(abs(x))
+    c = mp.log(abs(x)) / 2 + mp.euler
+    if x > 0:
+        i0, i1 = mpmath.besseli(0, 2 * r), mpmath.besseli(1, 2 * r)
+        k0, k1 = mpmath.besselk(0, 2 * r), mpmath.besselk(1, 2 * r)
+        return {
+            (bessel_f, 0): i0,
+            (bessel_f, 1): i1 / r,
+            (bessel_g, 0): -2 * (k0 + c * i0),
+            (bessel_g, 1): -2 * (i0 / (2 * x) + (c * i1 - k1) / r),
+        }
+    j0, j1 = mpmath.besselj(0, 2 * r), mpmath.besselj(1, 2 * r)
+    y0, y1 = mpmath.bessely(0, 2 * r), mpmath.bessely(1, 2 * r)
     return {
-        (bessel_f, 0): i0,
-        (bessel_f, 1): i1 / r,
-        (bessel_g, 0): -2 * (k0 + c * i0),
-        (bessel_g, 1): -2 * (i0 / (2 * x) + (c * i1 - k1) / r),
+        (bessel_f, 0): j0,
+        (bessel_f, 1): j1 / r,
+        (bessel_g, 0): mp.pi * y0 - 2 * c * j0,
+        (bessel_g, 1): mp.pi * y1 / r - j0 / x - 2 * c * j1 / r,
     }
 
 
-@pytest.mark.parametrize("x", [F(1), F(1, 2), F(3, 2), F(1, 1000)])
+# x = -10^4 sums alternating terms up to about 2^279 down to values near 2^-11
+@pytest.mark.parametrize("x", [F(1), F(1, 2), F(3, 2), F(1, 1000), F(-3, 2),
+                               F(10**4), F(-10**4)])
 def test_bessel_sums_match_closed_forms(x):
     prec = 256
     with workprec(prec + 64):
