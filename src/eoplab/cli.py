@@ -143,7 +143,7 @@ def _e_convergents(args) -> tuple:
     from . import constructions
 
     rows = [(n, Fraction(*pair))
-            for n, pair in enumerate(constructions.e_convergent_rows(args.n), 1)]
+            for n, pair in enumerate(constructions._e_convergent_rows(args.n), 1)]
     body = {"values": [[n, *_ratio(v)] for n, v in rows], "estimates": {}}
     return {"n": args.n}, body, rows, None
 

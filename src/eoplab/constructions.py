@@ -76,7 +76,6 @@ __all__ = [
     "pade_exp",
     "pade_reflection_signs",
     "e_convergents",
-    "e_convergent_rows",
     "cf_convergents",
     "e_cf_quotients",
     "bessel_f",
@@ -349,7 +348,7 @@ def pade_reflection_signs(n: int) -> dict:
     return {"plus": p == refl, "minus": p == -refl}
 
 
-def e_convergent_rows(N: int) -> list:
+def _e_convergent_rows(N: int) -> list:
     """[(|n! P_n(1)|, |n! Q_n(1)|) for n = 1..N]: convergent numerators and
     denominators of e, unreduced, from u_{n+1} = (4n+2) u_n + u_{n-1} with
     u_0 = (1, 1) and u_1 = (3, 1)."""
@@ -366,7 +365,7 @@ def e_convergent_rows(N: int) -> list:
 
 def e_convergents(n: int) -> tuple[int, int]:
     """(|n! P_n(1)|, |n! Q_n(1)|), an exact convergent numerator/denominator of e."""
-    return e_convergent_rows(n)[-1]
+    return _e_convergent_rows(n)[-1]
 
 
 def cf_convergents(partial_quotients: list) -> list:
@@ -416,8 +415,11 @@ def _bessel_sum(x, prec: int, d: int, harmonic: bool) -> mpf:
     # n = d + ceil(2 sqrt|x|) on each is under 1/4 of the one before (3/8 with
     # the factor H_{n+1}/H_n <= 3/2), so past that index the first term below
     # 2^-wp bounds the tail. The largest term is under e^(2 sqrt|x|) < 2^(3 sqrt|x|),
-    # so 3 (least + wp) terms reach 2^-wp; for x < 0 the terms alternate and
-    # cancel down to the sum, so that many more bits are carried.
+    # so 3 (least + wp) terms reach 2^-wp. For x >= 0 no term is negative and the
+    # result has prec correct bits. For x < 0 the terms alternate and cancel, so
+    # that many more bits are carried: the error is then about 2^-prec absolute,
+    # not relative, as the sums are J-type functions with real zeros (F(x) =
+    # J0(2 sqrt|x|) vanishes at x = -1.4458...).
     root = 2 * math.sqrt(abs(x))
     least = math.ceil(root)
     wp = prec + 16 + (int(1.5 * root) + 1 if x < 0 else 0)

@@ -8,9 +8,9 @@ There is no interval arithmetic: correctness of numeric routines is enforced by
 the double-run protocol (recompute at twice the precision and compare), see
 :func:`double_run`.
 
-:func:`int_cauchy` is the exact product kernel for integer coefficient vectors;
-above a size threshold it packs both vectors into one ``Decimal`` each
-(Kronecker substitution) and multiplies them in a private exact context.
+:func:`int_cauchy` is the exact product kernel for integer coefficient vectors:
+it packs both vectors into one ``Decimal`` each (Kronecker substitution) and
+multiplies them in a private exact context.
 """
 
 from __future__ import annotations
@@ -97,13 +97,6 @@ def capped_sum(terms, tiny: mpf, cap: int, what: str, acc=0, least: int = 0) -> 
     raise PrecisionError(f"{what} did not converge")
 
 
-# Below this many output coefficients the schoolbook double loop beats the
-# packed product. Measured on the gamma series route's product
-# (fields of 300-650 digits): the packed product is 1.7x slower at n = 100,
-# about even at n = 128 and 1.6x faster at n = 200; for random vectors of
-# 300- or 2000-bit entries the two tie near n = 64-100.
-KRONECKER_MIN = 128
-
 # A private exact context: multiplication of integral Decimals never rounds,
 # and if it had to, the trap would raise instead of returning a wrong digit.
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
@@ -114,8 +107,7 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
 def int_cauchy(a: list, b: list, n: int) -> list:
     """The first n coefficients of (sum_i a_i z^i)(sum_j b_j z^j), integer vectors.
 
-    For n below ``KRONECKER_MIN`` this is the schoolbook double loop. Above it
-    the product is one big multiplication (Kronecker substitution z = 10^d): each
+    The product is one big multiplication (Kronecker substitution z = 10^d): each
     vector is packed into a decimal digit string of d-digit fields with
     10^d > 2 n max|a| max|b|, the two ``Decimal`` values are multiplied once
     (libmpdec switches to a number-theoretic transform for large operands,
@@ -125,19 +117,12 @@ def int_cauchy(a: list, b: list, n: int) -> list:
     ``str`` and ``int`` while d is within ``sys.get_int_max_str_digits()``,
     else through ``Decimal(int)`` and ``int(Decimal(str))``, which that limit
     does not cover. Neither the limit nor the thread's decimal context is
-    changed.
+    changed; before Python 3.10.7 there is no limit and ``str``/``int`` serve
+    every width.
     """
     if n <= 0:
         return []
     a, b = a[:n], b[:n]
-    if n < KRONECKER_MIN:
-        out = [0] * n
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b[:n - i]):
-                    if y:
-                        out[i + j] += x * y
-        return out
     bound = 2 * n * max(map(abs, a), default=0) * max(map(abs, b), default=0)
     if bound == 0:  # a zero vector; the fields below would not hold the other one
         return [0] * n
@@ -146,7 +131,7 @@ def int_cauchy(a: list, b: list, n: int) -> list:
     base = 10**d
     # str(int) and int(str) are faster, but each call is capped at
     # sys.get_int_max_str_digits() digits; wider fields go through Decimal
-    if d <= (sys.get_int_max_str_digits() or d):
+    if d <= (getattr(sys, "get_int_max_str_digits", lambda: 0)() or d):
         to_str, to_int = str, int
     else:
         to_str, to_int = _decimal_str, _decimal_int

@@ -7,9 +7,9 @@ Operations never pad with zeros, so exact-equality tests between series
 computed along different routes compare only guaranteed coefficients.
 
 A product brings both factors to integer numerators over one denominator each
-and multiplies the numerator vectors with :func:`numcore.int_cauchy`: a
-schoolbook loop for short vectors, else one Kronecker-substituted ``Decimal``
-product, subquadratic through libmpdec's number-theoretic transform.
+and multiplies the numerator vectors with :func:`numcore.int_cauchy`: one
+Kronecker-substituted ``Decimal`` product, subquadratic through libmpdec's
+number-theoretic transform for long vectors.
 """
 
 from __future__ import annotations

@@ -8,16 +8,14 @@ import decimal
 import math
 import sys
 from fractions import Fraction as F
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eoplab import numcore
 from eoplab.constructions import (
+    _e_convergent_rows,
     _euler_closed,
     _gamma_closed,
-    e_convergent_rows,
     e_convergents,
     gamma_coefficient_recurrence,
     gamma_seed_values,
@@ -29,7 +27,7 @@ from eoplab.holonomic import (
     LinearRecurrence,
     unroll,
 )
-from eoplab.numcore import KRONECKER_MIN, DomainError, PolyQ, int_cauchy
+from eoplab.numcore import DomainError, PolyQ, int_cauchy
 from eoplab.series import binomial_series, e_alpha_series, euler_substitution
 
 
@@ -191,7 +189,7 @@ def test_both_unrolls_stop_at_the_same_vanishing_index(r, root, cofactor, data):
 # products' fields span the str and Decimal conversions.
 entries = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2**64, 2**64),
                     st.integers(-10**1300, 10**1300))
-sizes = st.one_of(st.integers(0, 3), st.integers(KRONECKER_MIN - 8, KRONECKER_MIN + 40))
+sizes = st.one_of(st.integers(0, 6), st.integers(120, 170))
 
 
 @st.composite
@@ -209,27 +207,17 @@ def cauchy_cases(draw):
 @example(([5], [-7], 1))
 @example(([1, -2], [-3, 4], 2))
 @example(([0] * 200, [1] * 200, 200))
+@example(([0, 0], [0, -11], 2))
+@example(([-1], [-1], 1))
 def test_int_cauchy_matches_the_double_loop(case):
+    # small sizes reach the edge cases of the packing: one field, borrows into
+    # the dropped top field, all-zero vectors
     a, b, n = case
     assert int_cauchy(a, b, n) == oracle_int_cauchy(a, b, n)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
-    st.lists(entries, min_size=n, max_size=n), st.lists(entries, min_size=n, max_size=n),
-    st.just(n))))
-@example(([0, 0], [0, -11], 2))
-@example(([-1], [-1], 1))
-def test_packed_product_matches_the_double_loop_at_small_sizes(case):
-    # the packed path on its edge cases: one field, borrows into the dropped
-    # top field, all-zero vectors
-    a, b, n = case
-    with mock.patch.object(numcore, "KRONECKER_MIN", 1):
-        assert int_cauchy(a, b, n) == oracle_int_cauchy(a, b, n)
-
-
 def test_int_cauchy_all_negative_product():
-    n = KRONECKER_MIN + 20
+    n = 150
     a = [-(3 * i + 1) ** 5 for i in range(n)]
     b = [(7 * i + 2) ** 9 for i in range(n)]
     got = int_cauchy(a, b, n)
@@ -240,20 +228,29 @@ def test_int_cauchy_all_negative_product():
 def test_int_cauchy_wide_field_leaves_process_state_alone():
     # a coefficient past the int/str digit limit goes through Decimal; neither
     # that limit nor the thread's decimal context may change
-    n = KRONECKER_MIN + 4
+    n = 12
     a = [-(10**4400) - 7] + [(-1) ** i * (i + 1) for i in range(1, n)]
     b = [3**i for i in range(n)]
-    limit = sys.get_int_max_str_digits()
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # Python >= 3.10.7
+    limit = get_limit()
     ctx = decimal.getcontext()
     before = repr(ctx)
     got = int_cauchy(a, b, n)
     assert got == oracle_int_cauchy(a, b, n)
     assert got[0].bit_length() > 4300 * 3.32
-    assert sys.get_int_max_str_digits() == limit
+    assert get_limit() == limit
     assert decimal.getcontext() is ctx and repr(ctx) == before
 
 
-@pytest.mark.parametrize("N", [KRONECKER_MIN - 1, KRONECKER_MIN + 1, 300])
+def test_int_cauchy_without_the_int_str_digit_limit(monkeypatch):
+    # Python before 3.10.7 has no sys.get_int_max_str_digits
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    a = [(-1) ** i * 5**i for i in range(140)]
+    b = [11**i - 7**i for i in range(140)]
+    assert int_cauchy(a, b, 140) == oracle_int_cauchy(a, b, 140)
+
+
+@pytest.mark.parametrize("N", [20, 300])
 def test_gamma_series_product_matches_the_double_loop(N):
     inner = euler_substitution(e_alpha_series(F(-7, 11), N))
     outer = binomial_series(F(4, 11), N)
@@ -276,8 +273,8 @@ def oracle_e_convergent(n):
 
 
 def test_e_convergent_rows_match_pade_evaluation():
-    rows = e_convergent_rows(80)
+    rows = _e_convergent_rows(80)
     assert rows == [oracle_e_convergent(n) for n in range(1, 81)]
     assert all(e_convergents(n) == rows[n - 1] for n in (1, 2, 40, 80))
     with pytest.raises(DomainError):
-        e_convergent_rows(0)
+        _e_convergent_rows(0)

@@ -92,6 +92,19 @@ def test_bessel_sums_match_closed_forms(x):
             assert _rel(fn(x, prec, deriv=deriv), value) <= mpf(2) ** -prec, (fn, deriv)
 
 
+def test_bessel_sums_are_absolutely_accurate_near_a_zero():
+    # for x < 0 the guarantee is absolute: F(x) = J0(2 sqrt|x|) vanishes at
+    # x = -(j_{0,1}/2)^2, where no relative bound can hold
+    prec = 256
+    with workprec(prec + 64):
+        man, exp = ((mpmath.besseljzero(0, 1) / 2) ** 2).man_exp
+        x = -man * F(2) ** exp
+        want = _bessel_closed_forms(mpf(x.numerator) / x.denominator)
+        assert abs(want[bessel_f, 0]) < mpf(2) ** -prec
+        for (fn, deriv), value in want.items():
+            assert abs(fn(x, prec, deriv=deriv) - value) <= mpf(2) ** -prec, (fn, deriv)
+
+
 @pytest.mark.parametrize("z", [F(1, 1000), F(10), F(25, 2), F(40)])
 @pytest.mark.parametrize("alpha", [F(1, 3), F(-5, 3), None])
 def test_direct_sums_match_closed_forms(z, alpha):
