@@ -86,6 +86,15 @@ def _ratio(v: Fraction) -> list:
     return [str(v.numerator), str(v.denominator)]
 
 
+def _exact_body(args, rows: list, estimates: dict) -> dict:
+    """The JSON fields of an exact sequence; the values, as decimal strings,
+    only when the artifact is JSON (CSV writes the rows themselves)."""
+    body = {"estimates": estimates}
+    if args.format == "json":
+        body["values"] = [[n, *_ratio(v)] for n, v in rows]
+    return body
+
+
 @dataclass(frozen=True)
 class _Command:
     """A subcommand. ``compute(args)`` returns (params, body, rows, footer): the
@@ -116,8 +125,7 @@ def _sequence(args) -> tuple:
     if "exact_agreement" in run.metadata:
         estimates["exact_agreement"] = run.metadata["exact_agreement"]
     rows = list(enumerate(run.values))
-    body = {"values": [[n, *_ratio(v)] for n, v in rows], "estimates": estimates}
-    return params, body, rows, estimates
+    return params, _exact_body(args, rows, estimates), rows, estimates
 
 
 def _pade(args) -> tuple:
@@ -144,8 +152,7 @@ def _e_convergents(args) -> tuple:
 
     rows = [(n, Fraction(*pair))
             for n, pair in enumerate(constructions._e_convergent_rows(args.n), 1)]
-    body = {"values": [[n, *_ratio(v)] for n, v in rows], "estimates": {}}
-    return {"n": args.n}, body, rows, None
+    return {"n": args.n}, _exact_body(args, rows, {}), rows, None
 
 
 def _intseq(args) -> tuple:

@@ -13,8 +13,11 @@ Sequences are produced by independent routes that must agree exactly:
 The exact kernels work on integer numerators over one common denominator and
 build each output ``Fraction`` once: the closed routes and the Pade numerator
 are binomial transforms of integer sequences, and the recurrence route unrolls
-the recurrence derived from the generating ODE (``holonomic.unroll``).
-Disagreeing routes raise :class:`RouteDisagreement`.
+the recurrence derived from the generating ODE (``holonomic.unroll``). The
+series routes return their numerators over the series denominator, unreduced:
+the agreement gate reduces only the route it reports and checks every other
+one against it by cross-multiplication. Disagreeing routes raise
+:class:`RouteDisagreement`.
 
 Limit and growth-model estimation work on the exact rational data: the limit
 uses a smooth-window weighted tail mean (exact in rational arithmetic), which
@@ -185,29 +188,27 @@ def _gamma_closed(alpha: Fraction, N: int) -> list:
     # P_n = sum_k binom(n+alpha, k+alpha) (-1)^k / (k! (k+alpha)).  With
     # alpha = p/q and c_n = prod_{1<=j<=n} (p+jq) this is
     # c_n/(q^n n!) sum_k binom(n,k) E_k, E_k = (-1)^k q^(k+1) / (c_k (kq+p)),
-    # and every E_k is an integer a_k over M = c_{N-1} lcm_k(kq+p).
+    # and every E_k is an integer a_k over M = c_{N-1} lcm_k(kq+p).  With c_n
+    # cancelled first, P_n = s_n / (q^n n! (c_{N-1}/c_n) lcm), s_n the transform.
     p, q = alpha.numerator, alpha.denominator
     lin = [k * q + p for k in range(N)]
-    lcm = math.lcm(*lin)
-    tail = [1] * N  # tail[k] = c_{N-1} / c_k
+    tail = [math.lcm(*lin)] * N  # tail[k] = lcm c_{N-1} / c_k
     for k in range(N - 2, -1, -1):
         tail[k] = tail[k + 1] * lin[k + 1]
-    a = [(-1) ** k * q ** (k + 1) * tail[k] * (lcm // lin[k]) for k in range(N)]
-    den = tail[0] * lcm  # q^n n! M at n = 0
+    a = [(-1) ** k * q ** (k + 1) * (tail[k] // lin[k]) for k in range(N)]
     out = []
-    c = 1
+    scale = 1  # q^n n!
     for n, s in enumerate(_binomial_transform(a)):
         if n:
-            c *= lin[n]
-            den *= q * n
-        out.append(Fraction(c * s, den))
+            scale *= q * n
+        out.append(Fraction(s, scale * tail[n]))
     return out
 
 
 def _gamma_series(alpha: Fraction, N: int) -> list:
     inner = euler_substitution(e_alpha_series(alpha, N))
     prod = binomial_series(alpha + 1, N) * inner
-    return list(prod.coeffs)
+    return [(c, prod.den) for c in prod.nums]
 
 
 def _gamma_recurrence(alpha: Fraction, N: int) -> list:
@@ -232,7 +233,7 @@ def _euler_closed(N: int) -> list:
 def _euler_series(N: int) -> list:
     inner = partial_sums(euler_substitution(e_log_series(N)))
     total = log_over_one_minus_z(N) - inner
-    return list(total.coeffs)
+    return [(c, total.den) for c in total.nums]
 
 
 def _euler_recurrence(N: int) -> list:
@@ -272,17 +273,21 @@ def euler_seq(N: int, method: str = "all", prec: int = DEFAULT_PREC) -> Approxim
 def _run_routes(label: str, what: str, routes: dict, N: int, method: str, prec: int,
                 extra: dict) -> ApproximationRun:
     """Run one route, or all of them under the exact-agreement gate, and
-    estimate the limit."""
+    estimate the limit.
+
+    A route returns its values as rationals or, the series routes, as unreduced
+    (numerator, denominator) pairs. Only the reported route is reduced (the
+    closed one under "all"); every other one is checked against it exactly."""
     if N < 1:
         raise DomainError("need N >= 1")
     if method == "all":
         results = {name: fn(N) for name, fn in routes.items()}
-        vals = results["closed"]
-        if not all(v == vals for v in results.values()):
+        vals = _reduced(results["closed"])
+        if not all(_agree(vals, r) for r in results.values()):
             raise RouteDisagreement(f"method disagreement in {what}")
         meta = {"methods": sorted(results), "exact_agreement": True}
     elif method in routes:
-        vals = routes[method](N)
+        vals = _reduced(routes[method](N))
         meta = {"methods": [method]}
     else:
         raise DomainError(f"unknown method {method!r}")
@@ -294,6 +299,19 @@ def _run_routes(label: str, what: str, routes: dict, N: int, method: str, prec: 
         run.rate_exponent = est.rate_exponent
         meta["limit_method"] = est.method
     return run
+
+
+def _reduced(values: list) -> list:
+    return [Fraction(*v) if isinstance(v, tuple) else Fraction(v) for v in values]
+
+
+def _agree(vals: list, route: list) -> bool:
+    """The reduced vals and the route's values are equal term by term: the
+    same pair, or equal cross products."""
+    pairs = [v if isinstance(v, tuple) else (v.numerator, v.denominator) for v in route]
+    return len(pairs) == len(vals) and all(
+        (a, b) == (x.numerator, x.denominator) or a * x.denominator == x.numerator * b
+        for x, (a, b) in zip(vals, pairs))
 
 
 def gamma_limit(alpha: Rational, N: int = 1000, prec: int = DEFAULT_PREC) -> mpf:

@@ -6,19 +6,26 @@ operations; composition is limited by the valuation of the inner series).
 Operations never pad with zeros, so exact-equality tests between series
 computed along different routes compare only guaranteed coefficients.
 
-A product brings both factors to integer numerators over one denominator each
-and multiplies the numerator vectors with :func:`numcore.int_cauchy`: one
-Kronecker-substituted ``Decimal`` product, subquadratic through libmpdec's
+The coefficients are integer numerators ``nums`` over one denominator ``den``
+in canonical form: den > 0 and gcd(den, *nums) = 1, so den is the lcm of the
+reduced coefficient denominators and ``==`` is value equality. ``coeffs``, the
+reduced ``Fraction`` coefficients, is built on first use. The constructors
+build the numerators by integer recurrences, ``+`` and ``-`` scale to one lcm,
+and a product multiplies the numerator vectors with :func:`numcore.int_cauchy`:
+one Kronecker-substituted ``Decimal`` product, subquadratic through libmpdec's
 number-theoretic transform for long vectors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from itertools import accumulate
+from operator import mul, sub
 
-from .numcore import DomainError, Rational, int_cauchy, pochhammer
+from .numcore import DomainError, Rational, int_cauchy
 
 __all__ = [
     "TruncatedSeries",
@@ -38,16 +45,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Formal power series truncated to its guaranteed order."""
+    """Formal power series truncated to its guaranteed order: coefficient n is
+    nums[n]/den, with den > 0 and gcd(den, *nums) = 1."""
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        cs = [Fraction(c) for c in coeffs]
+        # the lcm of the reduced denominators already gives gcd(den, *nums) = 1
+        den = math.lcm(*(c.denominator for c in cs))
+        object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator)
+                                               for c in cs))
+        object.__setattr__(self, "den", den)
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs)
+        return len(self.nums)
 
     def __getitem__(self, n: int) -> Fraction:
         return self.coeffs[n]
@@ -55,34 +73,32 @@ class TruncatedSeries:
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise DomainError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self.coeffs[:order])
+        return _canonical(self.nums[:order], self.den)
 
     def valuation(self) -> int:
         """Index of the first nonzero coefficient (= order if all zero)."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return self.order
+        return next((i for i, c in enumerate(self.nums) if c), self.order)
+
+    def _combine(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return _canonical([a * x + b * y for x, y in zip(self.nums, other.nums)], den)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries([self.coeffs[i] + other.coeffs[i] for i in range(n)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries([self.coeffs[i] - other.coeffs[i] for i in range(n)])
+        return self._combine(other, -1)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs])
+        return _raw([-c for c in self.nums], self.den)
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([c * other for c in self.coeffs])
+            return _canonical([c * other.numerator for c in self.nums],
+                              self.den * other.denominator)
         n = min(self.order, other.order)
-        fd, fn = _common_denominator(self.coeffs[:n])
-        gd, gn = _common_denominator(other.coeffs[:n])
-        den = fd * gd
-        return TruncatedSeries([Fraction(c, den) for c in int_cauchy(fn, gn, n)])
+        return _canonical(int_cauchy(self.nums, other.nums, n), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -90,28 +106,40 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         if n == 0:
             return TruncatedSeries([])
-        if other.coeffs[0] == 0:
+        if other.nums[0] == 0:
             raise DomainError("division by series with zero constant term")
-        g0 = other.coeffs[0]
+        f, g = self.coeffs, other.coeffs
         out: list[Fraction] = []
         for k in range(n):
-            acc = self.coeffs[k]
+            acc = f[k]
             for j in range(1, k + 1):
-                acc -= other.coeffs[j] * out[k - j]
-            out.append(acc / g0)
+                acc -= g[j] * out[k - j]
+            out.append(acc / g[0])
         return TruncatedSeries(out)
 
     def differentiate(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            [i * self.coeffs[i] for i in range(1, self.order)]
-        )
+        return _canonical([i * c for i, c in enumerate(self.nums) if i], self.den)
 
 
-def _common_denominator(coeffs) -> tuple[int, list[int]]:
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+def _raw(nums, den: int) -> TruncatedSeries:
+    """The series with these numerators over den, already in canonical form."""
+    s = object.__new__(TruncatedSeries)
+    object.__setattr__(s, "nums", tuple(nums))
+    object.__setattr__(s, "den", den)
+    return s
+
+
+def _canonical(nums, den: int) -> TruncatedSeries:
+    """The series sum_n nums[n]/den z^n (den > 0), brought to canonical form."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums, den = [c // g for c in nums], den // g
+    return _raw(nums, den)
+
+
+def _tail_products(factors) -> list:
+    """[prod(factors[n+1:]) for n < len(factors)], or [1] if there is no factor."""
+    return list(accumulate(reversed(factors[1:]), mul, initial=1))[::-1]
 
 
 def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -138,67 +166,54 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 
 def hadamard(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Coefficientwise product."""
-    n = min(f.order, g.order)
-    return TruncatedSeries([f.coeffs[i] * g.coeffs[i] for i in range(n)])
+    return _canonical([x * y for x, y in zip(f.nums, g.nums)], f.den * g.den)
 
 
 def partial_sums(f: TruncatedSeries) -> TruncatedSeries:
     """Multiply by 1/(1-z): coefficient n becomes sum_{k<=n} f_k."""
-    out: list[Fraction] = []
-    acc = Fraction(0)
-    for c in f.coeffs:
-        acc += c
-        out.append(acc)
-    return TruncatedSeries(out)
+    # an integer triangular map with an integer inverse keeps gcd(den, *nums) = 1
+    return _raw(accumulate(f.nums), f.den)
 
 
 def euler_substitution(f: TruncatedSeries) -> TruncatedSeries:
     """Compose f with -z/(1-z), the substitution behind both sequence constructions.
 
-    Same result as ``compose(f, -z/(1-z))`` but each Horner step multiplies by
-    the inner series in O(order) integer additions (negate, shift, prefix-sum),
-    over a single common denominator. Guaranteed order f.order.
+    Same result as ``compose(f, -z/(1-z))``, by Horner over the numerators of f
+    with one prefix-sum pass per step. Guaranteed order f.order.
     """
-    n = f.order
-    if n == 0:
-        return TruncatedSeries([])
-    den, nums_f = _common_denominator(f.coeffs)
-    acc = [0] * n
-    for k in range(n - 1, -1, -1):
-        # acc <- acc * (-z/(1-z)) + f_k, over the fixed denominator `den`
-        new = [0] * n
-        run = 0
-        for j in range(1, n):
-            run += acc[j - 1]
-            new[j] = -run
-        new[0] = nums_f[k]
-        acc = new
-    return TruncatedSeries([Fraction(c, den) for c in acc])
+    acc = [0] * f.order  # prefix sums of the numerators so far, times sign
+    sign = 1
+    for c in reversed(f.nums):
+        # acc * (-z/(1-z)) + c shifts the numerators up and sums them: on their
+        # prefix sums that is one more prefix-sum pass, from c; the sign flips
+        sign = -sign
+        acc = list(accumulate(acc[:-1], initial=sign * c))
+    if sign < 0:
+        acc = [-x for x in acc]
+    # an involution with integer coefficients keeps gcd(den, *nums) = 1
+    return _raw(acc[:1] + list(map(sub, acc[1:], acc)), f.den)
 
 
 def binomial_series(beta: Rational, order: int) -> TruncatedSeries:
     """(1-z)^(-beta): coefficient_n = pochhammer(beta, n)/n!."""
-    out = [Fraction(1)]
-    for n in range(1, order):
-        out.append(out[-1] * (beta + n - 1) / n)
-    return TruncatedSeries(out[:order])
+    # with beta = p/q, coefficient n is prod_{j<n} (p + jq) / (q^n n!)
+    beta = Fraction(beta)
+    p, q = beta.numerator, beta.denominator
+    tail = _tail_products([q * m for m in range(order)])  # q^(N-1-n) (N-1)!/n!
+    heads = accumulate((p + j * q for j in range(order - 1)), mul, initial=1)
+    return _canonical([h * t for h, t in zip(heads, tail)][:order], tail[0])
 
 
 def log_over_one_minus_z(order: int) -> TruncatedSeries:
     """log(1-z)/(1-z): coefficient_n = -(1 + 1/2 + ... + 1/n)."""
-    out = [Fraction(0)]
-    h = Fraction(0)
-    for n in range(1, order):
-        h += Fraction(1, n)
-        out.append(-h)
-    return TruncatedSeries(out[:order])
+    lcm = math.lcm(*range(1, order))
+    nums = accumulate((-(lcm // k) for k in range(1, order)), initial=0)
+    return _canonical(list(nums)[:order], lcm)
 
 
 def exp_series(order: int) -> TruncatedSeries:
-    out = [Fraction(1)]
-    for n in range(1, order):
-        out.append(out[-1] / n)
-    return TruncatedSeries(out[:order])
+    tail = _tail_products(range(order))  # (N-1)!/n!
+    return _raw(tail[:order], tail[0])
 
 
 def e_alpha_series(alpha: Rational, order: int) -> TruncatedSeries:
@@ -206,23 +221,21 @@ def e_alpha_series(alpha: Rational, order: int) -> TruncatedSeries:
     alpha = Fraction(alpha)
     if alpha.denominator == 1 and alpha <= 0:
         raise DomainError("e_alpha_series is undefined for nonpositive integer alpha")
-    out = []
-    fact = Fraction(1)
-    for n in range(order):
-        if n > 0:
-            fact /= n
-        out.append(fact / (n + alpha))
-    return TruncatedSeries(out)
+    # with alpha = p/q, coefficient n is q / (n! (nq + p)), over (N-1)! lcm_n (nq + p)
+    p, q = alpha.numerator, alpha.denominator
+    lin = [n * q + p for n in range(order)]
+    lcm = math.lcm(*lin)
+    tail = _tail_products(range(order))  # (N-1)!/n!
+    return _canonical([q * t * (lcm // m) for t, m in zip(tail, lin)], tail[0] * lcm)
 
 
 def e_log_series(order: int) -> TruncatedSeries:
     """sum_{n>=1} z^n / (n! n)."""
-    out = [Fraction(0)]
-    fact = Fraction(1)
-    for n in range(1, order):
-        fact /= n
-        out.append(fact / n)
-    return TruncatedSeries(out[:order])
+    # over (N-1)! lcm(1..N-1)
+    lcm = math.lcm(*range(1, order))
+    tail = _tail_products(range(order))  # (N-1)!/n!
+    nums = [0] + [t * (lcm // n) for n, t in enumerate(tail[1:], 1)]
+    return _canonical(nums[:order], tail[0] * lcm)
 
 
 def bessel_f_series(order: int) -> TruncatedSeries:

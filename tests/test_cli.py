@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from eoplab import constructions
+from eoplab import cli, constructions
 from eoplab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from eoplab.holonomic import LinearRecurrence
 from eoplab.numcore import PolyQ
@@ -228,6 +228,31 @@ def test_route_disagreement_exits_2(workdir, capsys, monkeypatch):
     assert rc == EXIT_DOMAIN
     assert err == "domain error: method disagreement in gamma_seq\n"
     assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("cmd", ["gamma-approx --alpha=1/3", "gamma-approx --alpha=-7/12",
+                                 "gamma-approx --alpha=5/11", "gamma-approx --alpha=-2/3",
+                                 "euler-approx"])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 40])
+def test_every_method_writes_the_same_rows(workdir, cmd, n):
+    rows = {}
+    for method in ("closed", "series", "recurrence", "all"):
+        out = workdir / method
+        assert main(f"{cmd} --n {n} --method {method} --out {out}".split()) == EXIT_OK
+        text = next(out.glob("*.csv")).read_text(encoding="utf-8")
+        rows[method] = [line for line in text.splitlines() if not line.startswith("#")]
+    assert rows["closed"][0] == "n,numerator,denominator" and len(rows["closed"]) == n + 1
+    assert rows["closed"] == rows["series"] == rows["recurrence"] == rows["all"]
+
+
+def test_csv_sequences_build_no_json_values(workdir, monkeypatch):
+    def refuse(v):
+        raise AssertionError("JSON values built for a CSV artifact")
+
+    monkeypatch.setattr(cli, "_ratio", refuse)
+    for argv in ("gamma-approx --alpha=1/3 --n 20", "euler-approx --n 20",
+                 "e-convergents --n 5"):
+        assert main(argv.split()) == EXIT_OK
 
 
 def test_importing_the_cli_leaves_the_command_modules_unloaded():

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp, mpf, workprec
 
-from eoplab.numcore import DomainError, to_mpf
+from eoplab import constructions
+from eoplab.numcore import DomainError, RouteDisagreement, to_mpf
 from eoplab.constructions import (
     cf_convergents,
     e_cf_quotients,
@@ -49,6 +50,64 @@ def test_triple_agreement_small():
         assert run.metadata["exact_agreement"]
     run = euler_seq(60, method="all")
     assert run.metadata["exact_agreement"]
+
+
+def _pairs(route, *args):
+    return [v if isinstance(v, tuple) else (v.numerator, v.denominator)
+            for v in route(*args)]
+
+
+def _scaled(route, k=2):
+    """The route with each value as an unreduced pair (k num, k den)."""
+    return lambda *args: [(k * a, k * b) for a, b in _pairs(route, *args)]
+
+
+def _off_by_one(route, at):
+    """The route with numerator `at` one too large."""
+    def broken(*args):
+        vals = _pairs(route, *args)
+        vals[at] = (vals[at][0] + 1, vals[at][1])
+        return vals
+    return broken
+
+
+@pytest.mark.parametrize("name", ["series", "recurrence"])
+def test_gate_accepts_equal_unreduced_values(monkeypatch, name):
+    want_gamma = gamma_seq(F(-5, 7), 40, method="closed").values
+    want_euler = euler_seq(40, method="closed").values
+    monkeypatch.setitem(constructions._GAMMA_METHODS, name,
+                        _scaled(constructions._GAMMA_METHODS[name]))
+    monkeypatch.setitem(constructions._EULER_METHODS, name,
+                        _scaled(constructions._EULER_METHODS[name], 6))
+    for run, want in ((gamma_seq(F(-5, 7), 40), want_gamma), (euler_seq(40), want_euler)):
+        assert run.metadata["exact_agreement"] is True
+        assert run.values == want
+        assert all(type(v) is F for v in run.values)
+    # reported alone, the unreduced route is reduced
+    alone = gamma_seq(F(-5, 7), 40, method=name).values
+    assert [(v.numerator, v.denominator) for v in alone] == \
+        [(v.numerator, v.denominator) for v in want_gamma]
+
+
+@pytest.mark.parametrize("name", ["series", "recurrence"])
+@pytest.mark.parametrize("at", [0, 17, 39])
+def test_gate_rejects_one_numerator_off_by_one(monkeypatch, name, at):
+    monkeypatch.setitem(constructions._GAMMA_METHODS, name,
+                        _off_by_one(constructions._GAMMA_METHODS[name], at))
+    monkeypatch.setitem(constructions._EULER_METHODS, name,
+                        _off_by_one(constructions._EULER_METHODS[name], at))
+    with pytest.raises(RouteDisagreement):
+        gamma_seq(F(1, 3), 40)
+    with pytest.raises(RouteDisagreement):
+        euler_seq(40)
+
+
+def test_gate_rejects_a_route_of_another_length(monkeypatch):
+    series = constructions._GAMMA_METHODS["series"]
+    monkeypatch.setitem(constructions._GAMMA_METHODS, "series",
+                        lambda alpha, N: series(alpha, N)[:-1])
+    with pytest.raises(RouteDisagreement):
+        gamma_seq(F(1, 3), 20)
 
 
 def test_pade_small_cases():

@@ -28,7 +28,16 @@ from eoplab.holonomic import (
     unroll,
 )
 from eoplab.numcore import DomainError, PolyQ, int_cauchy
-from eoplab.series import binomial_series, e_alpha_series, euler_substitution
+from eoplab.series import (
+    TruncatedSeries,
+    binomial_series,
+    e_alpha_series,
+    e_log_series,
+    euler_substitution,
+    exp_series,
+    log_over_one_minus_z,
+    partial_sums,
+)
 
 
 def oracle_int_cauchy(a, b, n):
@@ -261,6 +270,125 @@ def test_gamma_series_product_matches_the_double_loop(N):
     gn = [c.numerator * (den_g // c.denominator) for c in inner.coeffs]
     want = [F(c, den_f * den_g) for c in oracle_int_cauchy(fn, gn, N)]
     assert list(prod.coeffs) == want
+
+
+def oracle_euler_substitution(coeffs):
+    """The Horner loop of euler_substitution on Fractions: each step is
+    acc <- acc * (-z/(1-z)) + f_k (shift up, negated prefix sums)."""
+    n = len(coeffs)
+    acc = [F(0)] * n
+    for k in range(n - 1, -1, -1):
+        new = [F(0)] * n
+        run = F(0)
+        for j in range(1, n):
+            run += acc[j - 1]
+            new[j] = -run
+        new[0] = coeffs[k]
+        acc = new
+    return acc
+
+
+def oracle_partial_sums(coeffs):
+    out, acc = [], F(0)
+    for c in coeffs:
+        acc += c
+        out.append(acc)
+    return out
+
+
+def oracle_binomial_series(beta, order):
+    out = [F(1)]
+    for n in range(1, order):
+        out.append(out[-1] * (beta + n - 1) / n)
+    return out[:order]
+
+
+def oracle_log_over_one_minus_z(order):
+    out, h = [F(0)], F(0)
+    for n in range(1, order):
+        h += F(1, n)
+        out.append(-h)
+    return out[:order]
+
+
+def oracle_exp_series(order):
+    out = [F(1)]
+    for n in range(1, order):
+        out.append(out[-1] / n)
+    return out[:order]
+
+
+def oracle_e_alpha_series(alpha, order):
+    out, fact = [], F(1)
+    for n in range(order):
+        if n > 0:
+            fact /= n
+        out.append(fact / (n + alpha))
+    return out
+
+
+def oracle_e_log_series(order):
+    out, fact = [F(0)], F(1)
+    for n in range(1, order):
+        fact /= n
+        out.append(fact / n)
+    return out[:order]
+
+
+orders = st.integers(0, 60)
+# alpha away from the poles 0, -1, -2, ..., of either sign and above 1 too
+non_poles = st.builds(F, st.integers(-40, 40), st.integers(1, 12)).filter(
+    lambda a: a.denominator > 1 or a > 0)
+
+
+def _same_series(s, want):
+    """Equal coefficients, and the canonical series of those coefficients."""
+    assert list(s.coeffs) == want
+    assert s == TruncatedSeries(want)
+    assert s.den > 0 and math.gcd(s.den, *s.nums) == 1
+
+
+@given(st.builds(F, st.integers(-30, 30), st.integers(1, 12)), orders)
+@example(F(0), 5)
+@example(F(1), 6)
+@example(F(-2), 6)
+@example(F(4, 3), 0)
+@example(F(4, 3), 1)
+@example(F(4, 3), 2)
+def test_binomial_series_matches_fraction_loop(beta, order):
+    _same_series(binomial_series(beta, order), oracle_binomial_series(beta, order))
+
+
+@given(non_poles, orders)
+@example(F(1, 3), 0)
+@example(F(-7, 11), 1)
+@example(F(-5, 3), 2)
+@example(F(5, 2), 40)
+def test_e_alpha_series_matches_fraction_loop(alpha, order):
+    _same_series(e_alpha_series(alpha, order), oracle_e_alpha_series(alpha, order))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 17, 60, 200])
+def test_fixed_constructors_match_fraction_loops(order):
+    _same_series(e_log_series(order), oracle_e_log_series(order))
+    _same_series(log_over_one_minus_z(order), oracle_log_over_one_minus_z(order))
+    _same_series(exp_series(order), oracle_exp_series(order))
+    # the Euler series route's inner series
+    _same_series(partial_sums(euler_substitution(e_log_series(order))),
+                 oracle_partial_sums(oracle_euler_substitution(oracle_e_log_series(order))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(small_rationals, max_size=40) | st.lists(
+    st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**12)), max_size=25))
+@example([])
+@example([F(5)])
+@example([F(0), F(0)])
+@example([F(1, 2), F(-1, 3)])
+def test_euler_substitution_and_partial_sums_match_fraction_loops(coeffs):
+    f = TruncatedSeries(coeffs)
+    _same_series(euler_substitution(f), oracle_euler_substitution(coeffs))
+    _same_series(partial_sums(f), oracle_partial_sums(coeffs))
 
 
 def oracle_e_convergent(n):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eoplab.numcore import DomainError, pochhammer
 from eoplab.series import (
@@ -103,15 +104,6 @@ def test_composed_alpha_instance_seed_coefficients():
     assert total.coeffs[1] == F(7, 3)
 
 
-def test_euler_substitution_agrees_with_generic_compose():
-    rng = random.Random(13)
-    for _ in range(8):
-        f = _random_series(rng, rng.randint(2, 14))
-        order = f.order
-        inner = TruncatedSeries([F(0)] + [F(-1)] * (order - 1))
-        assert euler_substitution(f) == compose(f, inner)
-
-
 def test_binomial_series_values():
     assert binomial_series(F(1), 6) == TruncatedSeries([1] * 6)
     b0 = binomial_series(F(0), 5)
@@ -207,3 +199,95 @@ def test_efunction_generators():
     assert bessel_f_series(4) == TruncatedSeries([1, 1, F(1, 4), F(1, 36)])
     with pytest.raises(DomainError):
         e_alpha_series(F(-2), 4)
+
+
+# ---------------------------------------------------------------------------
+# The integer-numerator ring: canonical form and ring laws
+# ---------------------------------------------------------------------------
+
+rationals = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+scalars = st.one_of(st.integers(-20, 20), rationals)
+series = st.lists(rationals, max_size=12).map(TruncatedSeries)
+ZERO2 = TruncatedSeries([0, 0])
+EXAMPLES = [TruncatedSeries([]), TruncatedSeries([F(-3, 4)]), ZERO2,
+            TruncatedSeries([F(1, 6), F(-5, 9)])]
+
+
+def _is_canonical(s):
+    return (s.den > 0 and math.gcd(s.den, *s.nums) == 1
+            and s.coeffs == tuple(F(c, s.den) for c in s.nums))
+
+
+def _cut(s, order):
+    return s.truncate(min(s.order, order))
+
+
+def _with_examples(test):
+    # orders 0, 1 and 2 and a zero vector, against each other
+    for f in EXAMPLES:
+        for g in EXAMPLES:
+            test = example(f, g, EXAMPLES[-1], F(-7, 3))(test)
+    return example(ZERO2, ZERO2, ZERO2, 0)(test)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series, series, series, scalars)
+@_with_examples
+def test_ring_laws_and_canonical_results(f, g, h, c):
+    n = min(f.order, g.order, h.order)
+    assert f + g == g + f
+    assert f * g == g * f
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert f * (g - h) == f * g - f * h
+    assert f - g == f + (-g)
+    assert (f - g) + g == _cut(f, g.order)
+    assert f * c == c * f
+    assert (f + g) * c == f * c + g * c
+    assert (f * c) * g == (f * g) * c
+    assert f * c * 3 == f * (3 * c)
+    assert _cut(f, n) * h == _cut(f * h, n)
+    for s in (f + g, f - g, -f, f * g, f * c, f.truncate(f.order // 2),
+              f.differentiate(), hadamard(f, g), partial_sums(f), euler_substitution(f)):
+        assert _is_canonical(s)
+
+
+@given(st.lists(rationals, max_size=12), st.lists(st.integers(1, 30), min_size=12,
+                                                  max_size=12))
+def test_equal_coefficients_give_equal_series(coeffs, scales):
+    # the same values written over other denominators
+    other = [F(c.numerator * k, c.denominator * k) for c, k in zip(coeffs, scales)]
+    s = TruncatedSeries(coeffs)
+    assert s == TruncatedSeries(other) == TruncatedSeries(s.coeffs)
+    assert hash(s) == hash(TruncatedSeries(other))
+    assert _is_canonical(s) and list(s.coeffs) == coeffs
+    assert s.coeffs is s.coeffs
+
+
+def test_zero_and_short_series_are_canonical():
+    assert ZERO2.nums == (0, 0) and ZERO2.den == 1
+    assert TruncatedSeries([]).den == 1 and TruncatedSeries([]).order == 0
+    assert TruncatedSeries([F(2, 6)]).nums == (1,) and TruncatedSeries([F(2, 6)]).den == 3
+    assert ZERO2 * TruncatedSeries([F(5, 7), 1]) == ZERO2
+    assert ZERO2 - ZERO2 == ZERO2 and ZERO2 * F(3, 5) == ZERO2
+    assert TruncatedSeries([F(1, 2), F(1, 3)]) * 0 == ZERO2
+    for s in EXAMPLES:
+        assert euler_substitution(s).order == partial_sums(s).order == s.order
+        assert s * TruncatedSeries([]) == TruncatedSeries([])
+    assert euler_substitution(TruncatedSeries([F(2, 3), F(1, 3)])) == \
+        TruncatedSeries([F(2, 3), F(-1, 3)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(rationals, max_size=14).map(TruncatedSeries))
+@example(TruncatedSeries([]))
+@example(TruncatedSeries([5]))
+@example(ZERO2)
+@example(TruncatedSeries([0, F(1, 2)]))
+def test_euler_substitution_agrees_with_generic_compose(f):
+    # and, as -z/(1-z) is its own inverse, undoes itself
+    inner = TruncatedSeries([F(0)] + [F(-1)] * (f.order - 1))
+    if f.order:
+        assert euler_substitution(f) == compose(f, inner)
+    assert euler_substitution(euler_substitution(f)) == f

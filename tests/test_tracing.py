@@ -4,6 +4,8 @@ traced benchmark run."""
 
 import importlib
 import importlib.util
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -50,3 +52,38 @@ def test_tracer_wraps_every_target_and_restores_it():
         tracer.uninstall()
     for ns, attrs in zip(spaces, before):
         assert all(vars(ns).get(k) is v for k, v in attrs.items()), ns
+
+
+# The spans that one gamma_seq(1/3, 20) or euler_seq(20) call records for each
+# traced series and holonomic function: work that moves into an untraced
+# function shows up as a missing span.
+SEQUENCE_SPANS = {
+    "gamma": {"series.TruncatedSeries.__mul__": 1, "series.euler_substitution": 1,
+              "series.binomial_series": 1, "series.e_alpha_series": 1,
+              "holonomic.unroll": 1},
+    "euler": {"series.euler_substitution": 1, "series.e_log_series": 1,
+              "series.partial_sums": 1, "series.log_over_one_minus_z": 1,
+              "holonomic.unroll": 1},
+}
+
+
+def test_sequence_routes_run_through_the_traced_functions():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        from eoplab import constructions
+
+        runs = {"gamma": lambda: constructions.gamma_seq(Fraction(1, 3), 20),
+                "euler": lambda: constructions.euler_seq(20)}
+        for kind, run in runs.items():
+            tracer.spans.clear()
+            run()
+            counts = Counter(span[0] for span in tracer.spans)
+            traced = {name: counts[name] for name in tracing.SPAN_NAMES
+                      if name.startswith(("series.", "holonomic."))}
+            want = {name: SEQUENCE_SPANS[kind].get(name, 0) for name in traced}
+            assert traced == want, kind
+        assert not tracer.errors
+    finally:
+        tracer.uninstall()
