@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -26,12 +27,12 @@ from typing import Callable
 from mpmath import mp, workprec
 
 from . import __version__
-from .numcore import (DEFAULT_PREC, DomainError, PrecisionError, RouteDisagreement,
-                      to_mpf)
-from .holonomic import LeadingCoefficientVanishes
+from .numcore import (DEFAULT_PREC, DomainError, LeadingCoefficientVanishes,
+                      PrecisionError, RouteDisagreement, to_mpf)
 
 # Each command imports the module it runs (constructions, asymlab or gammalab)
-# when it runs, so a job does not pay for importing the others.
+# when it runs, so a job does not pay for importing the others, nor for the
+# series and holonomic layers unless that module needs them.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -335,7 +336,9 @@ def _cmd_replay(args) -> int:
     return main(argv)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parse_args keeps no state in it."""
     parser = _Parser(prog="eop", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)

@@ -8,7 +8,9 @@ Sequences are produced by independent routes that must agree exactly:
   the series log(1-z)/(1-z) - (1-z)^(-1) E(-z/(1-z));
 * diagonal rational approximants to exp and the convergents of e;
 * the integer pair (U_k, V_k) attached to the Bessel-type ratio F(1)/F'(1),
-  with the recurrence A_{k+1} = k A_k + A_{k-1}.
+  with the recurrence A_{k+1} = k A_k + A_{k-1}, whose minimal solution A_k is
+  run backward from two direct sums (Gautschi) and checked against the forward
+  run.
 
 The exact kernels work on integer numerators over one common denominator and
 build each output ``Fraction`` once: the closed routes and the Pade numerator
@@ -462,10 +464,10 @@ def _bessel_terms(x: mpf, d: int, harmonic: bool):
 
 @dataclass(frozen=True)
 class IntSeqResult:
-    A: tuple          # smallest-solution values, direct-series route
+    A: tuple          # minimal-solution values, backward recurrence from two direct sums
     U: tuple          # integer solution with U_0=0, U_1=1
     V: tuple          # integer solution with V_0=1, V_1=0
-    recurrence_disagreement: mpf  # max |A_direct - A_recurrence|, k <= kmax
+    recurrence_disagreement: mpf  # max |A_backward - A_forward|, k <= kmax
 
 
 def _a_direct(k: int, wp: int) -> mpf:
@@ -484,26 +486,38 @@ def _a_terms(k: int):
 
 
 def intseq(kmax: int, prec: int = DEFAULT_PREC) -> IntSeqResult:
-    """A_k two ways (defining series vs. recurrence A_{k+1} = k A_k + A_{k-1}),
-    plus the integer companion solutions U_k, V_k."""
+    """A_k for k <= kmax two ways, plus the integer companion solutions U_k, V_k.
+
+    A_k = (-1)^k sum_n 1/(n! (n+k)!) is the minimal solution of
+    A_{k+1} = k A_k + A_{k-1}, so it is computed by the backward recurrence
+    A_{k-1} = A_{k+1} - k A_k from direct sums of A_{kmax+1} and A_kmax
+    (Gautschi, SIAM Rev. 9, 1967): the two terms have the same sign, so no step
+    cancels. The forward recurrence from direct sums of A_0 and A_1 is the
+    check; ``recurrence_disagreement`` is the largest gap between the two runs.
+    """
     if kmax < 2:
         raise DomainError("need kmax >= 2")
-    # forward recurrence amplifies initial rounding by ~ V_k * k!, so pad
+    # the forward run amplifies initial rounding by ~ V_k * k!, so pad; the
+    # backward run and its seeds use the same wp, or their own rounding (and
+    # the seeds' absolute stopping floor, as A_kmax ~ 1/kmax!) would swamp it
     amp = int(2 * math.lgamma(kmax + 1) / math.log(2)) + 32
     wp = prec + amp
-    direct = [_a_direct(k, wp) for k in range(kmax + 1)]
     with workprec(wp):
-        rec = [direct[0], direct[1]]
+        back = [_a_direct(kmax + 1, wp), _a_direct(kmax, wp)]
+        for k in range(kmax, 0, -1):
+            back.append(back[-2] - k * back[-1])
+        A = back[:0:-1]  # A_0..A_kmax
+        fwd = [_a_direct(0, wp), _a_direct(1, wp)]
         for k in range(1, kmax):
-            rec.append(k * rec[k] + rec[k - 1])
-        disagreement = max(abs(a - b) for a, b in zip(direct, rec))
+            fwd.append(k * fwd[k] + fwd[k - 1])
+        disagreement = max(abs(a - b) for a, b in zip(A, fwd))
     U = [0, 1]
     V = [1, 0]
     for k in range(1, kmax):
         U.append(k * U[k] + U[k - 1])
         V.append(k * V[k] + V[k - 1])
     return IntSeqResult(
-        A=tuple(direct), U=tuple(U), V=tuple(V),
+        A=tuple(A), U=tuple(U), V=tuple(V),
         recurrence_disagreement=disagreement,
     )
 

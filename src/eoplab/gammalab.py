@@ -35,7 +35,6 @@ from .numcore import (
     capped_sum,
     to_mpf,
 )
-from .series import TruncatedSeries
 
 __all__ = [
     "GammaDerivs",
@@ -289,6 +288,8 @@ def y_alpha_i(alpha: Rational, i: int, N: int) -> TruncatedSeries:
     at y = alpha, of Gamma(1-{y})/Gamma(-y-n)."""
     if i < 0:
         raise DomainError("y_alpha_i needs i >= 0")
+    from .series import TruncatedSeries
+
     alpha = Fraction(alpha)
     return TruncatedSeries([_kernel_jet(alpha, n, i + 1)[i] for n in range(N)])
 

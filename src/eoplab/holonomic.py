@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .numcore import DomainError, PolyQ, Rational, poly_gcd
+from .numcore import DomainError, LeadingCoefficientVanishes, PolyQ, Rational, poly_gcd
 from .series import TruncatedSeries
 
 __all__ = [
@@ -30,14 +30,6 @@ __all__ = [
     "unroll",
     "check_series_satisfies",
 ]
-
-
-class LeadingCoefficientVanishes(ArithmeticError):
-    """The recurrence cannot determine the next term at index ``n``."""
-
-    def __init__(self, n: int):
-        super().__init__(f"leading recurrence coefficient vanishes at n={n}")
-        self.n = n
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,14 @@ class RouteDisagreement(ArithmeticError):
     """Independent routes to the same exact sequence gave different values."""
 
 
+class LeadingCoefficientVanishes(ArithmeticError):
+    """The recurrence cannot determine the next term at index ``n``."""
+
+    def __init__(self, n: int):
+        super().__init__(f"leading recurrence coefficient vanishes at n={n}")
+        self.n = n
+
+
 def to_mpf(q, prec: int = DEFAULT_PREC) -> mpf:
     """Round an exact rational (or int/mpf) to an mpf with ``prec`` bits."""
     with workprec(prec):

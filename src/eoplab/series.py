@@ -181,13 +181,15 @@ def euler_substitution(f: TruncatedSeries) -> TruncatedSeries:
     Same result as ``compose(f, -z/(1-z))``, by Horner over the numerators of f
     with one prefix-sum pass per step. Guaranteed order f.order.
     """
-    acc = [0] * f.order  # prefix sums of the numerators so far, times sign
+    acc = []  # prefix sums of the numerators so far, times sign
     sign = 1
     for c in reversed(f.nums):
         # acc * (-z/(1-z)) + c shifts the numerators up and sums them: on their
-        # prefix sums that is one more prefix-sum pass, from c; the sign flips
+        # prefix sums that is one more prefix-sum pass, from c; the sign flips.
+        # After j steps f.order - j shifts remain, so only the first j sums can
+        # land among the f.order coefficients kept: acc grows by one per step
         sign = -sign
-        acc = list(accumulate(acc[:-1], initial=sign * c))
+        acc = list(accumulate(acc, initial=sign * c))
     if sign < 0:
         acc = [-x for x in acc]
     # an involution with integer coefficients keeps gcd(den, *nums) = 1

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from eoplab import cli, constructions
+from eoplab import cli, constructions, holonomic, numcore
 from eoplab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from eoplab.holonomic import LinearRecurrence
 from eoplab.numcore import PolyQ
@@ -264,6 +264,60 @@ def test_importing_the_cli_leaves_the_command_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Prints the eoplab modules loaded by "import eoplab.cli", then main's exit
+# code on the command line given and the eoplab modules that main added.
+FOOTPRINT = """
+import sys
+import eoplab.cli
+def ours():
+    return {m for m in sys.modules if m.partition(".")[0] == "eoplab"}
+loaded = ours()
+print(sorted(loaded))
+rc = eoplab.cli.main(sys.argv[1:])
+print(rc, sorted(ours() - loaded))
+"""
+
+
+@pytest.mark.parametrize("argv,added", [
+    ("gamma-deriv --s=1/3 --order 2", ["eoplab.gammalab"]),
+    ("asym-check --which elog --z 10", ["eoplab.asymlab", "eoplab.gammalab"]),
+    ("asym-check --which ealpha --alpha=-5/3 --z 12", ["eoplab.asymlab", "eoplab.gammalab"]),
+])
+def test_each_command_imports_only_the_modules_it_runs(tmp_path, argv, added):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv.split()], env=env,
+                         cwd=tmp_path, capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert lines[0] == str(["eoplab", "eoplab.cli", "eoplab.numcore"])
+    assert lines[-1] == f"{EXIT_OK} {added}"
+
+
+def test_leading_coefficient_vanishes_is_one_class():
+    assert holonomic.LeadingCoefficientVanishes is numcore.LeadingCoefficientVanishes
+
+
+def _golden(case_id):
+    return next(case.values for case in GOLDEN if case.id == case_id)
+
+
+@pytest.mark.parametrize("bad,case_id", [
+    ("frobnicate", "gamma-deriv-json"),
+    ("gamma-approx --n 10", "gamma-csv"),
+    ("gamma-approx --alpha=1/0 --n 10", "gamma-json"),
+    ("pade --n 5 --format xml", "pade-json"),
+    ("intseq --k", "intseq-json"),
+    ("gamma-deriv --s=1/3 --order 1 --digits 0", "gamma-deriv-csv"),
+])
+def test_the_parser_is_built_once_and_keeps_no_state(workdir, capsys, bad, case_id):
+    assert cli._build_parser() is cli._build_parser()
+    assert _exit_code(bad.split(), capsys)[0] == EXIT_USAGE
+    assert list(workdir.iterdir()) == []
+    argvs, digests = _golden(case_id)
+    test_golden_artifacts(workdir, capsys, argvs, digests)
 
 
 def test_vanishing_leading_coefficient_exits_2(workdir, capsys, monkeypatch):

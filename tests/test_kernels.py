@@ -11,14 +11,18 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath import mpf, workprec
 
+from eoplab.cli import _digits
 from eoplab.constructions import (
+    _a_direct,
     _e_convergent_rows,
     _euler_closed,
     _gamma_closed,
     e_convergents,
     gamma_coefficient_recurrence,
     gamma_seed_values,
+    intseq,
     pade_exp,
 )
 from eoplab.holonomic import (
@@ -406,3 +410,39 @@ def test_e_convergent_rows_match_pade_evaluation():
     assert all(e_convergents(n) == rows[n - 1] for n in (1, 2, 40, 80))
     with pytest.raises(DomainError):
         _e_convergent_rows(0)
+
+
+def oracle_intseq(kmax, prec):
+    """(A, disagreement) as intseq gave them before the backward recurrence:
+    every A_k a direct sum, checked against the forward run from A_0, A_1."""
+    wp = prec + int(2 * math.lgamma(kmax + 1) / math.log(2)) + 32
+    direct = [_a_direct(k, wp) for k in range(kmax + 1)]
+    with workprec(wp):
+        rec = [direct[0], direct[1]]
+        for k in range(1, kmax):
+            rec.append(k * rec[k] + rec[k - 1])
+        return direct, max(abs(a - b) for a, b in zip(direct, rec))
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 160), st.sampled_from([53, 128, 256, 512]))
+@example(2, 53)
+@example(4, 512)
+@example(5, 53)
+@example(16, 128)
+@example(150, 512)
+@example(160, 53)
+def test_intseq_backward_recurrence_matches_the_direct_sums(kmax, prec):
+    res = intseq(kmax, prec)
+    direct, disagreement = oracle_intseq(kmax, prec)
+    assert len(res.A) == kmax + 1
+    assert all(abs(a - d) <= abs(d) * mpf(2) ** -prec for a, d in zip(res.A, direct))
+    assert res.recurrence_disagreement <= mpf(2) ** -prec
+    if kmax < 5:
+        return  # the few-ulp gap at k <= 1 can set the disagreement's last digits
+    # the strings eop writes. 20 digits lie within wp (at least prec + 32 bits)
+    # everywhere; 100 digits only at 512 bits, as below that they reach past
+    # what wp carries at small kmax and show the two routes' own rounding
+    for d in (20, 100) if prec >= 512 else (20,):
+        assert [_digits(a, d, prec) for a in res.A] == [_digits(a, d, prec) for a in direct]
+    assert _digits(res.recurrence_disagreement, 8, prec) == _digits(disagreement, 8, prec)
