@@ -15,7 +15,6 @@ from .numcore import (  # noqa: F401
     PrecisionError,
     Rational,
     bernoulli,
-    double_run,
     pochhammer,
     to_mpf,
 )

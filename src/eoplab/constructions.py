@@ -49,7 +49,6 @@ from .numcore import (
     to_mpf,
 )
 from .series import (
-    TruncatedSeries,
     binomial_series,
     e_alpha_series,
     e_log_series,
@@ -77,12 +76,8 @@ __all__ = [
     "euler_coefficient_recurrence",
     "gamma_seq",
     "euler_seq",
-    "gamma_limit",
     "pade_exp",
-    "pade_reflection_signs",
     "e_convergents",
-    "cf_convergents",
-    "e_cf_quotients",
     "bessel_f",
     "bessel_g",
     "intseq",
@@ -316,28 +311,6 @@ def _agree(vals: list, route: list) -> bool:
         for x, (a, b) in zip(vals, pairs))
 
 
-def gamma_limit(alpha: Rational, N: int = 1000, prec: int = DEFAULT_PREC) -> mpf:
-    """Limit-based estimate of Gamma(alpha), extended to alpha > 1 by
-    Gamma(s+1) = s Gamma(s)."""
-    alpha = Fraction(alpha)
-    if alpha.denominator == 1:
-        if alpha <= 0:
-            raise DomainError("Gamma pole")
-        with workprec(prec):
-            return +mpf(math.factorial(int(alpha) - 1))
-    m = 0
-    base = alpha
-    while base >= 1:
-        base -= 1
-        m += 1
-    est = gamma_seq(base, N, method="recurrence", prec=prec).limit
-    with workprec(prec):
-        factor = Fraction(1)
-        for j in range(m):
-            factor *= base + j
-        return +(est * to_mpf(factor, prec))
-
-
 # ---------------------------------------------------------------------------
 # Rational approximants to exp and the convergents of e
 # ---------------------------------------------------------------------------
@@ -348,8 +321,8 @@ def pade_exp(n: int) -> tuple[PolyQ, PolyQ]:
 
     Q is the explicit alternating-binomial polynomial; P is defined as the
     degree-n truncation of Q(z) e^z, which makes Q(z)e^z - P(z) = O(z^(2n+1))
-    by construction. The reflection P(z) = Q(-z) is a checked property, not
-    the definition (see pade_reflection_signs).
+    by construction. The reflection P(z) = Q(-z) is a tested property, not
+    the definition.
     """
     if n < 0:
         raise DomainError("need n >= 0")
@@ -359,13 +332,6 @@ def pade_exp(n: int) -> tuple[PolyQ, PolyQ]:
     q = [Fraction(c, f) for c, f in zip(signed, facts)]
     p = [Fraction(c, f) for c, f in zip(_binomial_transform(signed), facts)]
     return PolyQ(p), PolyQ(q)
-
-
-def pade_reflection_signs(n: int) -> dict:
-    """Which sign makes the truncation of Q(z)e^z equal s*Q(-z)?"""
-    p, q = pade_exp(n)
-    refl = PolyQ([(-1) ** i * c for i, c in enumerate(q.coeffs)])
-    return {"plus": p == refl, "minus": p == -refl}
 
 
 def _e_convergent_rows(N: int) -> list:
@@ -386,33 +352,6 @@ def _e_convergent_rows(N: int) -> list:
 def e_convergents(n: int) -> tuple[int, int]:
     """(|n! P_n(1)|, |n! Q_n(1)|), an exact convergent numerator/denominator of e."""
     return _e_convergent_rows(n)[-1]
-
-
-def cf_convergents(partial_quotients: list) -> list:
-    """Convergents p_k/q_k of a simple continued fraction."""
-    if not partial_quotients:
-        raise DomainError("need at least one partial quotient")
-    if any(a <= 0 for a in partial_quotients[1:]):
-        raise DomainError("partial quotients after index 0 must be positive")
-    out = []
-    p_prev, p = 1, partial_quotients[0]
-    q_prev, q = 0, 1
-    out.append(Fraction(p, q))
-    for a in partial_quotients[1:]:
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        out.append(Fraction(p, q))
-    return out
-
-
-def e_cf_quotients(count: int) -> list:
-    """[2; 1, 2, 1, 1, 4, 1, 1, 6, ...] truncated to ``count`` quotients."""
-    out = [2]
-    m = 1
-    while len(out) < count:
-        out.extend((1, 2 * m, 1))
-        m += 1
-    return out[:count]
 
 
 # ---------------------------------------------------------------------------

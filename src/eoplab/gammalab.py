@@ -33,6 +33,7 @@ from .numcore import (
     Rational,
     bernoulli,
     capped_sum,
+    small_cauchy,
     to_mpf,
 )
 
@@ -198,18 +199,6 @@ def gamma_deriv(n: int, x: Rational, prec: int = DEFAULT_PREC) -> GammaDerivs:
     return GammaDerivs(point=x, order=n, values=tuple(vals))
 
 
-def _jet_mul(a: list, b: list, length: int) -> list:
-    """Truncated product of two jets whose entries are all mpf or all Fraction;
-    sums start from a zero of that type."""
-    out = [0 * a[0]] * length
-    for i, ai in enumerate(a[:length]):
-        if ai == 0:
-            continue
-        for j in range(min(len(b), length - i)):
-            out[i + j] += ai * b[j]
-    return out
-
-
 def _jet_recip(a: list, length: int) -> list:
     if a[0] == 0:
         raise DomainError("jet reciprocal needs a nonzero constant term")
@@ -239,9 +228,9 @@ def recip_gamma_jet(x: Rational, order: int, prec: int = DEFAULT_PREC) -> list:
         m = -int(x)
         poly = [mpf(1)]
         for t in range(m + 1):
-            poly = _jet_mul(poly, [to_mpf(x + t, wp), mpf(1)], order + 2)
+            poly = small_cauchy(poly, [to_mpf(x + t, wp), mpf(1)], order + 2)
         rec = _jet_recip(gamma_jet(x + m + 1, order, wp), order + 1)
-        return _jet_mul(poly, rec, order + 1)
+        return small_cauchy(poly, rec, order + 1)
 
 
 def recip_gamma_deriv(l: int, x: Rational, prec: int = DEFAULT_PREC) -> mpf:
@@ -274,11 +263,11 @@ def _kernel_jet(alpha: Fraction, n: int, length: int) -> list:
     if n >= -fl:
         jet = [Fraction(1)]
         for m in range(n + fl + 1):
-            jet = _jet_mul(jet, [-alpha - n + m, Fraction(-1)], length)
+            jet = small_cauchy(jet, [-alpha - n + m, Fraction(-1)], length)
         return jet + [Fraction(0)] * (length - len(jet))
     jet = [Fraction(1)]
     for m in range(-n - fl - 1):
-        jet = _jet_mul(jet, [-alpha + fl + 1 + m, Fraction(-1)], length)
+        jet = small_cauchy(jet, [-alpha + fl + 1 + m, Fraction(-1)], length)
     jet += [Fraction(0)] * (length - len(jet))
     return _jet_recip(jet, length)
 
@@ -313,14 +302,12 @@ def lambda_log_poly(t: Rational, s: int, prec: int = DEFAULT_PREC) -> tuple:
     return tuple(out)
 
 
-def lambda_ts(t: Rational, s: int, x=None, prec: int = DEFAULT_PREC):
-    """lambda_{t,s}(1/x); with x=None returns the log(1/x)-polynomial coefficients.
+def lambda_ts(t: Rational, s: int, x, prec: int = DEFAULT_PREC):
+    """lambda_{t,s}(1/x), on the principal branch of log, arg(x) in (-pi, pi].
 
-    For numeric x the branch of log is the principal one, arg(x) in (-pi, pi].
+    Its log(1/x)-polynomial coefficients are :func:`lambda_log_poly`.
     """
     coeffs = lambda_log_poly(t, s, prec)
-    if x is None:
-        return coeffs
     with workprec(prec + _GUARD):
         xv = to_mpf(x, prec + _GUARD) if isinstance(x, (Fraction, int, float)) else x
         L = -mp.log(xv)

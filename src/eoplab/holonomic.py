@@ -19,7 +19,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .numcore import DomainError, LeadingCoefficientVanishes, PolyQ, Rational, poly_gcd
-from .series import TruncatedSeries
 
 __all__ = [
     "DifferentialOperator",
@@ -28,7 +27,6 @@ __all__ = [
     "LeadingCoefficientVanishes",
     "ode_to_recurrence",
     "unroll",
-    "check_series_satisfies",
 ]
 
 
@@ -49,22 +47,6 @@ class DifferentialOperator:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def apply(self, f: TruncatedSeries) -> TruncatedSeries:
-        """Apply the operator to a truncated series (valid to the common order)."""
-        out = None
-        deriv = f
-        for i, p in enumerate(self.coeffs):
-            if i > 0:
-                deriv = deriv.differentiate()
-            if p.is_zero():
-                continue
-            # z^j shifts indices up, so p times the series needs p only below its order
-            n = deriv.order
-            padded = TruncatedSeries(p.coeffs[:n] + (0,) * (n - len(p.coeffs)))
-            term = padded * deriv
-            out = term if out is None else out + term
-        return out if out is not None else TruncatedSeries([])
 
 
 @dataclass(frozen=True)
@@ -91,19 +73,9 @@ class LinearRecurrence:
             g = poly_gcd(g, p)
         if not g.is_zero() and g.degree() > 0:
             polys = [p.exact_div(g) for p in polys]
-        content = Fraction(0)
-        for p in polys:
-            c = p.content()
-            content = (
-                c
-                if content == 0
-                else Fraction(
-                    gcd(content.numerator, c.numerator),
-                    content.denominator * c.denominator
-                    // gcd(content.denominator, c.denominator),
-                )
-            )
-        if content not in (0, 1):
+        # one content over every coefficient, so a zero polynomial does not count
+        content = PolyQ([c for p in polys for c in p.coeffs]).content()
+        if content != 1:
             polys = [p * (1 / content) for p in polys]
         if polys[-1].leading() < 0:
             polys = [-p for p in polys]
@@ -194,20 +166,3 @@ def _horner(coeffs: list[int], n: int) -> int:
     for c in coeffs:
         out = out * n + c
     return out
-
-
-def check_series_satisfies(op: DifferentialOperator, f: TruncatedSeries) -> bool:
-    """True iff op(f) vanishes to the checkable order.
-
-    Requires f.order to exceed the operator order plus its maximal polynomial
-    degree so that at least one nontrivial coefficient is checked.
-    """
-    maxdeg = max((p.degree() or 0) for p in op.coeffs)
-    checkable = f.order - op.order
-    if checkable <= op.order + maxdeg:
-        raise DomainError(
-            f"series order {f.order} too small to check an operator of "
-            f"order {op.order} and degree {maxdeg}"
-        )
-    result = op.apply(f)
-    return all(c == 0 for c in result.coeffs[:checkable])

@@ -4,13 +4,15 @@ Exact quantities are ``fractions.Fraction`` values (always normalized, positive
 denominator). Configurable-precision reals are ``mpmath.mpf`` values computed
 inside an explicit ``workprec`` context; every public numeric routine takes a
 ``prec`` argument in bits and guarantees at least that many significand bits.
-There is no interval arithmetic: correctness of numeric routines is enforced by
-the double-run protocol (recompute at twice the precision and compare), see
-:func:`double_run`.
+There is no interval arithmetic and no certified error bound yet: the tests
+recompute numeric results at twice the precision and compare, and certified
+bounds are still open work (ROADMAP item 9).
 
-:func:`int_cauchy` is the exact product kernel for integer coefficient vectors:
-it packs both vectors into one ``Decimal`` each (Kronecker substitution) and
-multiplies them in a private exact context.
+:func:`int_cauchy` is the exact product kernel for long integer coefficient
+vectors: it packs both vectors into one ``Decimal`` each (Kronecker
+substitution) and multiplies them in a private exact context.
+:func:`small_cauchy` is the schoolbook loop for short vectors of ``Fraction``
+or ``mpf`` entries (polynomial and Taylor-jet products).
 """
 
 from __future__ import annotations
@@ -23,15 +25,12 @@ from math import gcd
 import sys
 import threading
 
-from mpmath import mp, mpf, workprec
+from mpmath import mpf, workprec
 
 Rational = Fraction
 
 #: Default significand size in bits for every numeric routine.
 DEFAULT_PREC = 256
-
-#: Guard bits used when a routine needs headroom beyond the requested precision.
-GUARD_BITS = 16
 
 
 class DomainError(ValueError):
@@ -60,22 +59,6 @@ def to_mpf(q, prec: int = DEFAULT_PREC) -> mpf:
         if isinstance(q, Fraction):
             return mpf(q.numerator) / q.denominator
         return +mpf(q)
-
-
-def double_run(fn, prec: int, guard: int = GUARD_BITS):
-    """Evaluate ``fn(prec)`` and ``fn(2*prec)``; check reproducibility.
-
-    Returns the low-precision value after asserting
-    ``|fn(prec) - fn(2p)| <= 2^-(prec-guard) * max(1, |fn(2p)|)``.
-    """
-    lo, hi = fn(prec), fn(2 * prec)
-    with workprec(2 * prec):
-        bound = mpf(2) ** (guard - prec) * max(mpf(1), abs(hi))
-        if abs(lo - hi) > bound:
-            raise PrecisionError(
-                f"double-run mismatch at prec={prec}: |lo-hi|={abs(lo - hi)}"
-            )
-    return lo
 
 
 def capped_sum(terms, tiny: mpf, cap: int, what: str, acc=0, least: int = 0) -> mpf:
@@ -180,6 +163,19 @@ def _pack(v: list, n: int, d: int, base: int, to_str) -> Decimal:
         fields.append(to_str(x).rjust(d, "0") if x else zero)
     fields.reverse()
     return Decimal("".join(fields))
+
+
+def small_cauchy(a, b, n: int) -> list:
+    """The first n coefficients of (sum_i a_i z^i)(sum_j b_j z^j), by the schoolbook
+    loop, for short vectors whose entries are all Fraction or all mpf; the sums
+    start from a zero of that type, and zero entries of a are skipped."""
+    out = [0 * a[0] if a else 0] * n
+    for i, ai in enumerate(a[:n]):
+        if ai == 0:
+            continue
+        for k, bj in enumerate(b[:n - i], i):
+            out[k] += ai * bj
+    return out
 
 
 def least_squares_line(xs: list, ys: list) -> tuple:
@@ -294,13 +290,8 @@ class PolyQ:
     def __mul__(self, other) -> "PolyQ":
         if isinstance(other, (int, Fraction)):
             return PolyQ([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolyQ(out)
+        a, b = self.coeffs, other.coeffs
+        return PolyQ(small_cauchy(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 

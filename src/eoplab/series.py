@@ -2,9 +2,8 @@
 
 A :class:`TruncatedSeries` stores exactly ``order`` coefficients and every
 operation reports the order it can guarantee (min-of-inputs for ring
-operations; composition is limited by the valuation of the inner series).
-Operations never pad with zeros, so exact-equality tests between series
-computed along different routes compare only guaranteed coefficients.
+operations). Operations never pad with zeros, so exact-equality tests between
+series computed along different routes compare only guaranteed coefficients.
 
 The coefficients are integer numerators ``nums`` over one denominator ``den``
 in canonical form: den > 0 and gcd(den, *nums) = 1, so den is the lcm of the
@@ -29,8 +28,6 @@ from .numcore import DomainError, Rational, int_cauchy
 
 __all__ = [
     "TruncatedSeries",
-    "compose",
-    "hadamard",
     "partial_sums",
     "euler_substitution",
     "binomial_series",
@@ -38,8 +35,6 @@ __all__ = [
     "exp_series",
     "e_alpha_series",
     "e_log_series",
-    "bessel_f_series",
-    "bessel_g_series",
 ]
 
 
@@ -75,10 +70,6 @@ class TruncatedSeries:
             raise DomainError(f"cannot extend order {self.order} to {order}")
         return _canonical(self.nums[:order], self.den)
 
-    def valuation(self) -> int:
-        """Index of the first nonzero coefficient (= order if all zero)."""
-        return next((i for i, c in enumerate(self.nums) if c), self.order)
-
     def _combine(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
         den = math.lcm(self.den, other.den)
         a, b = den // self.den, sign * (den // other.den)
@@ -101,21 +92,6 @@ class TruncatedSeries:
         return _canonical(int_cauchy(self.nums, other.nums, n), self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        if n == 0:
-            return TruncatedSeries([])
-        if other.nums[0] == 0:
-            raise DomainError("division by series with zero constant term")
-        f, g = self.coeffs, other.coeffs
-        out: list[Fraction] = []
-        for k in range(n):
-            acc = f[k]
-            for j in range(1, k + 1):
-                acc -= g[j] * out[k - j]
-            out.append(acc / g[0])
-        return TruncatedSeries(out)
 
     def differentiate(self) -> "TruncatedSeries":
         return _canonical([i * c for i, c in enumerate(self.nums) if i], self.den)
@@ -142,33 +118,6 @@ def _tail_products(factors) -> list:
     return list(accumulate(reversed(factors[1:]), mul, initial=1))[::-1]
 
 
-def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """f(g(z)) by Horner over series; g must have zero constant term.
-
-    The guaranteed order is min(g.order, v*f.order) where v is the valuation
-    of g: the discarded tail of f enters only at order >= v*f.order.
-    """
-    if g.order == 0:
-        return TruncatedSeries([])
-    if g.coeffs[0] != 0:
-        raise DomainError("composition needs an inner series with zero constant term")
-    v = g.valuation()
-    target = min(g.order, v * f.order) if v < g.order else g.order
-    if f.order == 0:
-        return TruncatedSeries([])
-    gt = g.truncate(target) if target < g.order else g
-    acc = TruncatedSeries([f.coeffs[-1]] + [Fraction(0)] * (target - 1))
-    one = TruncatedSeries([Fraction(1)] + [Fraction(0)] * (target - 1))
-    for k in range(f.order - 2, -1, -1):
-        acc = acc * gt + one * f.coeffs[k]
-    return acc
-
-
-def hadamard(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """Coefficientwise product."""
-    return _canonical([x * y for x, y in zip(f.nums, g.nums)], f.den * g.den)
-
-
 def partial_sums(f: TruncatedSeries) -> TruncatedSeries:
     """Multiply by 1/(1-z): coefficient n becomes sum_{k<=n} f_k."""
     # an integer triangular map with an integer inverse keeps gcd(den, *nums) = 1
@@ -178,8 +127,8 @@ def partial_sums(f: TruncatedSeries) -> TruncatedSeries:
 def euler_substitution(f: TruncatedSeries) -> TruncatedSeries:
     """Compose f with -z/(1-z), the substitution behind both sequence constructions.
 
-    Same result as ``compose(f, -z/(1-z))``, by Horner over the numerators of f
-    with one prefix-sum pass per step. Guaranteed order f.order.
+    By Horner over the numerators of f, with one prefix-sum pass per step.
+    Guaranteed order f.order.
     """
     acc = []  # prefix sums of the numerators so far, times sign
     sign = 1
@@ -238,24 +187,3 @@ def e_log_series(order: int) -> TruncatedSeries:
     tail = _tail_products(range(order))  # (N-1)!/n!
     nums = [0] + [t * (lcm // n) for n, t in enumerate(tail[1:], 1)]
     return _canonical(nums[:order], tail[0] * lcm)
-
-
-def bessel_f_series(order: int) -> TruncatedSeries:
-    """Coefficients of F in the variable x = z^2: coefficient_n = 1/n!^2."""
-    out = [Fraction(1)]
-    for n in range(1, order):
-        out.append(out[-1] / (n * n))
-    return TruncatedSeries(out[:order])
-
-
-def bessel_g_series(order: int) -> TruncatedSeries:
-    """Companion of F (variable x = z^2): coefficient_n = -2 H_n / n!^2."""
-    out = [Fraction(0)]
-    inv_sq = Fraction(1)
-    h = Fraction(0)
-    for n in range(1, order):
-        inv_sq /= n * n
-        h += Fraction(1, n)
-        out.append(-2 * h * inv_sq)
-    return TruncatedSeries(out[:order])
-

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp, mpf, workprec
 
-from eoplab.numcore import DomainError, double_run, pochhammer, to_mpf
+from eoplab.numcore import DomainError, pochhammer, to_mpf
 from eoplab.asymlab import (
     asym_E_alpha,
     asym_E_log,
@@ -122,7 +122,7 @@ def test_direct_eval_large_z_front_term_dominates():
         assert abs((v - front) / front) < mpf(10) ** -13
 
 
-def test_direct_eval_double_run():
+def test_direct_eval_double_run(double_run):
     double_run(lambda p: direct_E_eval("E_alpha", 30, p, alpha=F(1, 2)), 512)
     double_run(lambda p: direct_E_eval("E_loglike", 30, p), 512)
 

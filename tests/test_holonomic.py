@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -15,11 +19,10 @@ from eoplab.holonomic import (
     HolonomicSequence,
     LeadingCoefficientVanishes,
     LinearRecurrence,
-    check_series_satisfies,
     ode_to_recurrence,
     unroll,
 )
-from eoplab.numcore import DomainError, PolyQ
+from eoplab.numcore import PolyQ
 from eoplab.series import (
     TruncatedSeries,
     binomial_series,
@@ -57,6 +60,24 @@ def _gamma_series(alpha, order):
 
 def _euler_series(order):
     return log_over_one_minus_z(order) - partial_sums(euler_substitution(e_log_series(order)))
+
+
+def _apply(op, f):
+    """op(f) = sum_i p_i f^(i), to the order f.order - op.order it determines."""
+    n = f.order - op.order
+    out = TruncatedSeries([0] * n)
+    for p in op.coeffs:
+        # z^j shifts indices up, so p times the series needs p only below order n
+        out = out + TruncatedSeries(p.coeffs[:n] + (0,) * (n - len(p.coeffs))) * f
+        f = f.differentiate()
+    return out
+
+
+def _annihilates(op, f):
+    """op(f) vanishes to the order it is determined, which must reach past
+    op.order + max deg p_i so that a nontrivial coefficient is checked."""
+    assert f.order - op.order > op.order + max(p.degree() or 0 for p in op.coeffs)
+    return not any(_apply(op, f).nums)
 
 
 def test_exp_operator_gives_first_order_recurrence():
@@ -127,24 +148,14 @@ def test_unroll_reports_vanishing_leading_coefficient():
 
 def test_check_series_satisfies_exp():
     op = DifferentialOperator([PolyQ([-1]), PolyQ([1])])
-    assert check_series_satisfies(op, exp_series(12))
+    assert _annihilates(op, exp_series(12))
     bad = TruncatedSeries([F(1)] * 12)
-    assert not check_series_satisfies(op, bad)
-
-
-def test_check_series_insufficient_order():
-    op = euler_generating_ode()
-    with pytest.raises(DomainError):
-        check_series_satisfies(op, exp_series(6))
+    assert not _annihilates(op, bad)
 
 
 def test_gamma_generating_function_satisfies_its_ode():
-    assert check_series_satisfies(
-        gamma_generating_ode(F(1, 2)), _gamma_series(F(1, 2), 40)
-    )
-    assert check_series_satisfies(
-        gamma_generating_ode(F(-1, 2)), _gamma_series(F(-1, 2), 40)
-    )
+    assert _annihilates(gamma_generating_ode(F(1, 2)), _gamma_series(F(1, 2), 40))
+    assert _annihilates(gamma_generating_ode(F(-1, 2)), _gamma_series(F(-1, 2), 40))
 
 
 def test_euler_generating_function_has_exact_defect_z():
@@ -153,8 +164,8 @@ def test_euler_generating_function_has_exact_defect_z():
     # recurrence is untouched since it only encodes coefficients >= z^2).
     op = euler_generating_ode()
     f = _euler_series(40)
-    assert not check_series_satisfies(op, f)
-    defect = op.apply(f)
+    assert not _annihilates(op, f)
+    defect = _apply(op, f)
     assert defect.coeffs[0] == 0
     assert defect.coeffs[1] == 1
     assert all(c == 0 for c in defect.coeffs[2 : f.order - op.order])
@@ -185,6 +196,11 @@ def test_normalization_idempotent():
     norm = messy.normalized()
     assert norm == LinearRecurrence([PolyQ([1, 1]), PolyQ([-2])]).normalized()
     assert norm.normalized() == norm
+    # a zero coefficient: 2y'' = 2y gives c_{n+2} (n+1)(n+2) = c_n, as y'' = y does
+    rec = ode_to_recurrence(DifferentialOperator([[-2], [], [2]]))
+    assert rec == LinearRecurrence([PolyQ([-1]), PolyQ([]), PolyQ([2, 3, 1])])
+    assert LinearRecurrence([PolyQ([2]), PolyQ([]), PolyQ([4])]).normalized() == \
+        LinearRecurrence([PolyQ([1]), PolyQ([]), PolyQ([2])])
 
 
 def _known_solution_cases(rng):
@@ -250,4 +266,44 @@ def test_recurrence_relations_annihilate_applied_series():
     for _ in range(4):
         for op, coeff_fn in _known_solution_cases(rng):
             series = TruncatedSeries(coeff_fn(30))
-            assert check_series_satisfies(op, series)
+            assert _annihilates(op, series)
+
+
+def _sympy_recurrences(op):
+    """{offset: normalized recurrence} for the power-series solutions
+    z^offset sum_n c_n z^n of op, by sympy.holonomic."""
+    import sympy
+    from sympy.holonomic import DifferentialOperators, HolonomicFunction
+
+    z = sympy.symbols("z")
+    _, Dz = DifferentialOperators(sympy.QQ.old_poly_ring(z), "Dz")
+    sym_op = sum(sum(sympy.Rational(c.numerator, c.denominator) * z**j
+                     for j, c in enumerate(p.coeffs)) * Dz**i
+                 for i, p in enumerate(op.coeffs))
+    out = {}
+    for seq, offset, *_ in HolonomicFunction(sym_op, z, 0, []).to_sequence():
+        polys = [PolyQ([F(int(c.numerator), int(c.denominator))
+                        for c in reversed(p.to_list())]) for p in seq.recurrence.listofpoly]
+        out[F(str(offset))] = LinearRecurrence(polys).normalized()
+    return out
+
+
+def test_euler_recurrence_matches_sympy_holonomic():
+    assert _sympy_recurrences(euler_generating_ode()) == {0: euler_coefficient_recurrence()}
+
+
+@pytest.mark.parametrize("alpha", [F(1, 3), F(1, 2), F(-4, 7), F(3, 5)])
+def test_gamma_recurrence_matches_sympy_holonomic(alpha):
+    # sympy also returns the z^(-alpha) Frobenius solution; ours is the power series
+    ours = gamma_coefficient_recurrence(alpha)
+    assert _sympy_recurrences(gamma_generating_ode(alpha))[0] == ours
+
+
+def test_holonomic_does_not_import_series():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, eoplab.holonomic; print('eoplab.series' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

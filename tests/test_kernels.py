@@ -31,7 +31,7 @@ from eoplab.holonomic import (
     LinearRecurrence,
     unroll,
 )
-from eoplab.numcore import DomainError, PolyQ, int_cauchy
+from eoplab.numcore import DomainError, PolyQ, int_cauchy, small_cauchy
 from eoplab.series import (
     TruncatedSeries,
     binomial_series,
@@ -261,6 +261,44 @@ def test_int_cauchy_without_the_int_str_digit_limit(monkeypatch):
     a = [(-1) ** i * 5**i for i in range(140)]
     b = [11**i - 7**i for i in range(140)]
     assert int_cauchy(a, b, 140) == oracle_int_cauchy(a, b, 140)
+
+
+def oracle_polyq_mul(a, b):
+    """The double loop that PolyQ.__mul__ ran before small_cauchy."""
+    out = [F(0)] * (len(a) + len(b) - 1 or 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+fraction_lists = st.lists(st.one_of(st.just(F(0)), small_rationals), max_size=6)
+mpfs = st.floats(-1e6, 1e6, allow_nan=False).map(mpf)
+
+
+@given(st.one_of(st.tuples(fraction_lists, fraction_lists),
+                 st.tuples(st.lists(mpfs, min_size=1, max_size=6),
+                           st.lists(mpfs, max_size=6))),
+       st.integers(0, 12))
+@example(([], []), 0)
+@example(([], [F(2)]), 1)
+@example(([F(3)], []), 1)
+@example(([F(0)], [F(-5, 2)]), 1)
+@example(([F(0), F(0)], [F(1), F(1)]), 3)
+@example(([mpf(0), mpf(2)], [mpf(-1)]), 3)
+def test_small_cauchy_matches_the_double_loop(case, n):
+    # the truncated product is the full one cut to n terms, summed in the same
+    # order, and keeps the entry type; PolyQ products are the full one
+    a, b = case
+    full = oracle_polyq_mul(a, b)
+    got = small_cauchy(a, b, n)
+    assert got == (full + [0] * n)[:n]
+    if a:
+        assert all(type(c) is type(a[0]) for c in got)
+    if all(isinstance(c, F) for c in a + b):
+        assert PolyQ(a) * PolyQ(b) == PolyQ(full)
 
 
 @pytest.mark.parametrize("N", [20, 300])

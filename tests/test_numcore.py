@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import example, given, strategies as st
 from mpmath import mp, mpf, workprec
 
 from eoplab import numcore
@@ -14,7 +15,6 @@ from eoplab.numcore import (
     PrecisionError,
     bernoulli,
     capped_sum,
-    double_run,
     least_squares_line,
     pochhammer,
     poly_gcd,
@@ -70,16 +70,18 @@ def test_poly_eval_examples():
     assert PolyQ([-2, 1])(F(1)) == -1
 
 
-def test_poly_arithmetic_roundtrip():
-    rng = random.Random(3)
-    for _ in range(20):
-        a = PolyQ([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(5)])
-        b = PolyQ([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)])
-        if b.is_zero():
-            continue
-        q, r = a.divmod(b)
-        assert q * b + r == a
-        assert r.is_zero() or r.degree() < b.degree()
+polys = st.lists(st.builds(F, st.integers(-50, 50), st.integers(1, 12)),
+                 max_size=8).map(PolyQ)
+
+
+@given(polys, polys.filter(lambda p: not p.is_zero()))
+@example(PolyQ([]), PolyQ([3]))
+@example(PolyQ([1, 2]), PolyQ([0, 0, 0, F(1, 2)]))
+@example(PolyQ([1, 2, 1]), PolyQ([1, 1]))
+def test_poly_arithmetic_roundtrip(a, b):
+    q, r = a.divmod(b)
+    assert a == q * b + r
+    assert r.is_zero() or r.degree() < b.degree()
 
 
 def test_poly_gcd_and_content():
@@ -145,9 +147,7 @@ def test_to_mpf_rounds_at_requested_precision():
         assert abs(x - mpf(1) / 3) < mpf(2) ** -126
 
 
-def test_double_run_accepts_stable_and_rejects_drifting():
-    from eoplab.numcore import PrecisionError
-
+def test_double_run_accepts_stable_and_rejects_drifting(double_run):
     stable = lambda p: to_mpf(F(355, 113), p)
     double_run(stable, 128)
 
