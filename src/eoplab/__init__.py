@@ -15,6 +15,5 @@ from .numcore import (  # noqa: F401
     PrecisionError,
     Rational,
     bernoulli,
-    pochhammer,
     to_mpf,
 )

@@ -14,9 +14,10 @@ direct Taylor summation along the positive real axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from itertools import count
+from itertools import accumulate, count
+from operator import mul
 
 from mpmath import mp, mpf, workprec
 
@@ -26,7 +27,6 @@ from .numcore import (
     Rational,
     capped_sum,
     least_squares_line,
-    pochhammer,
     to_mpf,
 )
 from .gammalab import euler_gamma, gamma_value
@@ -44,17 +44,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FrontTerm:
-    """coefficient * z^(-power) * (log z)^log_power."""
-
-    coefficient: mpf
-    power: Fraction
-    log_power: int
+FrontTerm = namedtuple("FrontTerm", "coefficient power log_power")
+FrontTerm.__doc__ = "coefficient * z^(-power) * (log z)^log_power."
 
 
-@dataclass(frozen=True)
-class AsymptoticSeries:
+class AsymptoticSeries(namedtuple("AsymptoticSeries",
+                                  "front_terms exp_rho tail_sign tail_coeffs")):
     """Front terms plus an exponentially weighted, factorially divergent tail.
 
     The represented expansion is
@@ -63,10 +58,7 @@ class AsymptoticSeries:
     coefficient sequences ((-1)^n (1-alpha)_n and (-1)^n n!).
     """
 
-    front_terms: tuple[FrontTerm, ...]
-    exp_rho: int
-    tail_sign: int
-    tail_coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -78,7 +70,9 @@ def asym_E_alpha(alpha: Rational, order: int, prec: int = DEFAULT_PREC) -> Asymp
     alpha = Fraction(alpha)
     if alpha.denominator == 1 and alpha <= 0:
         raise DomainError("the alpha-family needs alpha not a nonpositive integer")
-    tail = [(-1) ** n * pochhammer(1 - alpha, n) for n in range(order)]
+    # t_0 = 1 and t_{n+1} = -(1 - alpha + n) t_n, one product per term
+    factors = (alpha - 1 - n for n in range(order - 1))
+    tail = list(accumulate(factors, mul, initial=Fraction(1)))[:order]
     return AsymptoticSeries(
         front_terms=(FrontTerm(gamma_value(alpha, prec), alpha, 0),),
         exp_rho=-1,
@@ -178,13 +172,8 @@ def _taylor_terms(z: mpf, alpha: Fraction):
         t *= -z / (n + 1)
 
 
-@dataclass(frozen=True)
-class RateCheckReport:
-    empirical_exponent: float
-    predicted_exponent: float
-    tolerance: float
-    window: tuple[int, int]
-    passed: bool
+RateCheckReport = namedtuple(
+    "RateCheckReport", "empirical_exponent predicted_exponent tolerance window passed")
 
 
 def transfer_rate_check(

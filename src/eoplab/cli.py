@@ -19,10 +19,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
 
 from mpmath import mp, workprec
 
@@ -31,8 +30,10 @@ from .numcore import (DEFAULT_PREC, DomainError, LeadingCoefficientVanishes,
                       PrecisionError, RouteDisagreement, to_mpf)
 
 # Each command imports the module it runs (constructions, asymlab or gammalab)
-# when it runs, so a job does not pay for importing the others, nor for the
-# series and holonomic layers unless that module needs them.
+# when it runs, so a job does not pay for importing the others; constructions
+# imports the series and holonomic layers only inside the sequence routes, so
+# only gamma-approx and euler-approx load them. The records are namedtuples
+# and plain classes, so that no job loads inspect, ast, dis or tokenize.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -96,17 +97,12 @@ def _exact_body(args, rows: list, estimates: dict) -> dict:
     return body
 
 
-@dataclass(frozen=True)
-class _Command:
-    """A subcommand. ``compute(args)`` returns (params, body, rows, footer): the
-    recorded parameters, the other JSON fields, the CSV rows and its footer."""
-
-    name: str
-    help: str
-    args: tuple  # (flag, add_argument keywords) pairs
-    compute: Callable
-    records_digits: bool  # the manifest records --digits
-    exact_rows: bool  # CSV rows are n,numerator,denominator, else n,value
+# A subcommand: args holds (flag, add_argument keywords) pairs; compute(args)
+# returns (params, body, rows, footer), the recorded parameters, the other JSON
+# fields, the CSV rows and its footer; records_digits says whether the manifest
+# records --digits; exact_rows, whether CSV rows are n,numerator,denominator
+# (else n,value).
+_Command = namedtuple("_Command", "name help args compute records_digits exact_rows")
 
 
 def _sequence(args) -> tuple:

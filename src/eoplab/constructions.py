@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import count
 
@@ -48,21 +48,11 @@ from .numcore import (
     least_squares_line,
     to_mpf,
 )
-from .series import (
-    binomial_series,
-    e_alpha_series,
-    e_log_series,
-    euler_substitution,
-    log_over_one_minus_z,
-    partial_sums,
-)
-from .holonomic import (
-    DifferentialOperator,
-    HolonomicSequence,
-    LinearRecurrence,
-    ode_to_recurrence,
-    unroll,
-)
+
+# The series and holonomic layers are imported inside the functions that run
+# them, so that intseq, pade, e-convergents and fit load neither. A
+# function-local import reads the module attribute when it runs, so a wrapper
+# installed there (the benchmark's tracer) is still called.
 
 __all__ = [
     "RouteDisagreement",
@@ -93,34 +83,26 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LimitEstimate:
-    limit: mpf
-    rate_exponent: float | None
-    degenerate: bool
-    method: str
+LimitEstimate = namedtuple("LimitEstimate", "limit rate_exponent degenerate method")
+
+GrowthFit = namedtuple("GrowthFit", "q u v sub_geometric factorial_order oscillatory",
+                       defaults=(False, 0, False))
+GrowthFit.__doc__ = "Parameters of |P_n| ~ q^n n^(-u-1) (log n)^v, modulus only."
 
 
-@dataclass(frozen=True)
-class GrowthFit:
-    """Parameters of |P_n| ~ q^n n^(-u-1) (log n)^v, modulus only."""
-
-    q: float
-    u: float
-    v: int
-    sub_geometric: bool = False
-    factorial_order: int = 0
-    oscillatory: bool = False
-
-
-@dataclass
 class ApproximationRun:
-    label: str
-    values: list
-    limit: mpf | None = None
-    rate_exponent: float | None = None
-    error_model: GrowthFit | None = None
-    metadata: dict = field(default_factory=dict)
+    """An exact sequence run: its values, the limit and decay-rate estimates
+    filled in after the run, and the run's metadata."""
+
+    def __init__(self, label: str, values: list, limit: mpf | None = None,
+                 rate_exponent: float | None = None,
+                 error_model: GrowthFit | None = None, metadata: dict | None = None):
+        self.label = label
+        self.values = values
+        self.limit = limit
+        self.rate_exponent = rate_exponent
+        self.error_model = error_model
+        self.metadata = {} if metadata is None else metadata
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +112,8 @@ class ApproximationRun:
 
 def gamma_generating_ode(alpha: Rational) -> DifferentialOperator:
     """Annihilator of (1-z)^(-alpha-1) E_alpha(-z/(1-z)), alpha instantiated."""
+    from .holonomic import DifferentialOperator
+
     a = Fraction(alpha)
     p2 = PolyQ([0, 1, -3, 3, -1])
     p1 = PolyQ([1 + a, -5 - 4 * a, 8 + 5 * a, -4 - 2 * a])
@@ -140,6 +124,8 @@ def gamma_generating_ode(alpha: Rational) -> DifferentialOperator:
 def gamma_coefficient_recurrence(alpha: Rational) -> LinearRecurrence:
     """Order-3 recurrence satisfied by the gamma-family coefficients, derived
     from :func:`gamma_generating_ode`."""
+    from .holonomic import ode_to_recurrence
+
     return ode_to_recurrence(gamma_generating_ode(alpha))
 
 
@@ -154,6 +140,8 @@ def gamma_seed_values(alpha: Rational) -> tuple[Fraction, Fraction, Fraction]:
 
 def euler_generating_ode() -> DifferentialOperator:
     """Annihilator of log(1-z)/(1-z) - (1-z)^(-1) E(-z/(1-z))."""
+    from .holonomic import DifferentialOperator
+
     return DifferentialOperator(
         [PolyQ([-1, 2, -2]), PolyQ([1, -5, 8, -4]), PolyQ([0, 1, -3, 3, -1])]
     )
@@ -162,6 +150,8 @@ def euler_generating_ode() -> DifferentialOperator:
 def euler_coefficient_recurrence() -> LinearRecurrence:
     """(n+3)^2 P_{n+3} - (3n^2+14n+17) P_{n+2} + (n+2)(3n+5) P_{n+1} - (n+1)(n+2) P_n = 0,
     derived from :func:`euler_generating_ode`."""
+    from .holonomic import ode_to_recurrence
+
     return ode_to_recurrence(euler_generating_ode())
 
 
@@ -203,12 +193,16 @@ def _gamma_closed(alpha: Fraction, N: int) -> list:
 
 
 def _gamma_series(alpha: Fraction, N: int) -> list:
+    from .series import binomial_series, e_alpha_series, euler_substitution
+
     inner = euler_substitution(e_alpha_series(alpha, N))
     prod = binomial_series(alpha + 1, N) * inner
     return [(c, prod.den) for c in prod.nums]
 
 
 def _gamma_recurrence(alpha: Fraction, N: int) -> list:
+    from .holonomic import HolonomicSequence, unroll
+
     seq = HolonomicSequence(gamma_coefficient_recurrence(alpha), gamma_seed_values(alpha))
     return unroll(seq, N)
 
@@ -228,12 +222,16 @@ def _euler_closed(N: int) -> list:
 
 
 def _euler_series(N: int) -> list:
+    from .series import e_log_series, euler_substitution, log_over_one_minus_z, partial_sums
+
     inner = partial_sums(euler_substitution(e_log_series(N)))
     total = log_over_one_minus_z(N) - inner
     return [(c, total.den) for c in total.nums]
 
 
 def _euler_recurrence(N: int) -> list:
+    from .holonomic import HolonomicSequence, unroll
+
     seq = HolonomicSequence(euler_coefficient_recurrence(), (0, 0, Fraction(1, 4)))
     return unroll(seq, N)
 
@@ -401,12 +399,10 @@ def _bessel_terms(x: mpf, d: int, harmonic: bool):
         h += mpf(1) / (n + 1)
 
 
-@dataclass(frozen=True)
-class IntSeqResult:
-    A: tuple          # minimal-solution values, backward recurrence from two direct sums
-    U: tuple          # integer solution with U_0=0, U_1=1
-    V: tuple          # integer solution with V_0=1, V_1=0
-    recurrence_disagreement: mpf  # max |A_backward - A_forward|, k <= kmax
+# A: the minimal solution, by backward recurrence from two direct sums; U, V:
+# the integer solutions from (U_0, U_1) = (0, 1) and (V_0, V_1) = (1, 0);
+# recurrence_disagreement: max |A_backward - A_forward| over k <= kmax
+IntSeqResult = namedtuple("IntSeqResult", "A U V recurrence_disagreement")
 
 
 def _a_direct(k: int, wp: int) -> mpf:
@@ -461,17 +457,7 @@ def intseq(kmax: int, prec: int = DEFAULT_PREC) -> IntSeqResult:
     )
 
 
-@dataclass(frozen=True)
-class IntSeqConstants:
-    a: mpf
-    b: mpf
-    c: mpf
-    d: mpf
-    wronskian: mpf
-    f: mpf
-    f_prime: mpf
-    g: mpf
-    g_prime: mpf
+IntSeqConstants = namedtuple("IntSeqConstants", "a b c d wronskian f f_prime g g_prime")
 
 
 def intseq_constants(prec: int = DEFAULT_PREC) -> IntSeqConstants:

@@ -21,9 +21,10 @@ nonpositive integers, where 1/Gamma is entire).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import count
+from operator import mul
 
 from mpmath import mp, mpf, workprec
 
@@ -32,6 +33,7 @@ from .numcore import (
     DomainError,
     Rational,
     bernoulli,
+    binary_split,
     capped_sum,
     small_cauchy,
     to_mpf,
@@ -63,6 +65,18 @@ def _require_off_poles(x: Fraction, what: str) -> None:
         raise DomainError(f"{what} has a pole at nonpositive integer {x}")
 
 
+def _inverse_power_sum(x: Fraction, m: int, e: int) -> Fraction:
+    """sum_{j<m} 1/(x+j)^e, the exact shift sum of the digamma-type recurrences,
+    summed over the product of its denominators and reduced once."""
+    p, q = x.numerator, x.denominator
+    terms = [(q**e, (p + j * q) ** e) for j in range(m)]
+    return Fraction(*binary_split(_add_ratios, terms, (0, 1)))
+
+
+def _add_ratios(a: tuple, b: tuple) -> tuple:
+    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+
+
 def _stirling_terms(coeffs, first: mpf, step: mpf):
     """c_k / (first * step^(k-1)) for k = 1, 2, ..., the Stirling-type tail terms.
 
@@ -79,11 +93,8 @@ def euler_gamma(prec: int = DEFAULT_PREC) -> mpf:
     """Euler's constant via Euler-Maclaurin applied to H_m - log m."""
     wp = prec + _GUARD
     m = 1 << max(6, (int(0.35 * wp)).bit_length())
-    h = Fraction(0)
-    for j in range(1, m + 1):
-        h += Fraction(1, j)
     with workprec(wp):
-        acc = to_mpf(h, wp) - mp.log(m) - mpf(1) / (2 * m)
+        acc = to_mpf(_inverse_power_sum(Fraction(1), m, 1), wp) - mp.log(m) - mpf(1) / (2 * m)
         msq = mpf(m) * m
         coeffs = (to_mpf(bernoulli(2 * k), wp) / (2 * k) for k in count(1))
         # m is a power of two, so k > 3m/2 is the same as 2k > 3m
@@ -107,9 +118,7 @@ def psi(x: Rational, prec: int = DEFAULT_PREC) -> mpf:
     wp = prec + _GUARD
     X0 = max(16, int(0.35 * wp))
     m = max(0, math.ceil(X0 - x))
-    shift = Fraction(0)
-    for j in range(m):
-        shift += 1 / (x + j)
+    shift = _inverse_power_sum(x, m, 1)
     with workprec(wp):
         return +(_psi_asymptotic(to_mpf(x + m, wp), wp) - to_mpf(shift, wp))
 
@@ -131,9 +140,7 @@ def polygamma(n: int, x: Rational, prec: int = DEFAULT_PREC) -> mpf:
     wp = prec + _GUARD + n
     X0 = max(16, int(0.35 * wp) + n)
     m = max(0, math.ceil(X0 - x))
-    shift = Fraction(0)
-    for j in range(m):
-        shift += Fraction(1) / (x + j) ** (n + 1)
+    shift = _inverse_power_sum(x, m, n + 1)
     nfact = math.factorial(n)
     with workprec(wp):
         X = to_mpf(x + m, wp)
@@ -162,21 +169,15 @@ def gamma_value(x: Rational, prec: int = DEFAULT_PREC) -> mpf:
     wp = prec + _GUARD + 8
     X0 = max(20, int(0.2 * wp) + 8)
     m = max(0, math.ceil(X0 - x))
-    prod = Fraction(1)
-    for j in range(m):
-        prod *= x + j
+    p, q = x.numerator, x.denominator
+    prod = Fraction(binary_split(mul, [p + j * q for j in range(m)], 1), q**m)
     with workprec(wp):
         g = mp.e ** _log_gamma_large(to_mpf(x + m, wp), wp)
         return +(g / to_mpf(prod, wp))
 
 
-@dataclass(frozen=True)
-class GammaDerivs:
-    """Gamma(s), Gamma'(s), ..., Gamma^(order)(s) at a rational point s."""
-
-    point: Fraction
-    order: int
-    values: tuple[mpf, ...]
+GammaDerivs = namedtuple("GammaDerivs", "point order values")
+GammaDerivs.__doc__ = "Gamma(s), Gamma'(s), ..., Gamma^(order)(s) at a rational point s."
 
 
 def gamma_deriv(n: int, x: Rational, prec: int = DEFAULT_PREC) -> GammaDerivs:

@@ -14,11 +14,11 @@ exact test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .numcore import DomainError, LeadingCoefficientVanishes, PolyQ, Rational, poly_gcd
+from .numcore import (DomainError, Frozen, LeadingCoefficientVanishes, PolyQ, Rational,
+                      poly_gcd)
 
 __all__ = [
     "DifferentialOperator",
@@ -30,11 +30,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DifferentialOperator:
+class DifferentialOperator(Frozen):
     """coeffs[i] is the polynomial coefficient of d^i/dz^i."""
 
-    coeffs: tuple[PolyQ, ...]
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs):
         cs = [c if isinstance(c, PolyQ) else PolyQ(c) for c in coeffs]
@@ -49,11 +48,10 @@ class DifferentialOperator:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class LinearRecurrence:
+class LinearRecurrence(Frozen):
     """Recurrence sum_{j=0}^{r} coeffs[j](n) * P_{n+j} = 0 with PolyQ coefficients."""
 
-    coeffs: tuple[PolyQ, ...]
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs):
         cs = [c if isinstance(c, PolyQ) else PolyQ(c) for c in coeffs]
@@ -82,12 +80,11 @@ class LinearRecurrence:
         return LinearRecurrence(polys)
 
 
-@dataclass(frozen=True)
-class HolonomicSequence:
-    """A recurrence plus its first ``order`` terms, indexed from 0."""
+class HolonomicSequence(Frozen):
+    """A recurrence plus its first ``order`` terms (``initial``, a tuple of
+    ``Fraction``), indexed from 0."""
 
-    recurrence: LinearRecurrence
-    initial: tuple[Fraction, ...]
+    __slots__ = _fields = ("recurrence", "initial")
 
     def __init__(self, recurrence: LinearRecurrence, initial):
         init = tuple(Fraction(c) for c in initial)

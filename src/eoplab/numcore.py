@@ -12,12 +12,12 @@ bounds are still open work (ROADMAP item 9).
 vectors: it packs both vectors into one ``Decimal`` each (Kronecker
 substitution) and multiplies them in a private exact context.
 :func:`small_cauchy` is the schoolbook loop for short vectors of ``Fraction``
-or ``mpf`` entries (polynomial and Taylor-jet products).
+or ``mpf`` entries (polynomial and Taylor-jet products). :func:`binary_split`
+adds or multiplies many small rationals as a balanced tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import decimal
 from decimal import Decimal
 from fractions import Fraction
@@ -193,14 +193,19 @@ def least_squares_line(xs: list, ys: list) -> tuple:
     return slope, (sy - slope * sx) / n
 
 
-def pochhammer(a: Rational, n: int) -> Rational:
-    """Rising factorial a(a+1)...(a+n-1); 1 for n=0."""
-    if n < 0:
-        raise DomainError("pochhammer needs n >= 0")
-    out = Fraction(1)
-    for i in range(n):
-        out *= a + i
-    return out
+def binary_split(join, items: list, empty):
+    """join over items as a balanced binary tree, or empty for no item.
+
+    Binary splitting (Haible and Papanikolaou, *Fast multiprecision evaluation
+    of series of rational numbers*, 1998): the operands of each join are of
+    similar size, so an exact sum or product of many small rationals, carried
+    unreduced and reduced once at the end, costs about one full-size product
+    where a term-by-term ``Fraction`` loop takes a gcd per term.
+    """
+    if len(items) <= 1:
+        return items[0] if items else empty
+    mid = len(items) // 2
+    return join(binary_split(join, items[:mid], empty), binary_split(join, items[mid:], empty))
 
 
 # Exact B_0..B_{2j-1} with j = len(_tangent_column) (first convention,
@@ -242,15 +247,45 @@ def bernoulli(k: int) -> Rational:
     return _BERNOULLI[k]
 
 
-@dataclass(frozen=True)
-class PolyQ:
+class Frozen:
+    """Base of the immutable value classes. A subclass names its fields in
+    ``_fields`` and sets each once, in its constructor, through
+    ``object.__setattr__``; equality and hash are those of the field values,
+    and assigning or deleting an attribute later raises ``AttributeError``."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class PolyQ(Frozen):
     """Dense univariate polynomial over the rationals, lowest degree first.
 
-    Trailing zero coefficients are trimmed on construction; the zero polynomial
-    has ``degree() is None``.
+    ``coeffs`` is a tuple of ``Fraction``; trailing zero coefficients are
+    trimmed on construction, and the zero polynomial has ``degree() is None``.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]

@@ -18,13 +18,12 @@ number-theoretic transform for long vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from operator import mul, sub
 
-from .numcore import DomainError, Rational, int_cauchy
+from .numcore import DomainError, Frozen, Rational, int_cauchy
 
 __all__ = [
     "TruncatedSeries",
@@ -38,13 +37,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """Formal power series truncated to its guaranteed order: coefficient n is
-    nums[n]/den, with den > 0 and gcd(den, *nums) = 1."""
+    nums[n]/den (``nums`` a tuple of int), with den > 0 and gcd(den, *nums) = 1."""
 
-    nums: tuple[int, ...]
-    den: int
+    _fields = ("nums", "den")  # no __slots__: cached_property stores in __dict__
 
     def __init__(self, coeffs):
         cs = [Fraction(c) for c in coeffs]
@@ -146,7 +143,7 @@ def euler_substitution(f: TruncatedSeries) -> TruncatedSeries:
 
 
 def binomial_series(beta: Rational, order: int) -> TruncatedSeries:
-    """(1-z)^(-beta): coefficient_n = pochhammer(beta, n)/n!."""
+    """(1-z)^(-beta): coefficient_n = beta(beta+1)...(beta+n-1)/n!."""
     # with beta = p/q, coefficient n is prod_{j<n} (p + jq) / (q^n n!)
     beta = Fraction(beta)
     p, q = beta.numerator, beta.denominator

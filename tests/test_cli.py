@@ -267,7 +267,8 @@ def test_importing_the_cli_leaves_the_command_modules_unloaded():
 
 
 # Prints the eoplab modules loaded by "import eoplab.cli", then main's exit
-# code on the command line given and the eoplab modules that main added.
+# code on the command line given and the eoplab modules that main added, then
+# which of the modules that no numeric command needs are loaded.
 FOOTPRINT = """
 import sys
 import eoplab.cli
@@ -277,6 +278,8 @@ loaded = ours()
 print(sorted(loaded))
 rc = eoplab.cli.main(sys.argv[1:])
 print(rc, sorted(ours() - loaded))
+print(sorted(m for m in ("dataclasses", "inspect", "eoplab.series", "eoplab.holonomic")
+             if m in sys.modules))
 """
 
 
@@ -284,6 +287,7 @@ print(rc, sorted(ours() - loaded))
     ("gamma-deriv --s=1/3 --order 2", ["eoplab.gammalab"]),
     ("asym-check --which elog --z 10", ["eoplab.asymlab", "eoplab.gammalab"]),
     ("asym-check --which ealpha --alpha=-5/3 --z 12", ["eoplab.asymlab", "eoplab.gammalab"]),
+    ("intseq --k 20 --prec 128", ["eoplab.constructions"]),
 ])
 def test_each_command_imports_only_the_modules_it_runs(tmp_path, argv, added):
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -293,7 +297,7 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, argv, added):
                          cwd=tmp_path, capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
     assert lines[0] == str(["eoplab", "eoplab.cli", "eoplab.numcore"])
-    assert lines[-1] == f"{EXIT_OK} {added}"
+    assert lines[-2:] == [f"{EXIT_OK} {added}", "[]"]
 
 
 def test_leading_coefficient_vanishes_is_one_class():

@@ -2,7 +2,9 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
+from hypothesis import example, given, strategies as st
 from mpmath import mp, mpf, workprec
 
 from eoplab.numcore import DomainError, to_mpf
@@ -324,3 +326,46 @@ def test_lambda_symbolic_slot_returns_coefficients():
         assert abs(coeffs[0] + euler_gamma(PREC)) < TOL
         want = coeffs[0] + coeffs[1] * mp.log(3)
         assert abs(lambda_ts(F(2), 1, F(1, 3), PREC) - want) < TOL
+
+
+# Independent oracles at random rationals (ROADMAP item 4): mpmath's own
+# gamma, rgamma and psi, differentiated numerically by mpmath.diff, all at
+# prec + 64 bits. Every value must lie within 2^-prec * max(1, |oracle|): at
+# 64-128 bits the observed gap is about 2^-(prec+20) of that.
+rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 12))
+off_poles = rationals.filter(lambda x: not (x.denominator == 1 and x <= 0))
+precs = st.integers(64, 128)
+
+
+def _within(got, want, prec):
+    return abs(got - want) <= mpf(2) ** -prec * max(1, abs(want))
+
+
+@given(off_poles, st.integers(0, 3), precs)
+@example(F(-29, 12), 3, 64)
+def test_gamma_deriv_against_mpmath_diff(x, k, prec):
+    got = gamma_deriv(k, x, prec).values
+    with workprec(prec + 64):
+        xv = to_mpf(x, prec + 64)
+        for j, value in enumerate(got):
+            assert _within(value, mpmath.diff(mpmath.gamma, xv, j), prec), (x, j, prec)
+
+
+@given(rationals, st.integers(0, 3), precs)
+@example(F(0), 3, 64)
+@example(F(-3), 2, 100)
+def test_recip_gamma_jet_against_mpmath_diff(x, k, prec):
+    jet = recip_gamma_jet(x, k, prec)
+    with workprec(prec + 64):
+        xv = to_mpf(x, prec + 64)
+        for j, value in enumerate(jet):
+            want = mpmath.diff(mpmath.rgamma, xv, j) / math.factorial(j)
+            assert _within(value, want, prec), (x, j, prec)
+
+
+@given(off_poles, st.integers(0, 4), precs)
+@example(F(1, 60), 4, 64)
+def test_psi_and_polygamma_against_mpmath_psi(x, n, prec):
+    got = psi(x, prec) if n == 0 else polygamma(n, x, prec)
+    with workprec(prec + 64):
+        assert _within(got, mpmath.psi(n, to_mpf(x, prec + 64)), prec), (x, n, prec)

@@ -6,6 +6,7 @@ be; the kernels must give the same values under ``==``.
 
 import decimal
 import math
+import operator
 import sys
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf, workprec
 
+from eoplab.asymlab import asym_E_alpha
 from eoplab.cli import _digits
 from eoplab.constructions import (
     _a_direct,
@@ -31,7 +33,8 @@ from eoplab.holonomic import (
     LinearRecurrence,
     unroll,
 )
-from eoplab.numcore import DomainError, PolyQ, int_cauchy, small_cauchy
+from eoplab.gammalab import _add_ratios, _inverse_power_sum
+from eoplab.numcore import DomainError, PolyQ, binary_split, int_cauchy, small_cauchy
 from eoplab.series import (
     TruncatedSeries,
     binomial_series,
@@ -484,3 +487,70 @@ def test_intseq_backward_recurrence_matches_the_direct_sums(kmax, prec):
     for d in (20, 100) if prec >= 512 else (20,):
         assert [_digits(a, d, prec) for a in res.A] == [_digits(a, d, prec) for a in direct]
     assert _digits(res.recurrence_disagreement, 8, prec) == _digits(disagreement, 8, prec)
+
+
+def oracle_pochhammer(a, n):
+    """Rising factorial a(a+1)...(a+n-1), the numcore function asym_E_alpha
+    called afresh for every tail index n."""
+    out = F(1)
+    for i in range(n):
+        out *= a + i
+    return out
+
+
+@settings(max_examples=40)
+@given(st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+       .filter(lambda a: not (a.denominator == 1 and a <= 0)), st.integers(0, 60))
+@example(F(1, 2), 0)
+@example(F(1, 2), 1)
+@example(F(1), 20)
+def test_asym_tail_matches_the_per_index_pochhammer(alpha, order):
+    tail = asym_E_alpha(alpha, order, 64).tail_coeffs
+    assert tail == tuple((-1) ** n * oracle_pochhammer(1 - alpha, n) for n in range(order))
+
+
+def oracle_sum(terms):
+    """sum n/d, one Fraction addition (and gcd) per term, as psi, polygamma and
+    euler_gamma formed their shift sums."""
+    out = F(0)
+    for n, d in terms:
+        out += F(n, d)
+    return out
+
+
+def oracle_product(factors, q):
+    """prod (f/q), one Fraction product per factor, as gamma_value did."""
+    out = F(1)
+    for f in factors:
+        out *= F(f, q)
+    return out
+
+
+ratio_terms = st.lists(st.tuples(st.integers(-10**6, 10**6),
+                                 st.integers(-10**6, 10**6).filter(bool)), max_size=40)
+
+
+@given(ratio_terms)
+@example([])
+@example([(3, -7)])
+@example([(1, 2), (-1, 2)])
+def test_binary_split_sum_matches_the_fraction_loop(terms):
+    assert F(*binary_split(_add_ratios, terms, (0, 1))) == oracle_sum(terms)
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=40), st.integers(1, 12))
+@example([], 5)
+@example([-4], 3)
+@example([2, 0, 5], 7)
+def test_binary_split_product_matches_the_fraction_loop(factors, q):
+    assert F(binary_split(operator.mul, factors, 1), q ** len(factors)) == \
+        oracle_product(factors, q)
+
+
+@given(st.builds(F, st.integers(-60, 60), st.integers(1, 12))
+       .filter(lambda x: not (x.denominator == 1 and x <= 0)),
+       st.integers(0, 60), st.integers(1, 5))
+@example(F(1), 0, 1)
+@example(F(-5, 3), 1, 2)
+def test_inverse_power_sum_matches_the_fraction_loop(x, m, e):
+    assert _inverse_power_sum(x, m, e) == oracle_sum((1, (x + j) ** e) for j in range(m))

