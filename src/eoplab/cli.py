@@ -66,9 +66,12 @@ def _parse_rational(text: str) -> Fraction:
     raise _UsageError(f"expected an exact rational like 3 or -1/2, got {text!r}")
 
 
-def _digits(value, d: int, prec: int) -> str:
-    with workprec(prec + 16):
-        return mp.nstr(value, d, strip_zeros=False)
+def _digits(value, d: int) -> str:
+    # mp.nstr converts the whole mantissa, which can pass the int/str digit
+    # limit, so first round to the int((d + 3) log2 10) + 10 bits it reads,
+    # plus 32 guard bits (the digits change only within 2^-32 of a tie)
+    with workprec(int((d + 3) * 3.3219280948873626) + 42):
+        return mp.nstr(+value, d, strip_zeros=False)
 
 
 def _precision(prec: int | None) -> int:
@@ -116,7 +119,7 @@ def _sequence(args) -> tuple:
         run = constructions.euler_seq(args.n, args.method, args.prec)
     estimates = {}
     if run.limit is not None:
-        estimates["limit_estimate"] = _digits(run.limit, args.digits, args.prec)
+        estimates["limit_estimate"] = _digits(run.limit, args.digits)
     if run.rate_exponent is not None:
         estimates["rate_exponent"] = f"{run.rate_exponent:.6f}"
     if "exact_agreement" in run.metadata:
@@ -160,14 +163,14 @@ def _intseq(args) -> tuple:
     rows = [(k, Fraction(res.U[k], res.V[k]) if res.V[k] else Fraction(res.U[k]))
             for k in range(len(res.U))]
     estimates = {
-        "recurrence_disagreement": _digits(res.recurrence_disagreement, 8, args.prec),
-        **{key: _digits(getattr(consts, key), args.digits, args.prec)
+        "recurrence_disagreement": _digits(res.recurrence_disagreement, 8),
+        **{key: _digits(getattr(consts, key), args.digits)
            for key in ("wronskian", "a", "b", "c", "d")},
     }
     body = {
         "U": [str(u) for u in res.U],
         "V": [str(v) for v in res.V],
-        "A": [_digits(a, args.digits, args.prec) for a in res.A],
+        "A": [_digits(a, args.digits) for a in res.A],
         "estimates": estimates,
     }
     return {"k": args.k}, body, rows, estimates
@@ -196,10 +199,10 @@ def _asym_check(args) -> tuple:
     if alpha is not None:
         params["alpha"] = str(alpha)
     estimates = {
-        "direct": _digits(direct, args.digits, prec),
-        "asymptotic": _digits(approx, args.digits, prec),
+        "direct": _digits(direct, args.digits),
+        "asymptotic": _digits(approx, args.digits),
         "optimal_truncation": nstar,
-        "relative_error": _digits(rel, 8, prec),
+        "relative_error": _digits(rel, 8),
         "pass": passed,
     }
     return params, {"values": [], "estimates": estimates}, list(estimates.items()), None
@@ -209,7 +212,7 @@ def _gamma_deriv(args) -> tuple:
     from . import gammalab
 
     derivs = gammalab.gamma_deriv(args.order, args.s, args.prec)
-    rows = [(k, _digits(v, args.digits, args.prec)) for k, v in enumerate(derivs.values)]
+    rows = [(k, _digits(v, args.digits)) for k, v in enumerate(derivs.values)]
     params = {"s": str(args.s), "order": args.order}
     return params, {"values": rows, "estimates": {}}, rows, None
 

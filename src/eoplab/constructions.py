@@ -12,14 +12,14 @@ Sequences are produced by independent routes that must agree exactly:
   run backward from two direct sums (Gautschi) and checked against the forward
   run.
 
-The exact kernels work on integer numerators over one common denominator and
-build each output ``Fraction`` once: the closed routes and the Pade numerator
-are binomial transforms of integer sequences, and the recurrence route unrolls
-the recurrence derived from the generating ODE (``holonomic.unroll``). The
-series routes return their numerators over the series denominator, unreduced:
-the agreement gate reduces only the route it reports and checks every other
-one against it by cross-multiplication. Disagreeing routes raise
-:class:`RouteDisagreement`.
+The exact kernels work on integer numerators over one common denominator:
+the closed routes and the Pade numerator are binomial transforms of integer
+sequences, and the recurrence route unrolls the recurrence derived from the
+generating ODE (``holonomic.unroll``). The closed and series routes return
+unreduced (numerator, denominator) pairs. The agreement gate reports the
+recurrence route, whose reduction is the cheapest (see ``_run_routes``), and
+checks the other two against it by cross-multiplication; disagreeing routes
+raise :class:`RouteDisagreement`.
 
 Limit and growth-model estimation work on the exact rational data: the limit
 uses a smooth-window weighted tail mean (exact in rational arithmetic), which
@@ -34,6 +34,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import count
+from operator import add
 
 from mpmath import mp, mpf, workprec
 
@@ -95,13 +96,11 @@ class ApproximationRun:
     filled in after the run, and the run's metadata."""
 
     def __init__(self, label: str, values: list, limit: mpf | None = None,
-                 rate_exponent: float | None = None,
-                 error_model: GrowthFit | None = None, metadata: dict | None = None):
+                 rate_exponent: float | None = None, metadata: dict | None = None):
         self.label = label
         self.values = values
         self.limit = limit
         self.rate_exponent = rate_exponent
-        self.error_model = error_model
         self.metadata = {} if metadata is None else metadata
 
 
@@ -147,9 +146,10 @@ def euler_generating_ode() -> DifferentialOperator:
     )
 
 
+@functools.cache
 def euler_coefficient_recurrence() -> LinearRecurrence:
     """(n+3)^2 P_{n+3} - (3n^2+14n+17) P_{n+2} + (n+2)(3n+5) P_{n+1} - (n+1)(n+2) P_n = 0,
-    derived from :func:`euler_generating_ode`."""
+    derived from :func:`euler_generating_ode` once per process."""
     from .holonomic import ode_to_recurrence
 
     return ode_to_recurrence(euler_generating_ode())
@@ -167,7 +167,7 @@ def _binomial_transform(a: list) -> list:
     out = []
     while a:
         out.append(a[0])
-        a = [x + y for x, y in zip(a, a[1:])]
+        a = list(map(add, a, a[1:]))
     return out
 
 
@@ -176,7 +176,8 @@ def _gamma_closed(alpha: Fraction, N: int) -> list:
     # alpha = p/q and c_n = prod_{1<=j<=n} (p+jq) this is
     # c_n/(q^n n!) sum_k binom(n,k) E_k, E_k = (-1)^k q^(k+1) / (c_k (kq+p)),
     # and every E_k is an integer a_k over M = c_{N-1} lcm_k(kq+p).  With c_n
-    # cancelled first, P_n = s_n / (q^n n! (c_{N-1}/c_n) lcm), s_n the transform.
+    # cancelled first, P_n = s_n / (q^n n! (c_{N-1}/c_n) lcm), s_n the transform,
+    # as an unreduced pair.
     p, q = alpha.numerator, alpha.denominator
     lin = [k * q + p for k in range(N)]
     tail = [math.lcm(*lin)] * N  # tail[k] = lcm c_{N-1} / c_k
@@ -188,7 +189,7 @@ def _gamma_closed(alpha: Fraction, N: int) -> list:
     for n, s in enumerate(_binomial_transform(a)):
         if n:
             scale *= q * n
-        out.append(Fraction(s, scale * tail[n]))
+        out.append((s, scale * tail[n]))
     return out
 
 
@@ -209,7 +210,7 @@ def _gamma_recurrence(alpha: Fraction, N: int) -> list:
 
 def _euler_closed(N: int) -> list:
     # P_n = sum_{k=1}^n (-1)^k binom(n,k) e_k with e_k = (k! - 1)/(k k!); every
-    # e_k is an integer over M = lcm(1..N-1) (N-1)!
+    # e_k is an integer over M = lcm(1..N-1) (N-1)!: P_n is the pair (s_n, M)
     lcm = math.lcm(*range(1, N))
     top = math.factorial(N - 1)
     a = [0]
@@ -218,7 +219,7 @@ def _euler_closed(N: int) -> list:
         fact *= k
         a.append((-1) ** k * (fact - 1) * (lcm // k) * (top // fact))
     M = lcm * top
-    return [Fraction(s, M) for s in _binomial_transform(a)]
+    return [(s, M) for s in _binomial_transform(a)]
 
 
 def _euler_series(N: int) -> list:
@@ -270,14 +271,17 @@ def _run_routes(label: str, what: str, routes: dict, N: int, method: str, prec: 
     """Run one route, or all of them under the exact-agreement gate, and
     estimate the limit.
 
-    A route returns its values as rationals or, the series routes, as unreduced
-    (numerator, denominator) pairs. Only the reported route is reduced (the
-    closed one under "all"); every other one is checked against it exactly."""
+    A route returns unreduced (numerator, denominator) pairs (closed, series)
+    or reduced Fractions (recurrence), and only the reported route is reduced.
+    Under "all" that is the recurrence route: ``unroll`` builds its Fractions
+    anyway, from a running denominator within a few bits of the reduced one,
+    so its gcds cost less than either other route's. The other routes are
+    checked against it by cross-multiplication, with no Fraction built."""
     if N < 1:
         raise DomainError("need N >= 1")
     if method == "all":
         results = {name: fn(N) for name, fn in routes.items()}
-        vals = _reduced(results["closed"])
+        vals = _reduced(results["recurrence"])
         if not all(_agree(vals, r) for r in results.values()):
             raise RouteDisagreement(f"method disagreement in {what}")
         meta = {"methods": sorted(results), "exact_agreement": True}
@@ -297,7 +301,7 @@ def _run_routes(label: str, what: str, routes: dict, N: int, method: str, prec: 
 
 
 def _reduced(values: list) -> list:
-    return [Fraction(*v) if isinstance(v, tuple) else Fraction(v) for v in values]
+    return [Fraction(*v) if isinstance(v, tuple) else v for v in values]
 
 
 def _agree(vals: list, route: list) -> bool:

@@ -105,11 +105,12 @@ def int_cauchy(a: list, b: list, n: int) -> list:
     where CPython's int product is Karatsuba), and the low n fields are read
     back as balanced signed digits. Every int <-> decimal conversion is per
     field (converting the packed number at once would be quadratic): through
-    ``str`` and ``int`` while d is within ``sys.get_int_max_str_digits()``,
-    else through ``Decimal(int)`` and ``int(Decimal(str))``, which that limit
-    does not cover. Neither the limit nor the thread's decimal context is
-    changed; before Python 3.10.7 there is no limit and ``str``/``int`` serve
-    every width.
+    ``str`` and ``int`` while d is within ``sys.get_int_max_str_digits()``; a
+    wider field is written through ``Decimal(int)``, which that limit does not
+    cover, and read back by halves split until within it, hi * 10^h + lo
+    (``int(Decimal(str))`` is quadratic in d). Neither the limit nor the
+    thread's decimal context is changed; before Python 3.10.7 there is no
+    limit and ``str``/``int`` serve every width.
     """
     if n <= 0:
         return []
@@ -121,11 +122,12 @@ def int_cauchy(a: list, b: list, n: int) -> list:
     d = bound.bit_length() * 30103 // 100000 + 1
     base = 10**d
     # str(int) and int(str) are faster, but each call is capped at
-    # sys.get_int_max_str_digits() digits; wider fields go through Decimal
-    if d <= (getattr(sys, "get_int_max_str_digits", lambda: 0)() or d):
+    # sys.get_int_max_str_digits() digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if d <= (limit or d):
         to_str, to_int = str, int
     else:
-        to_str, to_int = _decimal_str, _decimal_int
+        to_str, to_int = _decimal_str, lambda s: _split_int(s, limit)
     product = _EXACT.multiply(_pack(a, n, d, base, to_str), _pack(b, n, d, base, to_str))
     digits = str(product).rjust(n * d, "0")
     top = len(digits)
@@ -143,8 +145,12 @@ def _decimal_str(x: int) -> str:
     return str(Decimal(x))
 
 
-def _decimal_int(s: str) -> int:
-    return int(Decimal(s))
+def _split_int(s: str, limit: int) -> int:
+    """int(s) for a digit string of any length, by halves of at most limit digits."""
+    if len(s) <= limit:
+        return int(s)
+    h = len(s) // 2
+    return _split_int(s[:-h], limit) * 10**h + _split_int(s[-h:], limit)
 
 
 def _pack(v: list, n: int, d: int, base: int, to_str) -> Decimal:

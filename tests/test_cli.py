@@ -222,6 +222,19 @@ def test_domain_errors_exit_2(workdir, capsys, argv):
     assert list(workdir.iterdir()) == []
 
 
+@pytest.mark.parametrize("k", [855, 1000])
+def test_intseq_prints_values_wider_than_the_int_str_digit_limit(workdir, capsys, k):
+    # A_k is carried at about 2 log2(k!) bits (14 300 at k = 855), and printing
+    # the unrounded value passed Python's int/str digit limit
+    argv = f"intseq --k {k} --prec 64 --digits 10 --format json --out out"
+    assert _exit_code(argv.split(), capsys) == (EXIT_OK, "")
+    assert sorted(os.listdir("out")) == ["intseq.json", "intseq.manifest.json"]
+    A = json.loads(Path("out/intseq.json").read_text())["A"]
+    # A_k = (-1)^k I_k(2)
+    assert [A[0], A[k]] == [mp.nstr(s * mp.besseli(i, 2), 10, strip_zeros=False)
+                            for i, s in ((0, 1), (k, (-1) ** k))]
+
+
 def test_route_disagreement_exits_2(workdir, capsys, monkeypatch):
     monkeypatch.setitem(constructions._GAMMA_METHODS, "series", lambda alpha, N: [0] * N)
     rc, err = _exit_code("gamma-approx --alpha=1/3 --n 20".split(), capsys)

@@ -87,7 +87,7 @@ def _off_by_one(route, at):
     return broken
 
 
-@pytest.mark.parametrize("name", ["series", "recurrence"])
+@pytest.mark.parametrize("name", ["closed", "series", "recurrence"])
 def test_gate_accepts_equal_unreduced_values(monkeypatch, name):
     want_gamma = gamma_seq(F(-5, 7), 40, method="closed").values
     want_euler = euler_seq(40, method="closed").values
@@ -105,7 +105,7 @@ def test_gate_accepts_equal_unreduced_values(monkeypatch, name):
         [(v.numerator, v.denominator) for v in want_gamma]
 
 
-@pytest.mark.parametrize("name", ["series", "recurrence"])
+@pytest.mark.parametrize("name", ["closed", "series", "recurrence"])
 @pytest.mark.parametrize("at", [0, 17, 39])
 def test_gate_rejects_one_numerator_off_by_one(monkeypatch, name, at):
     monkeypatch.setitem(constructions._GAMMA_METHODS, name,
@@ -116,6 +116,59 @@ def test_gate_rejects_one_numerator_off_by_one(monkeypatch, name, at):
         gamma_seq(F(1, 3), 40)
     with pytest.raises(RouteDisagreement):
         euler_seq(40)
+
+
+def test_all_reports_the_values_of_every_single_route():
+    for alpha in (F(1, 3), F(-5, 7), F(-29, 12)):
+        values = gamma_seq(alpha, 40).values
+        assert all(type(v) is F for v in values)
+        for method in ("closed", "series", "recurrence"):
+            assert gamma_seq(alpha, 40, method=method).values == values
+    values = euler_seq(40).values
+    assert all(type(v) is F for v in values)
+    for method in ("closed", "series", "recurrence"):
+        assert euler_seq(40, method=method).values == values
+
+
+def _fractions_built(monkeypatch, fn, *args):
+    """fn(*args) and the number of Fractions it constructed."""
+    new, built = F.__new__, []
+
+    def counting(cls, *a, **kw):
+        built.append(cls)
+        return new(cls, *a, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(F, "__new__", staticmethod(counting))
+        out = fn(*args)
+    return out, len(built)
+
+
+@pytest.mark.parametrize("N", [20, 60])
+def test_closed_and_series_routes_and_the_gate_build_no_fraction_per_term(monkeypatch, N):
+    alpha = F(-5, 7)
+    for ref, routes in (
+        (gamma_seq(alpha, N, method="recurrence").values,
+         [(constructions._gamma_closed, alpha), (constructions._gamma_series, alpha)]),
+        (euler_seq(N, method="recurrence").values,
+         [(constructions._euler_closed,), (constructions._euler_series,)]),
+    ):
+        for route, *args in routes:
+            pairs, built = _fractions_built(monkeypatch, route, *args, N)
+            # the series constructors read alpha and alpha + 1 as Fractions
+            assert built <= 3
+            assert all(type(a) is int and type(b) is int for a, b in pairs)
+            assert _fractions_built(monkeypatch, constructions._agree, ref, pairs) == (True, 0)
+
+
+def test_all_builds_the_fractions_of_the_recurrence_route_alone(monkeypatch):
+    # at N < 16 no limit is estimated; the series constructors read alpha and
+    # alpha + 1 as Fractions, and everything else is the recurrence route's
+    euler_seq(12)  # the Euler recurrence is derived once per process
+    for run in (lambda m: gamma_seq(F(-5, 7), 12, method=m), lambda m: euler_seq(12, method=m)):
+        _, alone = _fractions_built(monkeypatch, run, "recurrence")
+        _, gated = _fractions_built(monkeypatch, run, "all")
+        assert alone <= gated <= alone + 3
 
 
 def test_gate_rejects_a_route_of_another_length(monkeypatch):

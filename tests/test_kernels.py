@@ -135,7 +135,9 @@ small_rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
 @example(F(-7, 11), 2)
 @example(F(-5, 3), 3)
 def test_gamma_closed_matches_fraction_loop(alpha, N):
-    assert _gamma_closed(alpha, N) == oracle_gamma_closed(alpha, N)
+    pairs = _gamma_closed(alpha, N)  # unreduced (numerator, denominator)
+    assert all(type(a) is int and type(b) is int for a, b in pairs)
+    assert [F(a, b) for a, b in pairs] == oracle_gamma_closed(alpha, N)
 
 
 @given(lengths)
@@ -143,7 +145,9 @@ def test_gamma_closed_matches_fraction_loop(alpha, N):
 @example(2)
 @example(3)
 def test_euler_closed_matches_fraction_loop(N):
-    assert _euler_closed(N) == oracle_euler_closed(N)
+    pairs = _euler_closed(N)  # unreduced (numerator, denominator)
+    assert all(type(a) is int and type(b) is int for a, b in pairs)
+    assert [F(a, b) for a, b in pairs] == oracle_euler_closed(N)
 
 
 @given(st.integers(0, 80))
@@ -256,6 +260,18 @@ def test_int_cauchy_wide_field_leaves_process_state_alone():
     assert got[0].bit_length() > 4300 * 3.32
     assert get_limit() == limit
     assert decimal.getcontext() is ctx and repr(ctx) == before
+
+
+def test_int_cauchy_splits_wide_fields_until_within_the_limit(monkeypatch):
+    # with the limit at 16 digits, a field of over 128 digits is halved three
+    # times or more before int() reads it
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 16, raising=False)
+    n = 40
+    a = [(-1) ** i * 7 ** (60 + i) for i in range(n)]
+    b = [11 ** (50 + i) - 10**90 for i in range(n)]
+    bound = 2 * n * max(map(abs, a)) * max(map(abs, b))
+    assert bound.bit_length() * 30103 // 100000 + 1 > 8 * 16
+    assert int_cauchy(a, b, n) == oracle_int_cauchy(a, b, n)
 
 
 def test_int_cauchy_without_the_int_str_digit_limit(monkeypatch):
@@ -485,8 +501,8 @@ def test_intseq_backward_recurrence_matches_the_direct_sums(kmax, prec):
     # everywhere; 100 digits only at 512 bits, as below that they reach past
     # what wp carries at small kmax and show the two routes' own rounding
     for d in (20, 100) if prec >= 512 else (20,):
-        assert [_digits(a, d, prec) for a in res.A] == [_digits(a, d, prec) for a in direct]
-    assert _digits(res.recurrence_disagreement, 8, prec) == _digits(disagreement, 8, prec)
+        assert [_digits(a, d) for a in res.A] == [_digits(a, d) for a in direct]
+    assert _digits(res.recurrence_disagreement, 8) == _digits(disagreement, 8)
 
 
 def oracle_pochhammer(a, n):
