@@ -144,25 +144,9 @@ def _fractions_built(monkeypatch, fn, *args):
     return out, len(built)
 
 
-@pytest.mark.parametrize("N", [20, 60])
-def test_closed_and_series_routes_and_the_gate_build_no_fraction_per_term(monkeypatch, N):
-    alpha = F(-5, 7)
-    for ref, routes in (
-        (gamma_seq(alpha, N, method="recurrence").values,
-         [(constructions._gamma_closed, alpha), (constructions._gamma_series, alpha)]),
-        (euler_seq(N, method="recurrence").values,
-         [(constructions._euler_closed,), (constructions._euler_series,)]),
-    ):
-        for route, *args in routes:
-            pairs, built = _fractions_built(monkeypatch, route, *args, N)
-            # the series constructors read alpha and alpha + 1 as Fractions
-            assert built <= 3
-            assert all(type(a) is int and type(b) is int for a, b in pairs)
-            assert _fractions_built(monkeypatch, constructions._agree, ref, pairs) == (True, 0)
-
-
 def test_all_builds_the_fractions_of_the_recurrence_route_alone(monkeypatch):
-    # at N < 16 no limit is estimated; the series constructors read alpha and
+    # the closed and series routes and the gate build no Fraction per term: at
+    # N < 16 no limit is estimated, the series constructors read alpha and
     # alpha + 1 as Fractions, and everything else is the recurrence route's
     euler_seq(12)  # the Euler recurrence is derived once per process
     for run in (lambda m: gamma_seq(F(-5, 7), 12, method=m), lambda m: euler_seq(12, method=m)):
