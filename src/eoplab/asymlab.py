@@ -23,13 +23,14 @@ from mpmath import mp, mpf, workprec
 
 from .numcore import (
     DEFAULT_PREC,
+    GUARD_BITS,
     DomainError,
     Rational,
     capped_sum,
     least_squares_line,
     to_mpf,
 )
-from .gammalab import euler_gamma, gamma_value
+from .gammalab import gamma_value, psi
 
 __all__ = [
     "FrontTerm",
@@ -84,12 +85,9 @@ def asym_E_alpha(alpha: Rational, order: int, prec: int = DEFAULT_PREC) -> Asymp
 def asym_E_log(order: int, prec: int = DEFAULT_PREC) -> AsymptoticSeries:
     """Expansion of the logarithmic instance: -gamma - log z - e^-z sum (-1)^n n!/z^(n+1)."""
     tail = [Fraction((-1) ** n * math.factorial(n)) for n in range(order)]
-    with workprec(prec + 16):
-        # negation rounds at the ambient precision, so do it under workprec
-        minus_gamma = -euler_gamma(prec + 16)
     return AsymptoticSeries(
         front_terms=(
-            FrontTerm(minus_gamma, Fraction(0), 0),
+            FrontTerm(psi(1, prec + GUARD_BITS), Fraction(0), 0),  # Psi(1) = -gamma
             FrontTerm(mpf(-1), Fraction(0), 1),
         ),
         exp_rho=-1,
@@ -119,7 +117,7 @@ def eval_asym(a: AsymptoticSeries, z, N: int, prec: int = DEFAULT_PREC) -> mpf:
     if N > a.order:
         raise DomainError(f"truncation {N} exceeds available order {a.order}")
     _abs_real(z)  # rejects a complex z before to_mpf would raise TypeError
-    wp = prec + 16
+    wp = prec + GUARD_BITS
     with workprec(wp):
         zv = to_mpf(z, wp)
         acc = mpf(0)
@@ -195,7 +193,7 @@ def transfer_rate_check(
     if N < 200:
         raise DomainError("rate check needs at least 200 values")
     lo, hi = window if window is not None else (max(16, N // 10), N)
-    wp = prec + 16
+    wp = prec + GUARD_BITS
     with workprec(wp):
         L = to_mpf(trusted_limit, wp) if isinstance(trusted_limit, Fraction) else trusted_limit
         xs, ys = [], []

@@ -26,7 +26,7 @@ from pathlib import Path
 from mpmath import mp, workprec
 
 from . import __version__
-from .numcore import (DEFAULT_PREC, DomainError, LeadingCoefficientVanishes,
+from .numcore import (DEFAULT_PREC, GUARD_BITS, DomainError, LeadingCoefficientVanishes,
                       PrecisionError, RouteDisagreement, to_mpf)
 
 # Each command imports the module it runs (constructions, asymlab or gammalab)
@@ -192,7 +192,7 @@ def _asym_check(args) -> tuple:
         series = asymlab.asym_E_alpha(alpha, order, prec)
     nstar = asymlab.optimal_truncation(args.z, series.order)
     approx = asymlab.eval_asym(series, args.z, nstar, prec)
-    with workprec(prec + 16):
+    with workprec(prec + GUARD_BITS):
         rel = abs((direct - approx) / direct)
         passed = bool(rel <= to_mpf(Fraction(1, 10**15), prec))
     params = {"which": args.which, "z": str(args.z)}
@@ -221,15 +221,18 @@ def _fit(args) -> tuple:
     from . import constructions
 
     path = Path(args.input)
-    if not path.exists():
-        raise _UsageError(f"input file {path} does not exist")
-    with path.open(newline="", encoding="utf-8") as fh:
-        # skip the "# key,value" footer lines that sequence CSVs end with
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        if reader.fieldnames is None or "numerator" not in reader.fieldnames:
-            raise _UsageError("fit input needs an n,numerator,denominator CSV")
-        values = [Fraction(int(row["numerator"]), int(row["denominator"]))
-                  for row in reader]
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            # skip the "# key,value" footer lines that sequence CSVs end with
+            reader = csv.DictReader(line for line in fh if not line.startswith("#"))
+            if not {"numerator", "denominator"} <= set(reader.fieldnames or ()):
+                raise _UsageError("fit input needs an n,numerator,denominator CSV")
+            values = [Fraction(int(row["numerator"]), int(row["denominator"]))
+                      for row in reader]
+    # no file, a directory, non-UTF-8 bytes, a bad field, a zero denominator, a short row
+    except (OSError, csv.Error, ValueError, ZeroDivisionError, TypeError) as exc:
+        raise _UsageError(f"cannot read {path} as an n,numerator,denominator CSV: "
+                          f"{type(exc).__name__}: {exc}")
     fit = constructions.fit_growth(values, prec=args.prec)
     estimates = {
         "q": f"{fit.q:.10g}",
@@ -279,19 +282,27 @@ def _dump_json(obj, fh) -> None:
     fh.write("\n")
 
 
+def _create(path: Path, newline=None):
+    """Open an output file for writing, making its directory first."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path.open("w", newline=newline, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}")
+
+
 def _run(command: _Command, args) -> None:
     """Compute, then write the artifact and the manifest, each once."""
     params, body, rows, footer = command.compute(args)
     name = command.name.replace("-", "_")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.{args.format}"
     recorded = {**params, "format": args.format}
     if command.records_digits:
         recorded["digits"] = args.digits
     manifest = {"command": name, "params": recorded, "precision_bits": args.prec,
                 "tool_version": __version__, "outputs": [str(path)]}
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with _create(path, newline="") as fh:
         if args.format == "json":
             _dump_json({"command": name, "params": params, "precision_bits": args.prec,
                         **body, "manifest": manifest}, fh)
@@ -306,7 +317,7 @@ def _run(command: _Command, args) -> None:
             for key, val in (footer or {}).items():
                 fh.write(f"# {key},{val}\n")
     man_path = out_dir / f"{name}.manifest.json"
-    with man_path.open("w", encoding="utf-8") as fh:
+    with _create(man_path) as fh:
         _dump_json(manifest, fh)
     print(path)
     print(man_path)

@@ -40,6 +40,7 @@ from mpmath import mp, mpf, workprec
 
 from .numcore import (
     DEFAULT_PREC,
+    GUARD_BITS,
     DomainError,
     PolyQ,
     PrecisionError,
@@ -383,7 +384,7 @@ def _bessel_sum(x, prec: int, d: int, harmonic: bool) -> mpf:
     # J0(2 sqrt|x|) vanishes at x = -1.4458...).
     root = 2 * math.sqrt(abs(x))
     least = math.ceil(root)
-    wp = prec + 16 + (int(1.5 * root) + 1 if x < 0 else 0)
+    wp = prec + GUARD_BITS + (int(1.5 * root) + 1 if x < 0 else 0)
     with workprec(wp):
         acc = capped_sum(_bessel_terms(to_mpf(x, wp), d, harmonic), mpf(2) ** (-wp),
                          3 * (least + wp), "Bessel-type series", least=least)
@@ -470,7 +471,7 @@ def intseq_constants(prec: int = DEFAULT_PREC) -> IntSeqConstants:
     The denominator equals (minus half) the wronskian of the two order-2
     solutions at the evaluation point and must be bounded away from zero.
     """
-    wp = prec + 16
+    wp = prec + GUARD_BITS
     f = bessel_f(1, wp)
     fp = bessel_f(1, wp, deriv=1)
     g = bessel_g(1, wp)
@@ -625,7 +626,7 @@ def fit_growth(values: list, prec: int = DEFAULT_PREC) -> GrowthFit:
     when the modulus oscillates), then u from the log-log slope of |P_n|/q^n,
     then v in {0,1,2} by smallest least-squares residual. Sequences with
     ratios tending to zero are flagged sub-geometric and refit against
-    n!-normalized values (factorial_order 1).
+    n!-normalized values; each refit adds one to factorial_order.
     """
     vals = [Fraction(v) for v in values]
     N = len(vals)
@@ -645,15 +646,15 @@ def fit_growth(values: list, prec: int = DEFAULT_PREC) -> GrowthFit:
         raise DomainError("too many zeros in the fit window")
     med = sorted(ratios)[len(ratios) // 2]
     if med < math.log(0.05):
-        # Ratio heading to zero: try the factorial normalization n!^(1/d),
-        # d = 1, and keep it only if it actually stabilizes the ratios.
+        # Ratio heading to zero: multiply by n! and refit, but only if that
+        # stabilizes the ratios; 1/n!^d recurses d times.
         normalized = [v * math.factorial(n) for n, v in enumerate(vals)]
         nr = _consecutive_log_ratios(normalized, lo)
         if nr and (max(nr) - min(nr)) < (max(ratios) - min(ratios)):
             inner = fit_growth(normalized, prec)
             return GrowthFit(
                 q=inner.q, u=inner.u, v=inner.v,
-                sub_geometric=True, factorial_order=1,
+                sub_geometric=True, factorial_order=inner.factorial_order + 1,
                 oscillatory=inner.oscillatory,
             )
     spread = max(ratios) - min(ratios)

@@ -1,16 +1,15 @@
 """High-precision Gamma, digamma/polygamma, derivative jets, and rational kernels.
 
-The digamma series  Psi(x) = -gamma + sum_k (1/(k+1) - 1/(k+x))  and the
-polygamma series  Psi^(n)(x) = sum_k (-1)^(n+1) n! / (k+x)^(n+1)  converge too
-slowly to evaluate at hundreds of bits, so the production path shifts the
-argument upward by the exact recurrence Psi(x+1) = Psi(x) + 1/x and finishes
-with the Euler-Maclaurin (Stirling-type) tail; the defining series stay around
-as low-precision test oracles. The four such tails (Euler's constant, digamma,
-polygamma, log Gamma) all sum B_2k-weighted inverse powers, generated by
-:func:`_stirling_terms`, until a term drops below 2^-wp, through the package's
-one summation loop :func:`numcore.capped_sum`. All routines take rational
-arguments, return ``mpf`` values carrying at least ``prec`` significand bits,
-and are pure.
+The defining series of Psi^(n) converge too slowly at hundreds of bits, so the
+production path shifts the argument upward by the exact recurrence
+Psi^(n)(x+1) = Psi^(n)(x) + (-1)^n n!/x^(n+1) and finishes with one
+Euler-Maclaurin tail, sum_k B_2k (2k+e-1)!/(2k)! X^-(2k+e) from
+:func:`_stirling_terms`: e = -1 for log Gamma, e = n >= 0 for Psi^(n). Digamma
+is Psi^(0) and Euler's constant is -Psi(1). The tail is summed through the
+package's one summation loop :func:`numcore.capped_sum` until a term drops
+below 2^-wp; the defining series stay around as low-precision test oracles.
+All routines take rational arguments, return ``mpf`` values carrying at least
+``prec`` significand bits, and are pure.
 
 Derivatives of Gamma are produced by the Leibniz recursion
 Gamma^(j+1) = sum_i binom(j,i) Psi^(i) Gamma^(j-i); derivatives of 1/Gamma by
@@ -77,64 +76,33 @@ def _add_ratios(a: tuple, b: tuple) -> tuple:
     return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
 
 
-def _stirling_terms(coeffs, first: mpf, step: mpf):
-    """c_k / (first * step^(k-1)) for k = 1, 2, ..., the Stirling-type tail terms.
-
-    ``coeffs`` yields c_1, c_2, ..., each already rounded by the caller (B_2k
-    times that caller's weight).
-    """
-    power = first
-    for c in coeffs:
-        yield c / power
-        power *= step
+def _stirling_terms(e: int, X: mpf):
+    """B_2k (2k+e-1)!/(2k)! X^-(2k+e) for k = 1, 2, ..., at the ambient precision;
+    the weight is a ratio of two falling products, so no term rounds a Fraction."""
+    power = X ** (e + 2)
+    Xsq = X * X
+    for k in count(1):
+        b = bernoulli(2 * k)
+        num = b.numerator * math.perm(2 * k + e - 1, max(0, e - 1))
+        yield mpf(num) / (b.denominator * math.perm(2 * k, max(0, 1 - e))) / power
+        power *= Xsq
 
 
 def euler_gamma(prec: int = DEFAULT_PREC) -> mpf:
-    """Euler's constant via Euler-Maclaurin applied to H_m - log m."""
-    wp = prec + _GUARD
-    m = 1 << max(6, (int(0.35 * wp)).bit_length())
-    with workprec(wp):
-        acc = to_mpf(_inverse_power_sum(Fraction(1), m, 1), wp) - mp.log(m) - mpf(1) / (2 * m)
-        msq = mpf(m) * m
-        coeffs = (to_mpf(bernoulli(2 * k), wp) / (2 * k) for k in count(1))
-        # m is a power of two, so k > 3m/2 is the same as 2k > 3m
-        acc = capped_sum(_stirling_terms(coeffs, msq, msq), mpf(2) ** (-wp - 4),
-                         3 * m // 2, "Euler-Maclaurin tail for gamma", acc)
-        return +acc
-
-
-def _psi_asymptotic(X: mpf, wp: int) -> mpf:
-    # Psi(X) = log X - 1/(2X) - sum_k B_{2k} / (2k X^{2k}), X large
-    Xsq = X * X
-    coeffs = (to_mpf(-bernoulli(2 * k), wp) / (2 * k) for k in count(1))
-    return capped_sum(_stirling_terms(coeffs, Xsq, Xsq), mpf(2) ** (-wp - 4), int(8 * X),
-                      "digamma asymptotic tail", mp.log(X) - 1 / (2 * X))
+    """Euler's constant, -Psi(1)."""
+    with workprec(prec + _GUARD):
+        return -psi(1, prec)
 
 
 def psi(x: Rational, prec: int = DEFAULT_PREC) -> mpf:
-    """Digamma at a rational point, by upward shift plus Euler-Maclaurin tail."""
-    x = Fraction(x)
-    _require_off_poles(x, "digamma")
-    wp = prec + _GUARD
-    X0 = max(16, int(0.35 * wp))
-    m = max(0, math.ceil(X0 - x))
-    shift = _inverse_power_sum(x, m, 1)
-    with workprec(wp):
-        return +(_psi_asymptotic(to_mpf(x + m, wp), wp) - to_mpf(shift, wp))
-
-
-def _polygamma_coeffs(n: int, wp: int):
-    """B_2k (2k+n-1)!/(2k)! rounded to wp bits, for k = 1, 2, ..."""
-    w = math.factorial(n + 1) // 2
-    for k in count(1):
-        yield to_mpf(bernoulli(2 * k) * w, wp)
-        w = w * (2 * k + n) * (2 * k + n + 1) // ((2 * k + 1) * (2 * k + 2))
+    """Digamma at a rational point, Psi^(0)."""
+    return polygamma(0, x, prec)
 
 
 def polygamma(n: int, x: Rational, prec: int = DEFAULT_PREC) -> mpf:
-    """Psi^(n) at a rational point (n >= 1), shifted direct summation + tail."""
-    if n < 1:
-        raise DomainError("polygamma needs n >= 1; use psi for n = 0")
+    """Psi^(n) at a rational point (n >= 0), by upward shift plus the tail."""
+    if n < 0:
+        raise DomainError("polygamma needs n >= 0")
     x = Fraction(x)
     _require_off_poles(x, "polygamma")
     wp = prec + _GUARD + n
@@ -144,22 +112,14 @@ def polygamma(n: int, x: Rational, prec: int = DEFAULT_PREC) -> mpf:
     nfact = math.factorial(n)
     with workprec(wp):
         X = to_mpf(x + m, wp)
-        # Psi^(n)(X) = (-1)^(n-1) [ (n-1)!/X^n + n!/(2 X^(n+1)) + tail ]
-        acc = mpf(math.factorial(n - 1)) / X**n + mpf(nfact) / (2 * X ** (n + 1))
-        Xsq = X * X
-        acc = capped_sum(_stirling_terms(_polygamma_coeffs(n, wp), X**n * Xsq, Xsq),
-                         mpf(2) ** (-wp - 4) * abs(acc), int(8 * X),
+        # Psi^(n)(X) = (-1)^(n-1) [ lead + n!/(2 X^(n+1)) + tail ], where the
+        # lead is (n-1)!/X^n, and -log X at n = 0
+        lead = -mp.log(X) if n == 0 else mpf(math.factorial(n - 1)) / X**n
+        acc = lead + mpf(nfact) / (2 * X ** (n + 1))
+        acc = capped_sum(_stirling_terms(n, X), mpf(2) ** (-wp - 4) * abs(acc), int(8 * X),
                          "polygamma asymptotic tail", acc)
-        sign = 1 if (n - 1) % 2 == 0 else -1
+        sign = 1 if n % 2 else -1
         return +(sign * acc - (-1) ** n * nfact * to_mpf(shift, wp))
-
-
-def _log_gamma_large(X: mpf, wp: int) -> mpf:
-    # Stirling: (X-1/2) log X - X + log(2 pi)/2 + sum_k B_{2k}/(2k(2k-1) X^(2k-1))
-    acc = (X - mpf(1) / 2) * mp.log(X) - X + mp.log(2 * mp.pi) / 2
-    coeffs = (to_mpf(bernoulli(2 * k), wp) / ((2 * k) * (2 * k - 1)) for k in count(1))
-    return capped_sum(_stirling_terms(coeffs, X, X * X), mpf(2) ** (-wp - 4), int(8 * X),
-                      "Stirling tail", acc)
 
 
 def gamma_value(x: Rational, prec: int = DEFAULT_PREC) -> mpf:
@@ -172,8 +132,12 @@ def gamma_value(x: Rational, prec: int = DEFAULT_PREC) -> mpf:
     p, q = x.numerator, x.denominator
     prod = Fraction(binary_split(mul, [p + j * q for j in range(m)], 1), q**m)
     with workprec(wp):
-        g = mp.e ** _log_gamma_large(to_mpf(x + m, wp), wp)
-        return +(g / to_mpf(prod, wp))
+        X = to_mpf(x + m, wp)
+        # log Gamma(X) = (X-1/2) log X - X + log(2 pi)/2 + tail
+        acc = (X - mpf(1) / 2) * mp.log(X) - X + mp.log(2 * mp.pi) / 2
+        acc = capped_sum(_stirling_terms(-1, X), mpf(2) ** (-wp - 4), int(8 * X),
+                         "Stirling tail", acc)
+        return +(mp.e ** acc / to_mpf(prod, wp))
 
 
 GammaDerivs = namedtuple("GammaDerivs", "point order values")
@@ -188,15 +152,10 @@ def gamma_deriv(n: int, x: Rational, prec: int = DEFAULT_PREC) -> GammaDerivs:
     _require_off_poles(x, "Gamma")
     wp = prec + _GUARD
     with workprec(wp):
-        psis = [psi(x, wp)]
-        for i in range(1, n):
-            psis.append(polygamma(i, x, wp))
+        psis = [polygamma(i, x, wp) for i in range(n)]
         vals = [gamma_value(x, wp)]
         for j in range(n):
-            acc = mpf(0)
-            for i in range(j + 1):
-                acc += mpf(math.comb(j, i)) * psis[i] * vals[j - i]
-            vals.append(+acc)
+            vals.append(+sum(mpf(math.comb(j, i)) * psis[i] * vals[j - i] for i in range(j + 1)))
     return GammaDerivs(point=x, order=n, values=tuple(vals))
 
 
@@ -249,10 +208,6 @@ def recip_gamma_deriv(l: int, x: Rational, prec: int = DEFAULT_PREC) -> mpf:
 # ---------------------------------------------------------------------------
 
 
-def _frac_part(t: Fraction) -> Fraction:
-    return t - math.floor(t)
-
-
 def _kernel_jet(alpha: Fraction, n: int, length: int) -> list:
     """Jet in (y - alpha) of Gamma(1-{y})/Gamma(-y-n), with floor(alpha) frozen.
 
@@ -292,7 +247,7 @@ def lambda_log_poly(t: Rational, s: int, prec: int = DEFAULT_PREC) -> tuple:
     if s < 0:
         raise DomainError("lambda needs s >= 0")
     t = Fraction(t)
-    point = 1 - _frac_part(t)
+    point = 1 - t + math.floor(t)
     jet = recip_gamma_jet(point, s, prec)
     with workprec(prec + _GUARD):
         out = []

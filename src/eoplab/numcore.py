@@ -5,8 +5,8 @@ denominator). Configurable-precision reals are ``mpmath.mpf`` values computed
 inside an explicit ``workprec`` context; every public numeric routine takes a
 ``prec`` argument in bits and guarantees at least that many significand bits.
 There is no interval arithmetic and no certified error bound yet: the tests
-recompute numeric results at twice the precision and compare, and certified
-bounds are still open work (ROADMAP item 9).
+check numeric results against mpmath oracles and, through the ``double_run``
+fixture, at twice the precision; certified bounds are open work (ROADMAP item 9).
 
 :func:`int_cauchy` is the exact product kernel for long integer coefficient
 vectors: it packs both vectors into one ``Decimal`` each (Kronecker
@@ -31,6 +31,9 @@ Rational = Fraction
 
 #: Default significand size in bits for every numeric routine.
 DEFAULT_PREC = 256
+
+#: Guard bits a routine adds to ``prec`` for its working precision.
+GUARD_BITS = 16
 
 
 class DomainError(ValueError):

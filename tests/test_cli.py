@@ -172,6 +172,9 @@ def _exit_code(argv, capsys):
     "gamma-deriv --s=1/3 --order 1 --digits 0",
     "gamma-deriv --s=1/3 --order 1 --digits -3",
     "replay missing.json",
+    "fit --input .",  # a directory
+    "e-convergents --n 5 --out /dev/null",  # an existing file
+    "e-convergents --n 5 --out /dev/null/x",
 ])
 def test_usage_errors_exit_1(workdir, capsys, argv):
     rc, err = _exit_code(argv.split(), capsys)
@@ -194,10 +197,24 @@ def test_replay_of_a_malformed_manifest_exits_1(workdir, capsys, text):
     assert [p.name for p in workdir.iterdir()] == ["bad.json"]
 
 
-def test_fit_rejects_a_csv_without_numerators(workdir, capsys):
-    assert main(["gamma-deriv", "--s=1/3", "--order", "1"]) == EXIT_OK
+@pytest.mark.parametrize("text", [
+    None,  # gamma-deriv's n,value CSV
+    b"n,numerator,denominator\n0,1,x\n",
+    b"n,numerator,denominator\n0,1,0\n",
+    b"n,numerator\n0,1\n",
+    b"n,numerator,denominator\n0,1\n",
+    b"n,numerator,denominator\n0,\xff,1\n",
+], ids=["n-value", "not-an-integer", "zero-denominator", "no-denominator", "short-row",
+        "not-utf8"])
+def test_fit_rejects_a_csv_without_numerators(workdir, capsys, text):
+    if text is None:
+        assert main(["gamma-deriv", "--s=1/3", "--order", "1"]) == EXIT_OK
+        Path("gamma_deriv.manifest.json").unlink()
+    else:
+        Path("gamma_deriv.csv").write_bytes(text)
     rc, err = _exit_code(["fit", "--input", "gamma_deriv.csv"], capsys)
     assert rc == EXIT_USAGE and "n,numerator,denominator" in err
+    assert [p.name for p in workdir.iterdir()] == ["gamma_deriv.csv"]
 
 
 @pytest.mark.parametrize("env", ["0", "-3", "many"])

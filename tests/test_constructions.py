@@ -315,6 +315,10 @@ def test_fit_growth_factorial_flagged_and_normalized():
     assert abs(fit.q - 1) < 1e-6
     assert abs(fit.u + 1) < 1e-6
     assert fit.v == 0
+    # 1/n!^2 refits twice, and the order counts both
+    fit = fit_growth([F(1, math.factorial(n) ** 2) for n in range(64)])
+    assert fit.sub_geometric and fit.factorial_order == 2
+    assert abs(fit.q - 1) < 1e-6
 
 
 def test_fit_growth_pade_sequence():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
 from eoplab.numcore import DomainError, to_mpf
@@ -365,7 +365,40 @@ def test_recip_gamma_jet_against_mpmath_diff(x, k, prec):
 
 @given(off_poles, st.integers(0, 4), precs)
 @example(F(1, 60), 4, 64)
+@example(F(1, 60), 0, 64)
 def test_psi_and_polygamma_against_mpmath_psi(x, n, prec):
-    got = psi(x, prec) if n == 0 else polygamma(n, x, prec)
+    got = polygamma(n, x, prec)
+    if n == 0:
+        assert got == psi(x, prec)
     with workprec(prec + 64):
         assert _within(got, mpmath.psi(n, to_mpf(x, prec + 64)), prec), (x, n, prec)
+
+
+def test_polygamma_rejects_negative_orders():
+    with pytest.raises(DomainError):
+        polygamma(-1, F(1, 2), 64)
+
+
+# The Stirling tail (e = -1) and -Psi(1) against mpmath from 53 to 512 bits,
+# where the tail runs to more terms than at the 64-128 bits above.
+wide_precs = st.integers(53, 512)
+
+
+@settings(max_examples=40)
+@given(off_poles, wide_precs)
+@example(F(1, 3), 512)
+@example(F(-59, 12), 53)
+def test_gamma_value_against_mpmath_gamma(x, prec):
+    got = gamma_value(x, prec)
+    with workprec(prec + 64):
+        assert _within(got, mpmath.gamma(to_mpf(x, prec + 64)), prec), (x, prec)
+
+
+@settings(max_examples=40)
+@given(wide_precs)
+@example(53)
+@example(512)
+def test_euler_gamma_against_mpmath_euler(prec):
+    got = euler_gamma(prec)
+    with workprec(prec + 64):
+        assert _within(got, +mp.euler, prec), prec
