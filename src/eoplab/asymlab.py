@@ -27,7 +27,8 @@ from .numcore import (
     DomainError,
     Rational,
     capped_sum,
-    least_squares_line,
+    decay_exponent,
+    off_poles,
     to_mpf,
 )
 from .gammalab import gamma_value, psi
@@ -68,32 +69,23 @@ class AsymptoticSeries(namedtuple("AsymptoticSeries",
 
 def asym_E_alpha(alpha: Rational, order: int, prec: int = DEFAULT_PREC) -> AsymptoticSeries:
     """Expansion of E_alpha(-z) for large z in a sector around the positive axis."""
-    alpha = Fraction(alpha)
-    if alpha.denominator == 1 and alpha <= 0:
-        raise DomainError("the alpha-family needs alpha not a nonpositive integer")
-    # t_0 = 1 and t_{n+1} = -(1 - alpha + n) t_n, one product per term
-    factors = (alpha - 1 - n for n in range(order - 1))
-    tail = list(accumulate(factors, mul, initial=Fraction(1)))[:order]
-    return AsymptoticSeries(
-        front_terms=(FrontTerm(gamma_value(alpha, prec), alpha, 0),),
-        exp_rho=-1,
-        tail_sign=-1,
-        tail_coeffs=tuple(tail),
-    )
+    alpha = off_poles(alpha, "E_alpha")
+    return _expansion((FrontTerm(gamma_value(alpha, prec), alpha, 0),), alpha, order)
 
 
 def asym_E_log(order: int, prec: int = DEFAULT_PREC) -> AsymptoticSeries:
     """Expansion of the logarithmic instance: -gamma - log z - e^-z sum (-1)^n n!/z^(n+1)."""
-    tail = [Fraction((-1) ** n * math.factorial(n)) for n in range(order)]
-    return AsymptoticSeries(
-        front_terms=(
-            FrontTerm(psi(1, prec + GUARD_BITS), Fraction(0), 0),  # Psi(1) = -gamma
-            FrontTerm(mpf(-1), Fraction(0), 1),
-        ),
-        exp_rho=-1,
-        tail_sign=-1,
-        tail_coeffs=tuple(tail),
-    )
+    front = (FrontTerm(psi(1, prec + GUARD_BITS), Fraction(0), 0),  # Psi(1) = -gamma
+             FrontTerm(mpf(-1), Fraction(0), 1))
+    return _expansion(front, Fraction(0), order)
+
+
+def _expansion(front: tuple, alpha: Fraction, order: int) -> AsymptoticSeries:
+    """front - e^-z sum_{n<order} (-1)^n (1-alpha)_n z^(-n-1); alpha = 0 is the log tail."""
+    # t_0 = 1 and t_{n+1} = -(1 - alpha + n) t_n, one product per term
+    factors = (alpha - 1 - n for n in range(order - 1))
+    tail = tuple(accumulate(factors, mul, initial=Fraction(1)))[:order]
+    return AsymptoticSeries(front_terms=front, exp_rho=-1, tail_sign=-1, tail_coeffs=tail)
 
 
 def _abs_real(z) -> float:
@@ -107,15 +99,17 @@ def _abs_real(z) -> float:
 def optimal_truncation(z, max_order: int | None = None) -> int:
     """Smallest-term index for a tail ~ n!/z^(n+1): round(|z|), clamped."""
     n = int(round(_abs_real(z)))
-    if max_order is not None:
-        n = min(n, max_order)
-    return n
+    if max_order is None:
+        return n
+    if max_order < 0:
+        raise DomainError(f"max_order must be >= 0, got {max_order}")
+    return min(n, max_order)
 
 
 def eval_asym(a: AsymptoticSeries, z, N: int, prec: int = DEFAULT_PREC) -> mpf:
     """front(z) + tail_sign * e^(rho z) * sum_{n<N} tail_n z^(-n-1)."""
-    if N > a.order:
-        raise DomainError(f"truncation {N} exceeds available order {a.order}")
+    if not 0 <= N <= a.order:
+        raise DomainError(f"truncation {N} is outside 0..{a.order}, the available order")
     _abs_real(z)  # rejects a complex z before to_mpf would raise TypeError
     wp = prec + GUARD_BITS
     with workprec(wp):
@@ -147,9 +141,7 @@ def direct_E_eval(which: str, z, prec: int = DEFAULT_PREC, alpha: Rational | Non
     if which == "E_alpha":
         if alpha is None:
             raise DomainError("E_alpha needs alpha")
-        alpha = Fraction(alpha)
-        if alpha.denominator == 1 and alpha <= 0:
-            raise DomainError("E_alpha pole at nonpositive integer alpha")
+        alpha = off_poles(alpha, "E_alpha")
     else:
         alpha = Fraction(0)  # E(-z) is the alpha = 0 sum without its n = 0 term
     zf = _abs_real(z)
@@ -180,36 +172,34 @@ def transfer_rate_check(
     trusted_limit,
     window: tuple[int, int] | None = None,
     tolerance: float = 0.15,
-    prec: int = DEFAULT_PREC,
 ) -> RateCheckReport:
     """Compare the empirical decay exponent of |P_n - limit| with a prediction.
 
-    The empirical exponent is the least-squares slope of log|P_n - limit|
-    against log n over the window (default [N/10, N)), with the limit taken
-    from a trusted oracle rather than from the run itself.
+    The empirical exponent is :func:`numcore.decay_exponent`, the fit that
+    ``limit_estimate`` makes, over the window (default [max(16, N/10), N)), with
+    the limit taken from a trusted oracle rather than from the run itself: an
+    exact rational, or an mpf read as its exact binary value.
     """
     values = run.values if hasattr(run, "values") else run
     N = len(values)
     if N < 200:
         raise DomainError("rate check needs at least 200 values")
     lo, hi = window if window is not None else (max(16, N // 10), N)
-    wp = prec + GUARD_BITS
-    with workprec(wp):
-        L = to_mpf(trusted_limit, wp) if isinstance(trusted_limit, Fraction) else trusted_limit
-        xs, ys = [], []
-        for n in range(lo, hi):
-            d = abs(to_mpf(values[n], wp) - L)
-            if d > 0:
-                xs.append(math.log(n))
-                ys.append(float(mp.log(d)))
-    if len(xs) < 2:
+    if not 1 <= lo < hi <= N:
+        raise DomainError(f"window {(lo, hi)} must satisfy 1 <= lo < hi <= {N}")
+    if isinstance(trusted_limit, mpf):
+        # (-1)^sign man 2^exp; mpf.man_exp drops the sign, so read it from _mpf_
+        sign, man, exp, bc = trusted_limit._mpf_
+        if bc < 0:  # inf or nan
+            raise DomainError(f"the trusted limit must be finite, got {trusted_limit}")
+        trusted_limit = Fraction(-man if sign else man) * Fraction(2) ** exp
+    slope = decay_exponent(values, Fraction(trusted_limit), lo, hi)
+    if slope is None:
         raise DomainError("not enough points for a slope fit")
-    slope, _ = least_squares_line(xs, ys)
-    ok = abs(slope - float(predicted_exponent)) <= tolerance
     return RateCheckReport(
         empirical_exponent=slope,
         predicted_exponent=float(predicted_exponent),
         tolerance=tolerance,
         window=(lo, hi),
-        passed=ok,
+        passed=abs(slope - float(predicted_exponent)) <= tolerance,
     )

@@ -233,7 +233,7 @@ def _fit(args) -> tuple:
     except (OSError, csv.Error, ValueError, ZeroDivisionError, TypeError) as exc:
         raise _UsageError(f"cannot read {path} as an n,numerator,denominator CSV: "
                           f"{type(exc).__name__}: {exc}")
-    fit = constructions.fit_growth(values, prec=args.prec)
+    fit = constructions.fit_growth(values)
     estimates = {
         "q": f"{fit.q:.10g}",
         "u": f"{fit.u:.10g}",

@@ -8,9 +8,10 @@ Sequences are produced by independent routes that must agree exactly:
   the series log(1-z)/(1-z) - (1-z)^(-1) E(-z/(1-z));
 * diagonal rational approximants to exp and the convergents of e;
 * the integer pair (U_k, V_k) attached to the Bessel-type ratio F(1)/F'(1),
-  with the recurrence A_{k+1} = k A_k + A_{k-1}, whose minimal solution A_k is
-  run backward from two direct sums (Gautschi) and checked against the forward
-  run.
+  with the recurrence A_{k+1} = k A_k + A_{k-1}, whose minimal solution
+  A_k = (-1)^k F^(k)(1) is run backward from two direct sums (Gautschi) and
+  checked against the forward run. Every value of F, G and their derivatives,
+  A_k included, is summed by one routine, ``_bessel_sum``.
 
 The exact kernels work on integer numerators over one common denominator:
 the closed routes and the Pade numerator are binomial transforms of integer
@@ -19,12 +20,15 @@ generating ODE (``holonomic.unroll``). The closed and series routes return
 unreduced (numerator, denominator) pairs. The agreement gate reports the
 recurrence route, whose reduction is the cheapest (see ``_run_routes``), and
 checks the other two against it by cross-multiplication; disagreeing routes
-raise :class:`RouteDisagreement`.
+raise :class:`RouteDisagreement`. A run is returned as one immutable
+:class:`ApproximationRun` record.
 
 Limit and growth-model estimation work on the exact rational data: the limit
 uses a smooth-window weighted tail mean (exact in rational arithmetic), which
 handles the sqrt(n)-phase oscillation these sequences exhibit, with an Aitken
-fallback for fast (eventually geometric) convergence.
+fallback for fast (eventually geometric) convergence. The decay exponent of
+|P_n - limit| is :func:`numcore.decay_exponent`, the fit that
+``asymlab.transfer_rate_check`` makes against a trusted limit.
 """
 
 from __future__ import annotations
@@ -47,7 +51,9 @@ from .numcore import (
     Rational,
     RouteDisagreement,
     capped_sum,
+    decay_exponent,
     least_squares_line,
+    off_poles,
     to_mpf,
 )
 
@@ -92,17 +98,9 @@ GrowthFit = namedtuple("GrowthFit", "q u v sub_geometric factorial_order oscilla
 GrowthFit.__doc__ = "Parameters of |P_n| ~ q^n n^(-u-1) (log n)^v, modulus only."
 
 
-class ApproximationRun:
-    """An exact sequence run: its values, the limit and decay-rate estimates
-    filled in after the run, and the run's metadata."""
-
-    def __init__(self, label: str, values: list, limit: mpf | None = None,
-                 rate_exponent: float | None = None, metadata: dict | None = None):
-        self.label = label
-        self.values = values
-        self.limit = limit
-        self.rate_exponent = rate_exponent
-        self.metadata = {} if metadata is None else metadata
+ApproximationRun = namedtuple("ApproximationRun", "values limit rate_exponent metadata")
+ApproximationRun.__doc__ = """An exact sequence run: its values, the limit and decay-rate
+estimates (None for fewer than 16 values), and the run's metadata."""
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +152,6 @@ def euler_coefficient_recurrence() -> LinearRecurrence:
     from .holonomic import ode_to_recurrence
 
     return ode_to_recurrence(euler_generating_ode())
-
-
-def _check_gamma_domain(alpha: Fraction) -> None:
-    if alpha.denominator == 1 and alpha <= 0:
-        raise DomainError(f"alpha={alpha} is a nonpositive integer")
-    if alpha >= 1:
-        raise DomainError(f"alpha={alpha} violates the convergence condition alpha < 1")
 
 
 def _binomial_transform(a: list) -> list:
@@ -255,19 +246,19 @@ def gamma_seq(
     alpha: Rational, N: int, method: str = "all", prec: int = DEFAULT_PREC
 ) -> ApproximationRun:
     """Exact P_0..P_{N-1} converging to Gamma(alpha) for rational alpha < 1."""
-    alpha = Fraction(alpha)
-    _check_gamma_domain(alpha)
+    alpha = off_poles(alpha, "Gamma")
+    if alpha >= 1:
+        raise DomainError(f"alpha={alpha} violates the convergence condition alpha < 1")
     routes = {name: functools.partial(fn, alpha) for name, fn in _GAMMA_METHODS.items()}
-    return _run_routes(f"gamma(alpha={alpha})", "gamma_seq", routes, N, method, prec,
-                       {"alpha": str(alpha)})
+    return _run_routes("gamma_seq", routes, N, method, prec, {"alpha": str(alpha)})
 
 
 def euler_seq(N: int, method: str = "all", prec: int = DEFAULT_PREC) -> ApproximationRun:
     """Exact P_0..P_{N-1} converging to Euler's constant."""
-    return _run_routes("euler", "euler_seq", _EULER_METHODS, N, method, prec, {})
+    return _run_routes("euler_seq", _EULER_METHODS, N, method, prec, {})
 
 
-def _run_routes(label: str, what: str, routes: dict, N: int, method: str, prec: int,
+def _run_routes(what: str, routes: dict, N: int, method: str, prec: int,
                 extra: dict) -> ApproximationRun:
     """Run one route, or all of them under the exact-agreement gate, and
     estimate the limit.
@@ -292,13 +283,11 @@ def _run_routes(label: str, what: str, routes: dict, N: int, method: str, prec: 
     else:
         raise DomainError(f"unknown method {method!r}")
     meta.update({"N": N, "precision_bits": prec, **extra})
-    run = ApproximationRun(label=label, values=vals, metadata=meta)
-    if len(vals) >= 16:
-        est = limit_estimate(vals, prec=prec)
-        run.limit = est.limit
-        run.rate_exponent = est.rate_exponent
-        meta["limit_method"] = est.method
-    return run
+    if len(vals) < 16:
+        return ApproximationRun(vals, None, None, meta)
+    est = limit_estimate(vals, prec=prec)
+    meta["limit_method"] = est.method
+    return ApproximationRun(vals, est.limit, est.rate_exponent, meta)
 
 
 def _reduced(values: list) -> list:
@@ -373,6 +362,8 @@ def bessel_g(x, prec: int = DEFAULT_PREC, deriv: int = 0) -> mpf:
 
 
 def _bessel_sum(x, prec: int, d: int, harmonic: bool) -> mpf:
+    if d < 0:
+        raise DomainError(f"need deriv >= 0, got {d}")
     # t_{n+1}/t_n = x/((n+1-d)(n+1)): the terms peak near n = sqrt|x|, and from
     # n = d + ceil(2 sqrt|x|) on each is under 1/4 of the one before (3/8 with
     # the factor H_{n+1}/H_n <= 3/2), so past that index the first term below
@@ -410,25 +401,10 @@ def _bessel_terms(x: mpf, d: int, harmonic: bool):
 IntSeqResult = namedtuple("IntSeqResult", "A U V recurrence_disagreement")
 
 
-def _a_direct(k: int, wp: int) -> mpf:
-    with workprec(wp):
-        # 1/(n! (n+k)!) <= 1/n!^2 <= 2^-n for n >= 2, so wp + 2 terms reach 2^-wp
-        acc = capped_sum(_a_terms(k), mpf(2) ** (-wp), wp + 2, "A_k series", least=5)
-        return +((-1) ** k * acc)
-
-
-def _a_terms(k: int):
-    """1/(n! (n+k)!) for n = 0, 1, ..."""
-    term = 1 / mp.factorial(k)
-    for n in count(1):
-        yield term
-        term /= n * (n + k)
-
-
 def intseq(kmax: int, prec: int = DEFAULT_PREC) -> IntSeqResult:
     """A_k for k <= kmax two ways, plus the integer companion solutions U_k, V_k.
 
-    A_k = (-1)^k sum_n 1/(n! (n+k)!) is the minimal solution of
+    A_k = (-1)^k sum_n 1/(n! (n+k)!) = (-1)^k F^(k)(1) is the minimal solution of
     A_{k+1} = k A_k + A_{k-1}, so it is computed by the backward recurrence
     A_{k-1} = A_{k+1} - k A_k from direct sums of A_{kmax+1} and A_kmax
     (Gautschi, SIAM Rev. 9, 1967): the two terms have the same sign, so no step
@@ -440,14 +416,17 @@ def intseq(kmax: int, prec: int = DEFAULT_PREC) -> IntSeqResult:
     # the forward run amplifies initial rounding by ~ V_k * k!, so pad; the
     # backward run and its seeds use the same wp, or their own rounding (and
     # the seeds' absolute stopping floor, as A_kmax ~ 1/kmax!) would swamp it
-    amp = int(2 * math.lgamma(kmax + 1) / math.log(2)) + 32
-    wp = prec + amp
+    wp = prec + int(2 * math.lgamma(kmax + 1) / math.log(2)) + 32
+
+    def direct(k: int) -> mpf:  # A_k = (-1)^k F^(k)(1), summed at wp
+        return (-1) ** k * _bessel_sum(1, wp - GUARD_BITS, k, harmonic=False)
+
     with workprec(wp):
-        back = [_a_direct(kmax + 1, wp), _a_direct(kmax, wp)]
+        back = [direct(kmax + 1), direct(kmax)]
         for k in range(kmax, 0, -1):
             back.append(back[-2] - k * back[-1])
         A = back[:0:-1]  # A_0..A_kmax
-        fwd = [_a_direct(0, wp), _a_direct(1, wp)]
+        fwd = [direct(0), direct(1)]
         for k in range(1, kmax):
             fwd.append(k * fwd[k] + fwd[k - 1])
         disagreement = max(abs(a - b) for a, b in zip(A, fwd))
@@ -558,8 +537,8 @@ def limit_estimate(values: list, prec: int = DEFAULT_PREC) -> LimitEstimate:
     The limit is a smooth-window weighted mean of the last three quarters
     (exact rational arithmetic); for sequences whose differences decay
     super-polynomially an iterated Aitken pass on the tail is used instead.
-    The rate exponent is the least-squares slope of log|P_n - limit| against
-    log n over [N/10, N) (a narrower window is too noisy for sequences whose
+    The rate exponent is :func:`numcore.decay_exponent` against that limit
+    over [max(16, N/10), N) (a narrower window is too noisy for sequences whose
     error carries a sqrt(n)-phase oscillation), or None when degenerate.
     """
     vals = [Fraction(v) for v in values]
@@ -589,19 +568,9 @@ def limit_estimate(values: list, prec: int = DEFAULT_PREC) -> LimitEstimate:
     elif d_mid == 0 and d_end == 0 and vals[-1] == vals[N // 2]:
         est = vals[-1]
         method = "tail-constant"
-    # log|P_n - est| = log|num_n den_est - num_est den_n| - log(den_n den_est),
-    # each log taken of an exact integer
-    p, q = est.numerator, est.denominator
-    xs, ys = [], []
-    for n in range(max(16, N // 10), N):
-        v = vals[n]
-        d = abs(v.numerator * q - p * v.denominator)
-        if d:
-            xs.append(math.log(n))
-            ys.append(math.log(d) - math.log(v.denominator * q))
-    rate = least_squares_line(xs, ys)[0] if len(xs) >= 4 else None
     return LimitEstimate(
-        limit=to_mpf(est, prec), rate_exponent=rate, degenerate=False, method=method,
+        limit=to_mpf(est, prec), rate_exponent=decay_exponent(vals, est, max(16, N // 10), N),
+        degenerate=False, method=method,
     )
 
 
@@ -610,15 +579,15 @@ def _logabs(v: Fraction) -> float:
         return float(mp.log(abs(to_mpf(v, 64))))
 
 
-def _consecutive_log_ratios(vals: list, lo: int) -> list:
-    out = []
-    for n in range(lo, len(vals) - 1):
-        if vals[n] != 0 and vals[n + 1] != 0:
-            out.append(_logabs(vals[n + 1]) - _logabs(vals[n]))
-    return out
+def _log_ratios(vals: list, lo: int) -> tuple:
+    """The indices n >= lo with P_n != 0, log|P_n| at each, and log|P_{n+1}/P_n|
+    over the consecutive pairs among them."""
+    idx = [n for n in range(lo, len(vals)) if vals[n] != 0]
+    la = {n: _logabs(vals[n]) for n in idx}
+    return idx, la, [la[m] - la[n] for n, m in zip(idx, idx[1:]) if m == n + 1]
 
 
-def fit_growth(values: list, prec: int = DEFAULT_PREC) -> GrowthFit:
+def fit_growth(values: list) -> GrowthFit:
     """Fit |P_n| to q^n n^(-u-1) (log n)^v by successive ratio analysis.
 
     q comes from the trend of |P_{n+1}/P_n| (intercept of log-ratios against
@@ -635,13 +604,7 @@ def fit_growth(values: list, prec: int = DEFAULT_PREC) -> GrowthFit:
     if all(v == 0 for v in vals[N // 2:]):
         raise DomainError("fit_growth needs an eventually nonzero sequence")
     lo = max(4, N // 2)
-    idx = [n for n in range(lo, N) if vals[n] != 0]
-    la = {n: _logabs(vals[n]) for n in idx}
-    ratios = [
-        la[idx[i + 1]] - la[idx[i]]
-        for i in range(len(idx) - 1)
-        if idx[i + 1] == idx[i] + 1
-    ]
+    idx, la, ratios = _log_ratios(vals, lo)
     if not ratios:
         raise DomainError("too many zeros in the fit window")
     med = sorted(ratios)[len(ratios) // 2]
@@ -649,19 +612,16 @@ def fit_growth(values: list, prec: int = DEFAULT_PREC) -> GrowthFit:
         # Ratio heading to zero: multiply by n! and refit, but only if that
         # stabilizes the ratios; 1/n!^d recurses d times.
         normalized = [v * math.factorial(n) for n, v in enumerate(vals)]
-        nr = _consecutive_log_ratios(normalized, lo)
+        nr = _log_ratios(normalized, lo)[2]
         if nr and (max(nr) - min(nr)) < (max(ratios) - min(ratios)):
-            inner = fit_growth(normalized, prec)
-            return GrowthFit(
-                q=inner.q, u=inner.u, v=inner.v,
-                sub_geometric=True, factorial_order=inner.factorial_order + 1,
-                oscillatory=inner.oscillatory,
-            )
+            inner = fit_growth(normalized)
+            return inner._replace(sub_geometric=True,
+                                  factorial_order=inner.factorial_order + 1)
     spread = max(ratios) - min(ratios)
     oscillatory = spread > math.log(4) or len(idx) < (N - lo)
     if not oscillatory:
         # log r_n = log q - (u+1)/n + O(1/n^2): intercept of LS against 1/n
-        xs = [1.0 / idx[i] for i in range(len(idx) - 1) if idx[i + 1] == idx[i] + 1]
+        xs = [1.0 / n for n, m in zip(idx, idx[1:]) if m == n + 1]
         _, logq = least_squares_line(xs, ratios)
     else:
         quarter = max(1, len(idx) // 4)

@@ -34,6 +34,7 @@ from .numcore import (
     bernoulli,
     binary_split,
     capped_sum,
+    off_poles,
     small_cauchy,
     to_mpf,
 )
@@ -53,15 +54,6 @@ __all__ = [
 ]
 
 _GUARD = 24
-
-
-def _is_nonpositive_integer(x: Fraction) -> bool:
-    return x.denominator == 1 and x <= 0
-
-
-def _require_off_poles(x: Fraction, what: str) -> None:
-    if _is_nonpositive_integer(x):
-        raise DomainError(f"{what} has a pole at nonpositive integer {x}")
 
 
 def _inverse_power_sum(x: Fraction, m: int, e: int) -> Fraction:
@@ -103,8 +95,7 @@ def polygamma(n: int, x: Rational, prec: int = DEFAULT_PREC) -> mpf:
     """Psi^(n) at a rational point (n >= 0), by upward shift plus the tail."""
     if n < 0:
         raise DomainError("polygamma needs n >= 0")
-    x = Fraction(x)
-    _require_off_poles(x, "polygamma")
+    x = off_poles(x, "polygamma")
     wp = prec + _GUARD + n
     X0 = max(16, int(0.35 * wp) + n)
     m = max(0, math.ceil(X0 - x))
@@ -124,8 +115,7 @@ def polygamma(n: int, x: Rational, prec: int = DEFAULT_PREC) -> mpf:
 
 def gamma_value(x: Rational, prec: int = DEFAULT_PREC) -> mpf:
     """Gamma at a rational point via upward shift and the Stirling series."""
-    x = Fraction(x)
-    _require_off_poles(x, "Gamma")
+    x = off_poles(x, "Gamma")
     wp = prec + _GUARD + 8
     X0 = max(20, int(0.2 * wp) + 8)
     m = max(0, math.ceil(X0 - x))
@@ -148,8 +138,7 @@ def gamma_deriv(n: int, x: Rational, prec: int = DEFAULT_PREC) -> GammaDerivs:
     """Derivatives of Gamma up to order n by the Leibniz recursion over Psi^(i)."""
     if n < 0:
         raise DomainError("gamma_deriv needs n >= 0")
-    x = Fraction(x)
-    _require_off_poles(x, "Gamma")
+    x = off_poles(x, "Gamma")
     wp = prec + _GUARD
     with workprec(wp):
         psis = [polygamma(i, x, wp) for i in range(n)]
@@ -179,12 +168,14 @@ def gamma_jet(x: Rational, order: int, prec: int = DEFAULT_PREC) -> list:
 
 def recip_gamma_jet(x: Rational, order: int, prec: int = DEFAULT_PREC) -> list:
     """Taylor jet of 1/Gamma at x, valid for every rational x (1/Gamma is entire)."""
-    x = Fraction(x)
     wp = prec + _GUARD
     with workprec(wp):
-        if not _is_nonpositive_integer(x):
+        try:
+            x = off_poles(x, "Gamma")
+        except DomainError:  # at x = -m use 1/Gamma(z) = z(z+1)...(z+m) / Gamma(z+m+1)
+            x = Fraction(x)
+        else:
             return _jet_recip(gamma_jet(x, order, wp), order + 1)
-        # At x = -m <= 0 use 1/Gamma(z) = z(z+1)...(z+m) / Gamma(z+m+1).
         m = -int(x)
         poly = [mpf(1)]
         for t in range(m + 1):

@@ -14,6 +14,10 @@ substitution) and multiplies them in a private exact context.
 :func:`small_cauchy` is the schoolbook loop for short vectors of ``Fraction``
 or ``mpf`` entries (polynomial and Taylor-jet products). :func:`binary_split`
 adds or multiplies many small rationals as a balanced tree.
+
+:func:`off_poles` is the one pole test (Gamma and the E_alpha family have
+their poles at the nonpositive integers). :func:`decay_exponent` is the one
+fit of the decay rate of |P_n - L|, on exact rationals.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import decimal
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, log
 import sys
 import threading
 
@@ -46,6 +50,14 @@ class PrecisionError(ArithmeticError):
 
 class RouteDisagreement(ArithmeticError):
     """Independent routes to the same exact sequence gave different values."""
+
+
+def off_poles(x, what: str) -> Fraction:
+    """x as a Fraction; DomainError if it is a nonpositive integer, a pole of ``what``."""
+    x = Fraction(x)
+    if x.denominator == 1 and x <= 0:
+        raise DomainError(f"{what} has a pole at the nonpositive integer {x}")
+    return x
 
 
 class LeadingCoefficientVanishes(ArithmeticError):
@@ -202,6 +214,24 @@ def least_squares_line(xs: list, ys: list) -> tuple:
     return slope, (sy - slope * sx) / n
 
 
+def decay_exponent(values: list, limit: Fraction, lo: int, hi: int) -> float | None:
+    """Least-squares slope of log|v_n - limit| against log n over lo <= n < hi,
+    or None when fewer than four v_n there differ from the limit.
+
+    The v_n and the limit are exact rationals, and each log is taken of an exact
+    integer: log|v_n - p/q| = log|num_n q - p den_n| - log(den_n q).
+    """
+    p, q = limit.numerator, limit.denominator
+    xs, ys = [], []
+    for n in range(lo, hi):
+        v = values[n]
+        d = abs(v.numerator * q - p * v.denominator)
+        if d:
+            xs.append(log(n))
+            ys.append(log(d) - log(v.denominator * q))
+    return least_squares_line(xs, ys)[0] if len(xs) >= 4 else None
+
+
 def binary_split(join, items: list, empty):
     """join over items as a balanced binary tree, or empty for no item.
 
@@ -353,21 +383,13 @@ class PolyQ(Frozen):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 1)
         d = len(other.coeffs) - 1
-        lead = other.coeffs[-1]
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lead
-            q[k] = f
+        q = [Fraction(0)] * max(len(rem) - d, 1)
+        for k in range(len(rem) - 1 - d, -1, -1):
+            q[k] = f = rem[k + d] / other.coeffs[-1]
             for i, c in enumerate(other.coeffs):
                 rem[k + i] -= f * c
-            rem.pop()
-        return PolyQ(q), PolyQ(rem)
+        return PolyQ(q), PolyQ(rem[:d])
 
     def exact_div(self, other: "PolyQ") -> "PolyQ":
         q, r = self.divmod(other)

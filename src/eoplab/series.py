@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import accumulate
 from operator import mul, sub
 
-from .numcore import DomainError, Frozen, Rational, int_cauchy
+from .numcore import DomainError, Frozen, Rational, int_cauchy, off_poles
 
 __all__ = [
     "TruncatedSeries",
@@ -166,21 +166,20 @@ def exp_series(order: int) -> TruncatedSeries:
 
 def e_alpha_series(alpha: Rational, order: int) -> TruncatedSeries:
     """sum_n z^n / (n! (n+alpha)); alpha must avoid the poles 0, -1, -2, ..."""
-    alpha = Fraction(alpha)
-    if alpha.denominator == 1 and alpha <= 0:
-        raise DomainError("e_alpha_series is undefined for nonpositive integer alpha")
-    # with alpha = p/q, coefficient n is q / (n! (nq + p)), over (N-1)! lcm_n (nq + p)
-    p, q = alpha.numerator, alpha.denominator
-    lin = [n * q + p for n in range(order)]
-    lcm = math.lcm(*lin)
-    tail = _tail_products(range(order))  # (N-1)!/n!
-    return _canonical([q * t * (lcm // m) for t, m in zip(tail, lin)], tail[0] * lcm)
+    alpha = off_poles(alpha, "E_alpha")
+    return _e_series(alpha.numerator, alpha.denominator, order)
 
 
 def e_log_series(order: int) -> TruncatedSeries:
     """sum_{n>=1} z^n / (n! n)."""
-    # over (N-1)! lcm(1..N-1)
-    lcm = math.lcm(*range(1, order))
+    return _e_series(0, 1, order)
+
+
+def _e_series(p: int, q: int, order: int) -> TruncatedSeries:
+    """sum_n q z^n / (n! (nq + p)), without the term n = 0 when p = 0."""
+    # over (N-1)! lcm_n (nq + p), the lcm over the nonzero factors only
+    lin = [n * q + p for n in range(order)]
+    lcm = math.lcm(*filter(None, lin))
     tail = _tail_products(range(order))  # (N-1)!/n!
-    nums = [0] + [t * (lcm // n) for n, t in enumerate(tail[1:], 1)]
-    return _canonical(nums[:order], tail[0] * lcm)
+    return _canonical([q * t * (lcm // m) if m else 0 for t, m in zip(tail, lin)],
+                      tail[0] * lcm)

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from mpmath import mp, mpf, workprec
+from mpmath import libmp, mp, mpf, workprec
 
 from eoplab.numcore import DomainError, to_mpf
 from eoplab.asymlab import (
@@ -46,6 +46,9 @@ def test_optimal_truncation():
     assert optimal_truncation(30) == 30
     assert optimal_truncation(5.4) == 5
     assert optimal_truncation(100, max_order=40) == 40
+    assert optimal_truncation(100, max_order=0) == 0
+    with pytest.raises(DomainError):
+        optimal_truncation(5, -1)
     grid = [optimal_truncation(z) for z in (2, 3.7, 5.2, 9, 14.9, 30)]
     assert grid == sorted(grid)
 
@@ -56,6 +59,11 @@ def test_eval_asym_n0_front_only():
     with workprec(300):
         want = gamma_value(F(1, 2), 256) / mp.sqrt(mpf(9))
         assert abs(v - want) < mpf(2) ** -240
+    for N in (-3, -1, 9):
+        with pytest.raises(DomainError):
+            eval_asym(a, 9, N, 256)
+    with pytest.raises(DomainError):
+        eval_asym(asym_E_log(10, 64), 5, -3, 64)
 
 
 @pytest.mark.parametrize(
@@ -171,7 +179,29 @@ def test_transfer_rate_check_negative_alpha_true_exponent():
     assert transfer_rate_check(run, F(-1), oracle, window=(100, 1000)).passed
 
 
+def test_transfer_rate_check_reads_an_mpf_limit_exactly_with_its_sign():
+    # Gamma(-1/2) = -2 sqrt(pi) < 0: as an mpf it is read as its exact binary
+    # value, the same Fraction the second call passes
+    run = gamma_seq(F(-1, 2), 1000, method="recurrence")
+    oracle = gamma_value(F(-1, 2), 256)
+    exact = F(*libmp.to_rational(oracle._mpf_))
+    assert exact < 0
+    for predicted in (F(-1), F(-3, 2)):
+        assert transfer_rate_check(run, predicted, oracle) == \
+            transfer_rate_check(run, predicted, exact)
+    assert transfer_rate_check(run, F(-1), oracle) != transfer_rate_check(run, F(-1), -exact)
+
+
 def test_transfer_rate_check_requires_enough_values():
     run = gamma_seq(F(1, 2), 60, method="recurrence")
     with pytest.raises(DomainError):
         transfer_rate_check(run, F(-1, 2), gamma_value(F(1, 2), 64))
+    # a window off the run, one too short for a fit, and a limit that is no number
+    run = gamma_seq(F(1, 2), 200, method="recurrence")
+    limit = gamma_value(F(1, 2), 64)
+    for window in ((0, 200), (100, 201), (100, 100), (100, 103)):
+        with pytest.raises(DomainError):
+            transfer_rate_check(run, F(-1, 2), limit, window=window)
+    for limit in (mp.inf, -mp.inf, mp.nan):
+        with pytest.raises(DomainError):
+            transfer_rate_check(run, F(-1, 2), limit)

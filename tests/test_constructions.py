@@ -5,8 +5,12 @@ import pytest
 from mpmath import mp, mpf, workprec
 
 from eoplab import constructions
-from eoplab.numcore import DomainError, PolyQ, RouteDisagreement, to_mpf
+from eoplab.numcore import DomainError, PolyQ, RouteDisagreement, decay_exponent, to_mpf
+from eoplab.asymlab import transfer_rate_check
 from eoplab.constructions import (
+    _win_weight,
+    bessel_f,
+    bessel_g,
     e_convergents,
     euler_seq,
     fit_growth,
@@ -279,6 +283,12 @@ def test_intseq_requires_kmax():
         intseq(1, 64)
 
 
+def test_bessel_sums_reject_negative_derivatives():
+    for fn, d in ((bessel_f, -1), (bessel_g, -2), (bessel_f, -5)):
+        with pytest.raises(DomainError):
+            fn(1, 64, deriv=d)
+
+
 def test_limit_estimate_constant_sequence():
     est = limit_estimate([F(7, 3)] * 20)
     assert est.degenerate
@@ -301,6 +311,19 @@ def test_limit_estimate_gamma_window():
     with workprec(300):
         assert abs(est.limit - gamma_value(F(1, 2), 256)) < mpf(2) * 10**-3
     assert est.method == "window"
+
+
+def test_limit_estimate_rate_is_the_shared_decay_exponent():
+    # the window mean, recomputed here as one Fraction sum, is the fitted limit
+    vals = gamma_seq(F(1, 3), 240, method="recurrence").values
+    tail = vals[len(vals) // 4:]
+    weights = [_win_weight(i, len(tail)) for i in range(len(tail))]
+    est = sum(w * v for w, v in zip(weights, tail)) / sum(weights)
+    got = limit_estimate(vals)
+    assert got.method == "window" and got.limit == to_mpf(est)
+    assert got.rate_exponent == decay_exponent(vals, est, 24, 240)
+    # asymlab's rate check makes the same fit over the same default window
+    assert transfer_rate_check(vals, F(-2, 3), est).empirical_exponent == got.rate_exponent
 
 
 def test_limit_estimate_needs_sixteen_values():
@@ -366,6 +389,16 @@ def test_gamma_limit_functional_equation():
     with workprec(300):
         left = est * to_mpf(F(1, 2), 280)
         assert abs(left - gamma_value(F(3, 2), 256)) < mpf(10) ** -3
+
+
+def test_run_record_is_immutable():
+    run = euler_seq(20, method="closed")
+    assert run._fields == ("values", "limit", "rate_exponent", "metadata")
+    for field in run._fields:
+        with pytest.raises(AttributeError):
+            setattr(run, field, None)
+    short = euler_seq(15, method="closed")
+    assert short.limit is None and short.rate_exponent is None
 
 
 def test_run_metadata_and_limits():

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eoplab.constructions import (
     euler_coefficient_recurrence,
@@ -271,7 +272,8 @@ def test_recurrence_relations_annihilate_applied_series():
 
 def _sympy_recurrences(op):
     """{offset: normalized recurrence} for the power-series solutions
-    z^offset sum_n c_n z^n of op, by sympy.holonomic."""
+    z^offset sum_n c_n z^n of op, by sympy.holonomic. At an ordinary point
+    sympy returns one recurrence, keyed by the first n it holds from."""
     import sympy
     from sympy.holonomic import DifferentialOperators, HolonomicFunction
 
@@ -297,6 +299,29 @@ def test_gamma_recurrence_matches_sympy_holonomic(alpha):
     # sympy also returns the z^(-alpha) Frobenius solution; ours is the power series
     ours = gamma_coefficient_recurrence(alpha)
     assert _sympy_recurrences(gamma_generating_ode(alpha))[0] == ours
+
+
+small_rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def ordinary_operators(draw):
+    """p_0 + p_1 d/dz (+ p_2 d^2/dz^2), each p_i of degree <= 2, with p_0(0) and
+    p_r(0) nonzero: z = 0 is an ordinary point, and the shifts 0 and r both
+    survive, so the recurrence has order >= r."""
+    def poly(head):
+        return [head, *draw(st.lists(small_rationals, max_size=2))]
+
+    r = draw(st.integers(1, 2))
+    nonzero = small_rationals.filter(bool)
+    middle = [draw(st.lists(small_rationals, max_size=3)) for _ in range(r - 1)]
+    return DifferentialOperator([poly(draw(nonzero)), *middle, poly(draw(nonzero))])
+
+
+@settings(max_examples=15, deadline=None)
+@given(ordinary_operators())
+def test_ode_to_recurrence_matches_sympy_on_random_operators(op):
+    assert list(_sympy_recurrences(op).values()) == [ode_to_recurrence(op)]
 
 
 def test_holonomic_does_not_import_series():

@@ -9,15 +9,16 @@ import math
 import operator
 import sys
 from fractions import Fraction as F
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import mpf, workprec
+from mpmath import mp, mpf, workprec
 
 from eoplab.asymlab import asym_E_alpha
 from eoplab.cli import _digits
 from eoplab.constructions import (
-    _a_direct,
+    _bessel_sum,
     _e_convergent_rows,
     _euler_closed,
     _gamma_closed,
@@ -34,9 +35,12 @@ from eoplab.holonomic import (
     unroll,
 )
 from eoplab.gammalab import _add_ratios, _inverse_power_sum
-from eoplab.numcore import DomainError, PolyQ, binary_split, int_cauchy, small_cauchy
+from eoplab.numcore import (GUARD_BITS, DomainError, PolyQ, binary_split, capped_sum, int_cauchy,
+                            small_cauchy)
 from eoplab.series import (
     TruncatedSeries,
+    _canonical,
+    _tail_products,
     binomial_series,
     e_alpha_series,
     e_log_series,
@@ -429,9 +433,19 @@ def test_e_alpha_series_matches_fraction_loop(alpha, order):
     _same_series(e_alpha_series(alpha, order), oracle_e_alpha_series(alpha, order))
 
 
+def old_e_log_series(order):
+    """The integer builder e_log_series had before it shared e_alpha_series's:
+    sum_{n>=1} z^n / (n! n) over (N-1)! lcm(1..N-1)."""
+    lcm = math.lcm(*range(1, order))
+    tail = _tail_products(range(order))  # (N-1)!/n!
+    nums = [0] + [t * (lcm // n) for n, t in enumerate(tail[1:], 1)]
+    return _canonical(nums[:order], tail[0] * lcm)
+
+
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 17, 60, 200])
 def test_fixed_constructors_match_fraction_loops(order):
     _same_series(e_log_series(order), oracle_e_log_series(order))
+    assert e_log_series(order) == old_e_log_series(order)  # same nums and den
     _same_series(log_over_one_minus_z(order), oracle_log_over_one_minus_z(order))
     _same_series(exp_series(order), oracle_exp_series(order))
     # the Euler series route's inner series
@@ -469,11 +483,26 @@ def test_e_convergent_rows_match_pade_evaluation():
         _e_convergent_rows(0)
 
 
+def oracle_a_direct(k, wp):
+    """A_k = (-1)^k sum_n 1/(n! (n+k)!) at wp bits, by the loop intseq ran
+    before it summed F^(k)(1) through _bessel_sum."""
+    def terms():
+        term = 1 / mp.factorial(k)
+        for n in count(1):
+            yield term
+            term /= n * (n + k)
+
+    with workprec(wp):
+        # 1/(n! (n+k)!) <= 1/n!^2 <= 2^-n for n >= 2, so wp + 2 terms reach 2^-wp
+        acc = capped_sum(terms(), mpf(2) ** (-wp), wp + 2, "A_k series", least=5)
+        return +((-1) ** k * acc)
+
+
 def oracle_intseq(kmax, prec):
     """(A, disagreement) as intseq gave them before the backward recurrence:
     every A_k a direct sum, checked against the forward run from A_0, A_1."""
     wp = prec + int(2 * math.lgamma(kmax + 1) / math.log(2)) + 32
-    direct = [_a_direct(k, wp) for k in range(kmax + 1)]
+    direct = [oracle_a_direct(k, wp) for k in range(kmax + 1)]
     with workprec(wp):
         rec = [direct[0], direct[1]]
         for k in range(1, kmax):
@@ -492,6 +521,12 @@ def oracle_intseq(kmax, prec):
 def test_intseq_backward_recurrence_matches_the_direct_sums(kmax, prec):
     res = intseq(kmax, prec)
     direct, disagreement = oracle_intseq(kmax, prec)
+    # the direct sums intseq seeds its two runs with, bit for bit
+    wp = prec + int(2 * math.lgamma(kmax + 1) / math.log(2)) + 32
+    for k in (0, 1, kmax // 2, kmax, kmax + 1):
+        want = direct[k] if k <= kmax else oracle_a_direct(k, wp)
+        with workprec(wp):
+            assert (-1) ** k * _bessel_sum(1, wp - GUARD_BITS, k, harmonic=False) == want
     assert len(res.A) == kmax + 1
     assert all(abs(a - d) <= abs(d) * mpf(2) ** -prec for a, d in zip(res.A, direct))
     assert res.recurrence_disagreement <= mpf(2) ** -prec
