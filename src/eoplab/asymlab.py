@@ -89,11 +89,14 @@ def _expansion(front: tuple, alpha: Fraction, order: int) -> AsymptoticSeries:
 
 
 def _abs_real(z) -> float:
-    """|z| as a float; z must be real (ints, Fractions, floats, mpfs)."""
+    """|z| as a float; z must be real and finite (ints, Fractions, floats, mpfs)."""
     try:
-        return abs(float(z))
-    except TypeError:
-        raise DomainError(f"z must be real, got {z!r}") from None
+        zf = abs(float(z))
+    except (TypeError, OverflowError):
+        zf = math.nan
+    if not math.isfinite(zf):
+        raise DomainError(f"z must be real and finite, got {z!r}")
+    return zf
 
 
 def optimal_truncation(z, max_order: int | None = None) -> int:

@@ -16,7 +16,6 @@ import argparse
 import csv
 import functools
 import json
-import os
 import re
 import sys
 from collections import namedtuple
@@ -72,19 +71,6 @@ def _digits(value, d: int) -> str:
     # plus 32 guard bits (the digits change only within 2^-32 of a tie)
     with workprec(int((d + 3) * 3.3219280948873626) + 42):
         return mp.nstr(+value, d, strip_zeros=False)
-
-
-def _precision(prec: int | None) -> int:
-    """The --prec value, else EOP_DEFAULT_PREC, else DEFAULT_PREC; at least 1 bit."""
-    if prec is None:
-        env = os.environ.get("EOP_DEFAULT_PREC")
-        try:
-            prec = int(env) if env else DEFAULT_PREC
-        except ValueError:
-            raise _UsageError(f"EOP_DEFAULT_PREC must be an integer, got {env!r}")
-    if prec < 1:
-        raise _UsageError(f"precision must be at least 1 bit, got {prec}")
-    return prec
 
 
 def _ratio(v: Fraction) -> list:
@@ -358,8 +344,8 @@ def _build_parser() -> _Parser:
             p.add_argument(flag, **kwargs)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--digits", type=int, default=30)
-        p.add_argument("--prec", type=int, default=None,
-                       help="precision in bits (default 256 or EOP_DEFAULT_PREC)")
+        p.add_argument("--prec", type=int, default=DEFAULT_PREC,
+                       help=f"precision in bits, at least 1 (default {DEFAULT_PREC})")
         p.add_argument("--out", default=".", help="output directory")
         p.set_defaults(command=command)
     r = sub.add_parser("replay", help="re-run a manifest")
@@ -373,7 +359,8 @@ def main(argv: list | None = None) -> int:
         args = _build_parser().parse_args(argv)
         if args.cmd == "replay":
             return _cmd_replay(args)
-        args.prec = _precision(args.prec)
+        if args.prec < 1:
+            raise _UsageError(f"precision must be at least 1 bit, got {args.prec}")
         if args.digits < 1:
             raise _UsageError(f"--digits must be at least 1, got {args.digits}")
         _run(args.command, args)

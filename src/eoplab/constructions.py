@@ -25,10 +25,11 @@ raise :class:`RouteDisagreement`. A run is returned as one immutable
 
 Limit and growth-model estimation work on the exact rational data: the limit
 uses a smooth-window weighted tail mean (exact in rational arithmetic), which
-handles the sqrt(n)-phase oscillation these sequences exhibit, with an Aitken
-fallback for fast (eventually geometric) convergence. The decay exponent of
-|P_n - limit| is :func:`numcore.decay_exponent`, the fit that
-``asymlab.transfer_rate_check`` makes against a trusted limit.
+handles the sqrt(n)-phase oscillation these sequences exhibit; for fast
+(eventually geometric) convergence it is one Aitken Delta^2 step on the last
+three values instead. The decay exponent of |P_n - limit| is
+:func:`numcore.decay_exponent`, the fit that ``asymlab.transfer_rate_check``
+makes against a trusted limit.
 """
 
 from __future__ import annotations
@@ -515,28 +516,13 @@ def _win_weight(i: int, width: int) -> int:
     return ((i + 1) * (width - i)) ** 2
 
 
-def _aitken_tail(vals: list) -> Fraction | None:
-    xs = list(vals)
-    while len(xs) >= 3:
-        nxt = []
-        for i in range(len(xs) - 2):
-            d2 = xs[i + 2] - xs[i + 1]
-            d1 = xs[i + 1] - xs[i]
-            if d2 == d1:
-                continue
-            nxt.append(xs[i + 2] - d2 * d2 / (d2 - d1))
-        if not nxt:
-            break
-        xs = nxt
-    return xs[-1] if xs else None
-
-
 def limit_estimate(values: list, prec: int = DEFAULT_PREC) -> LimitEstimate:
     """Limit and empirical decay exponent of a convergent exact sequence.
 
     The limit is a smooth-window weighted mean of the last three quarters
     (exact rational arithmetic); for sequences whose differences decay
-    super-polynomially an iterated Aitken pass on the tail is used instead.
+    super-polynomially it is one Aitken Delta^2 step on the last three values
+    instead, exact for a geometric tail L + c r^n.
     The rate exponent is :func:`numcore.decay_exponent` against that limit
     over [max(16, N/10), N) (a narrower window is too noisy for sequences whose
     error carries a sqrt(n)-phase oscillation), or None when degenerate.
@@ -561,9 +547,9 @@ def limit_estimate(values: list, prec: int = DEFAULT_PREC) -> LimitEstimate:
     d_end = abs(vals[-1] - vals[-1 - step])
     d_mid = abs(vals[N // 2] - vals[N // 2 - step])
     if d_mid != 0 and d_end * (1 << 12) < d_mid:
-        fast = _aitken_tail(vals[-min(N, 25):])
-        if fast is not None:
-            est = fast
+        a, b, c = vals[-3:]
+        if c - 2 * b + a != 0:
+            est = c - (c - b) ** 2 / (c - 2 * b + a)
             method = "aitken"
     elif d_mid == 0 and d_end == 0 and vals[-1] == vals[N // 2]:
         est = vals[-1]

@@ -11,10 +11,10 @@ below 2^-wp; the defining series stay around as low-precision test oracles.
 All routines take rational arguments, return ``mpf`` values carrying at least
 ``prec`` significand bits, and are pure.
 
-Derivatives of Gamma are produced by the Leibniz recursion
-Gamma^(j+1) = sum_i binom(j,i) Psi^(i) Gamma^(j-i); derivatives of 1/Gamma by
-Taylor-jet reciprocation (with an exact shifted-product representation at the
-nonpositive integers, where 1/Gamma is entire).
+Derivatives of Gamma and of 1/Gamma come from one Leibniz recursion: f' = s Psi f
+for f = Gamma^s, s = +-1, so f^(j+1) = s sum_i binom(j,i) Psi^(i) f^(j-i). At the
+nonpositive integers, where 1/Gamma is entire, the 1/Gamma jet is the exact
+shifted product z(z+1)...(z+m) times the jet at z + m + 1 = 1.
 """
 
 from __future__ import annotations
@@ -134,30 +134,25 @@ GammaDerivs = namedtuple("GammaDerivs", "point order values")
 GammaDerivs.__doc__ = "Gamma(s), Gamma'(s), ..., Gamma^(order)(s) at a rational point s."
 
 
+def _leibniz(n: int, x: Fraction, wp: int, sign: int) -> list:
+    """f, f', ..., f^(n) at x for f = Gamma^sign (sign = +-1), at wp bits, by the
+    Leibniz recursion over f' = sign Psi f."""
+    with workprec(wp):
+        psis = [polygamma(i, x, wp) for i in range(n)]
+        g = gamma_value(x, wp)
+        vals = [g if sign > 0 else 1 / g]
+        for j in range(n):
+            vals.append(+sum(mpf(sign * math.comb(j, i)) * psis[i] * vals[j - i]
+                             for i in range(j + 1)))
+    return vals
+
+
 def gamma_deriv(n: int, x: Rational, prec: int = DEFAULT_PREC) -> GammaDerivs:
     """Derivatives of Gamma up to order n by the Leibniz recursion over Psi^(i)."""
     if n < 0:
         raise DomainError("gamma_deriv needs n >= 0")
     x = off_poles(x, "Gamma")
-    wp = prec + _GUARD
-    with workprec(wp):
-        psis = [polygamma(i, x, wp) for i in range(n)]
-        vals = [gamma_value(x, wp)]
-        for j in range(n):
-            vals.append(+sum(mpf(math.comb(j, i)) * psis[i] * vals[j - i] for i in range(j + 1)))
-    return GammaDerivs(point=x, order=n, values=tuple(vals))
-
-
-def _jet_recip(a: list, length: int) -> list:
-    if a[0] == 0:
-        raise DomainError("jet reciprocal needs a nonzero constant term")
-    out = [1 / a[0]]
-    for k in range(1, length):
-        acc = 0 * a[0]
-        for j in range(1, min(k, len(a) - 1) + 1):
-            acc += a[j] * out[k - j]
-        out.append(-acc / a[0])
-    return out
+    return GammaDerivs(point=x, order=n, values=tuple(_leibniz(n, x, prec + _GUARD, 1)))
 
 
 def gamma_jet(x: Rational, order: int, prec: int = DEFAULT_PREC) -> list:
@@ -168,20 +163,18 @@ def gamma_jet(x: Rational, order: int, prec: int = DEFAULT_PREC) -> list:
 
 def recip_gamma_jet(x: Rational, order: int, prec: int = DEFAULT_PREC) -> list:
     """Taylor jet of 1/Gamma at x, valid for every rational x (1/Gamma is entire)."""
+    # 1/Gamma(z) = z(z+1)...(z+m) / Gamma(z+m+1) at x = -m; the empty product
+    # (m = -1) elsewhere
+    x = Fraction(x)
+    m = -x.numerator if x.denominator == 1 and x <= 0 else -1
     wp = prec + _GUARD
+    derivs = _leibniz(order, x + m + 1, wp + _GUARD, -1)
     with workprec(wp):
-        try:
-            x = off_poles(x, "Gamma")
-        except DomainError:  # at x = -m use 1/Gamma(z) = z(z+1)...(z+m) / Gamma(z+m+1)
-            x = Fraction(x)
-        else:
-            return _jet_recip(gamma_jet(x, order, wp), order + 1)
-        m = -int(x)
         poly = [mpf(1)]
         for t in range(m + 1):
             poly = small_cauchy(poly, [to_mpf(x + t, wp), mpf(1)], order + 2)
-        rec = _jet_recip(gamma_jet(x + m + 1, order, wp), order + 1)
-        return small_cauchy(poly, rec, order + 1)
+        jet = [derivs[k] / math.factorial(k) for k in range(order + 1)]
+        return small_cauchy(poly, jet, order + 1)
 
 
 def recip_gamma_deriv(l: int, x: Rational, prec: int = DEFAULT_PREC) -> mpf:
@@ -199,35 +192,34 @@ def recip_gamma_deriv(l: int, x: Rational, prec: int = DEFAULT_PREC) -> mpf:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_jet(alpha: Fraction, n: int, length: int) -> list:
-    """Jet in (y - alpha) of Gamma(1-{y})/Gamma(-y-n), with floor(alpha) frozen.
-
-    The kernel is a rational function of y: a falling product of linear factors
-    for n >= -floor(alpha), the reciprocal of such a product for smaller n.
-    Derivatives at integer alpha are right-derivatives by the frozen floor.
-    """
-    fl = math.floor(alpha)
-    if n >= -fl:
-        jet = [Fraction(1)]
-        for m in range(n + fl + 1):
-            jet = small_cauchy(jet, [-alpha - n + m, Fraction(-1)], length)
-        return jet + [Fraction(0)] * (length - len(jet))
-    jet = [Fraction(1)]
-    for m in range(-n - fl - 1):
-        jet = small_cauchy(jet, [-alpha + fl + 1 + m, Fraction(-1)], length)
-    jet += [Fraction(0)] * (length - len(jet))
-    return _jet_recip(jet, length)
-
-
 def y_alpha_i(alpha: Rational, i: int, N: int) -> TruncatedSeries:
     """Exact series whose z^n coefficient is the i-th Taylor coefficient in y,
-    at y = alpha, of Gamma(1-{y})/Gamma(-y-n)."""
+    at y = alpha, of K_n(y) = Gamma(1-{y})/Gamma(-y-n), with floor(alpha) frozen
+    (so derivatives at integer alpha are right-derivatives).
+
+    K_0 = Gamma(1+fl-y)/Gamma(-y) is the product of the factors m - y for
+    0 <= m <= fl, or of 1/(fl+1+m-y) for 0 <= m < -fl-1; in t = y - alpha each
+    such 1/(c - t), c > 0, has the geometric jet [c^-(k+1)]. Then one linear
+    factor per step: K_{n+1} = K_n (-y-n-1).
+    """
     if i < 0:
         raise DomainError("y_alpha_i needs i >= 0")
     from .series import TruncatedSeries
 
     alpha = Fraction(alpha)
-    return TruncatedSeries([_kernel_jet(alpha, n, i + 1)[i] for n in range(N)])
+    fl = math.floor(alpha)
+    length = i + 1
+    jet = [Fraction(1)] + [Fraction(0)] * i
+    for m in range(fl + 1):
+        jet = small_cauchy(jet, [m - alpha, Fraction(-1)], length)
+    for m in range(-fl - 1):
+        c = fl + 1 + m - alpha
+        jet = small_cauchy(jet, [1 / c ** (k + 1) for k in range(length)], length)
+    coeffs = []
+    for n in range(N):
+        coeffs.append(jet[i])
+        jet = small_cauchy(jet, [-alpha - n - 1, Fraction(-1)], length)
+    return TruncatedSeries(coeffs)
 
 
 def lambda_log_poly(t: Rational, s: int, prec: int = DEFAULT_PREC) -> tuple:

@@ -49,6 +49,9 @@ def test_optimal_truncation():
     assert optimal_truncation(100, max_order=0) == 0
     with pytest.raises(DomainError):
         optimal_truncation(5, -1)
+    for z in (float("inf"), float("-inf"), float("nan"), mpf("inf"), 10**400):
+        with pytest.raises(DomainError):
+            optimal_truncation(z)
     grid = [optimal_truncation(z) for z in (2, 3.7, 5.2, 9, 14.9, 30)]
     assert grid == sorted(grid)
 
@@ -64,6 +67,9 @@ def test_eval_asym_n0_front_only():
             eval_asym(a, 9, N, 256)
     with pytest.raises(DomainError):
         eval_asym(asym_E_log(10, 64), 5, -3, 64)
+    for z in (float("nan"), float("inf"), mpf("nan")):
+        with pytest.raises(DomainError):
+            eval_asym(asym_E_log(8, 64), z, 4, 64)
 
 
 @pytest.mark.parametrize(
@@ -142,7 +148,7 @@ def test_direct_eval_domain_errors():
         direct_E_eval("E_alpha", 10, 64, alpha=F(-1))
     with pytest.raises(DomainError):
         direct_E_eval("nope", 10, 64)
-    for z in (0, F(-3), mpf(-1) / 3):
+    for z in (0, F(-3), mpf(-1) / 3, float("nan"), float("inf"), F(10**400, 3)):
         with pytest.raises(DomainError):
             direct_E_eval("E_loglike", z, 64)
         with pytest.raises(DomainError):

@@ -137,7 +137,6 @@ def ambient_precision():
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("EOP_DEFAULT_PREC", raising=False)
     return tmp_path
 
 
@@ -169,6 +168,7 @@ def _exit_code(argv, capsys):
     "frobnicate",
     "gamma-approx --alpha=1/3 --n 10 --prec -5",
     "gamma-approx --alpha=1/3 --n 10 --prec 0",
+    "gamma-approx --alpha=1/3 --n 10 --prec many",
     "gamma-deriv --s=1/3 --order 1 --digits 0",
     "gamma-deriv --s=1/3 --order 1 --digits -3",
     "replay missing.json",
@@ -217,14 +217,6 @@ def test_fit_rejects_a_csv_without_numerators(workdir, capsys, text):
     assert [p.name for p in workdir.iterdir()] == ["gamma_deriv.csv"]
 
 
-@pytest.mark.parametrize("env", ["0", "-3", "many"])
-def test_bad_default_precision_is_a_usage_error(workdir, capsys, monkeypatch, env):
-    monkeypatch.setenv("EOP_DEFAULT_PREC", env)
-    rc, err = _exit_code(["e-convergents", "--n", "5"], capsys)
-    assert rc == EXIT_USAGE and err.startswith("usage error: ")
-    assert list(workdir.iterdir()) == []
-
-
 @pytest.mark.parametrize("argv", [
     "gamma-approx --alpha=2 --n 10",  # Gamma's sequence needs alpha < 1
     "asym-check --which ealpha --alpha=-1 --z 12",
@@ -237,6 +229,16 @@ def test_domain_errors_exit_2(workdir, capsys, argv):
     assert rc == EXIT_DOMAIN
     assert err.startswith("domain error: ")
     assert list(workdir.iterdir()) == []
+
+
+def test_gamma_approx_on_the_aitken_path_finishes(workdir, capsys):
+    # the limit estimate takes its Aitken path here, and each Delta^2 step
+    # roughly triples the size of the exact values it works on
+    argv = "gamma-approx --alpha=-29/2 --n 40 --format json --out out"
+    assert _exit_code(argv.split(), capsys) == (EXIT_OK, "")
+    manifest = json.loads(Path("out/gamma_approx.manifest.json").read_text())
+    assert manifest["params"]["alpha"] == "-29/2"
+    assert json.loads(Path("out/gamma_approx.json").read_text())["estimates"]
 
 
 @pytest.mark.parametrize("k", [855, 1000])

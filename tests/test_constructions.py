@@ -305,6 +305,23 @@ def test_limit_estimate_geometric_fast_path():
         assert abs(est.limit - 3) < mpf(10) ** -9
 
 
+def test_limit_estimate_fast_path_is_one_aitken_step():
+    # a geometric tail L + c r^n is fixed exactly by one Delta^2 step
+    vals = [F(3) - F(5, 7) * F(-1, 5) ** n for n in range(20)]
+    assert vals[0] != F(3)
+    est = limit_estimate(vals)
+    assert est.method == "aitken" and est.limit == 3
+    # at alpha = -25/2 the fast path fires; one step keeps the limit's
+    # denominator within three input denominators
+    vals = gamma_seq(F(-25, 2), 16, method="recurrence").values
+    assert limit_estimate(vals).method == "aitken"
+    a, b, c = vals[-3:]
+    est = c - (c - b) ** 2 / (c - 2 * b + a)
+    assert limit_estimate(vals).limit == to_mpf(est)
+    biggest = max(v.denominator.bit_length() for v in vals)
+    assert est.denominator.bit_length() <= 3 * biggest + 64
+
+
 def test_limit_estimate_gamma_window():
     run_vals = gamma_seq(F(1, 2), 400, method="recurrence").values
     est = limit_estimate(run_vals)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -179,6 +180,21 @@ def test_gamma_derivs_satisfy_leibniz_recursion():
                 math.comb(j, i) * psis[i] * d.values[j - i] for i in range(j + 1)
             )
             assert abs(d.values[j + 1] - want) < TOL * max(1, abs(want))
+
+
+def test_gamma_deriv_bits_are_pinned():
+    # sha256 of the _mpf_ tuples of Gamma, ..., Gamma^(4) over a fixed grid of
+    # rationals at 64 and 512 bits: the CLI prints these values, so a change in
+    # any rounding step of gamma_value, polygamma or the recursion shows here
+    grid = [F(p, q) for q in (1, 2, 3, 5, 7, 12) for p in range(-2 * q, 2 * q + 1)
+            if not (p % q == 0 and p <= 0)]
+    h = hashlib.sha256()
+    for x in grid:
+        for prec in (64, 512):
+            values = gamma_deriv(4, x, prec).values
+            h.update(repr([tuple(map(int, v._mpf_)) for v in values]).encode())
+    assert len(grid) == 108
+    assert h.hexdigest() == "b078bc81377f1e455deb6e05fa48c6ff1fd15392666b853dfb6a82a854595782"
 
 
 def test_structure_polynomial_leading_gamma_coefficient():

@@ -324,6 +324,29 @@ def test_ode_to_recurrence_matches_sympy_on_random_operators(op):
     assert list(_sympy_recurrences(op).values()) == [ode_to_recurrence(op)]
 
 
+@st.composite
+def regular_singular_operators(draw):
+    """p_0 + p_1 d/dz + p_2 d^2/dz^2, each p_i of degree <= 2, with p_2(0) = 0 !=
+    p_2'(0) and p_1(0) != 0: z = 0 is a regular singular point with indicial roots
+    0 and 1 - p_1(0)/p_2'(0), the second kept off the integers (at an integer
+    second root sympy keys the series by that root instead of by 0). p_0(0) != 0
+    keeps the recurrence's order >= 1."""
+    nonzero = small_rationals.filter(bool)
+    b = draw(nonzero)
+    a = draw(nonzero.filter(lambda a: (a / b).denominator != 1))
+    p0 = [draw(nonzero), *draw(st.lists(small_rationals, max_size=2))]
+    p1 = [a, *draw(st.lists(small_rationals, max_size=2))]
+    p2 = [F(0), b, *draw(st.lists(small_rationals, max_size=1))]
+    return DifferentialOperator([p0, p1, p2])
+
+
+@settings(max_examples=15, deadline=None)
+@given(regular_singular_operators())
+def test_ode_to_recurrence_matches_sympy_at_a_regular_singular_point(op):
+    # sympy returns one recurrence per indicial root; ours is the one keyed by 0
+    assert _sympy_recurrences(op)[0] == ode_to_recurrence(op)
+
+
 def test_holonomic_does_not_import_series():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,

@@ -34,7 +34,8 @@ from eoplab.holonomic import (
     LinearRecurrence,
     unroll,
 )
-from eoplab.gammalab import _add_ratios, _inverse_power_sum
+from eoplab import gammalab
+from eoplab.gammalab import _add_ratios, _inverse_power_sum, y_alpha_i
 from eoplab.numcore import (GUARD_BITS, DomainError, PolyQ, binary_split, capped_sum, int_cauchy,
                             small_cauchy)
 from eoplab.series import (
@@ -605,3 +606,56 @@ def test_binary_split_product_matches_the_fraction_loop(factors, q):
 @example(F(-5, 3), 1, 2)
 def test_inverse_power_sum_matches_the_fraction_loop(x, m, e):
     assert _inverse_power_sum(x, m, e) == oracle_sum((1, (x + j) ** e) for j in range(m))
+
+
+def oracle_jet_recip(a, length):
+    """The Taylor-jet reciprocal that the 1/Gamma jets and the kernels used."""
+    out = [1 / a[0]]
+    for k in range(1, length):
+        acc = 0 * a[0]
+        for j in range(1, min(k, len(a) - 1) + 1):
+            acc += a[j] * out[k - j]
+        out.append(-acc / a[0])
+    return out
+
+
+def oracle_kernel_jet(alpha, n, length):
+    """Jet in (y - alpha) of Gamma(1-{y})/Gamma(-y-n), floor(alpha) frozen, rebuilt
+    for each n: a falling product for n >= -floor(alpha), else its reciprocal."""
+    fl = math.floor(alpha)
+    jet = [F(1)]
+    if n >= -fl:
+        for m in range(n + fl + 1):
+            jet = small_cauchy(jet, [-alpha - n + m, F(-1)], length)
+        return jet + [F(0)] * (length - len(jet))
+    for m in range(-n - fl - 1):
+        jet = small_cauchy(jet, [-alpha + fl + 1 + m, F(-1)], length)
+    jet += [F(0)] * (length - len(jet))
+    return oracle_jet_recip(jet, length)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(F, st.integers(-60, 60), st.integers(1, 12)), st.integers(0, 3),
+       st.integers(0, 30))
+@example(F(1, 3), 3, 30)
+@example(F(-3), 2, 30)
+@example(F(2), 3, 30)
+@example(F(0), 1, 5)
+@example(F(-11, 5), 0, 1)
+def test_y_alpha_i_matches_the_per_n_kernel_jets(alpha, i, N):
+    want = [oracle_kernel_jet(alpha, n, i + 1)[i] for n in range(N)]
+    assert list(y_alpha_i(alpha, i, N).coeffs) == want
+
+
+@pytest.mark.parametrize("alpha", [F(1, 3), F(-17, 4), F(7, 2), F(-3), F(5), F(0)])
+def test_y_alpha_i_takes_one_linear_factor_per_step(alpha, monkeypatch):
+    calls = []
+
+    def counted(a, b, n):
+        calls.append(n)
+        return small_cauchy(a, b, n)
+
+    monkeypatch.setattr(gammalab, "small_cauchy", counted)
+    N = 40
+    y_alpha_i(alpha, 3, N)
+    assert len(calls) <= N + abs(math.floor(alpha)) + 2
