@@ -1,9 +1,11 @@
 """Batch command-line front end emitting CSV/JSON artifacts plus run manifests.
 
 Exact sequences are emitted as ``n,numerator,denominator`` CSV rows; numeric
-tables as ``n,value`` with a fixed digit count. JSON artifacts carry numeric
-values as decimal strings, never as binary floats. Every command writes a
-manifest recording the command, parameters, precision, and output files;
+tables as ``n,value`` with a fixed digit count. No field needs CSV quoting, so
+rows are plain lines. Integers are written in full past Python's int/str digit
+limit, and ``eop fit`` reads them back. JSON artifacts carry numeric values
+as decimal strings, never as binary floats. Every command writes a manifest
+recording the command, parameters, precision, and output files;
 ``eop replay <manifest>`` re-runs the recorded command (it does not compare
 the new outputs with the recorded ones).
 
@@ -13,7 +15,6 @@ Exit codes: 0 success, 1 usage error, 2 domain error, 3 precision failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import re
@@ -26,7 +27,7 @@ from mpmath import mp, workprec
 
 from . import __version__
 from .numcore import (DEFAULT_PREC, GUARD_BITS, DomainError, LeadingCoefficientVanishes,
-                      PrecisionError, RouteDisagreement, to_mpf)
+                      PrecisionError, RouteDisagreement, _decimal_str, _split_int, to_mpf)
 
 # Each command imports the module it runs (constructions, asymlab or gammalab)
 # when it runs, so a job does not pay for importing the others; constructions
@@ -73,8 +74,17 @@ def _digits(value, d: int) -> str:
         return mp.nstr(+value, d, strip_zeros=False)
 
 
+def _read_int(field: str) -> int:
+    """int(field); a field of digits past the int/str digit limit is read by halves."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = field.removeprefix("-")
+    if not (limit and digits.isascii() and digits.isdigit()):
+        return int(field)
+    return -_split_int(digits, limit) if field.startswith("-") else _split_int(digits, limit)
+
+
 def _ratio(v: Fraction) -> list:
-    return [str(v.numerator), str(v.denominator)]
+    return [_decimal_str(v.numerator), _decimal_str(v.denominator)]
 
 
 def _exact_body(args, rows: list, estimates: dict) -> dict:
@@ -125,10 +135,7 @@ def _pade(args) -> tuple:
     if args.z is not None:
         pz, qz = p(args.z), q(args.z)
         params["z"] = str(args.z)
-        body["estimates"] = {
-            "p_at_z": f"{pz.numerator}/{pz.denominator}",
-            "q_at_z": f"{qz.numerator}/{qz.denominator}",
-        }
+        body["estimates"] = {"p_at_z": "/".join(_ratio(pz)), "q_at_z": "/".join(_ratio(qz))}
         rows += [("p(z)", pz), ("q(z)", qz)]
     return params, body, rows, None
 
@@ -154,8 +161,8 @@ def _intseq(args) -> tuple:
            for key in ("wronskian", "a", "b", "c", "d")},
     }
     body = {
-        "U": [str(u) for u in res.U],
-        "V": [str(v) for v in res.V],
+        "U": [_decimal_str(u) for u in res.U],
+        "V": [_decimal_str(v) for v in res.V],
         "A": [_digits(a, args.digits) for a in res.A],
         "estimates": estimates,
     }
@@ -204,19 +211,21 @@ def _gamma_deriv(args) -> tuple:
 
 
 def _fit(args) -> tuple:
+    import csv
+
     from . import constructions
 
     path = Path(args.input)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             # skip the "# key,value" footer lines that sequence CSVs end with
-            reader = csv.DictReader(line for line in fh if not line.startswith("#"))
+            reader = csv.DictReader((ln for ln in fh if not ln.startswith("#")), restval="")
             if not {"numerator", "denominator"} <= set(reader.fieldnames or ()):
                 raise _UsageError("fit input needs an n,numerator,denominator CSV")
-            values = [Fraction(int(row["numerator"]), int(row["denominator"]))
+            values = [Fraction(_read_int(row["numerator"]), _read_int(row["denominator"]))
                       for row in reader]
     # no file, a directory, non-UTF-8 bytes, a bad field, a zero denominator, a short row
-    except (OSError, csv.Error, ValueError, ZeroDivisionError, TypeError) as exc:
+    except (OSError, csv.Error, ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"cannot read {path} as an n,numerator,denominator CSV: "
                           f"{type(exc).__name__}: {exc}")
     fit = constructions.fit_growth(values)
@@ -293,15 +302,11 @@ def _run(command: _Command, args) -> None:
             _dump_json({"command": name, "params": params, "precision_bits": args.prec,
                         **body, "manifest": manifest}, fh)
         else:
-            w = csv.writer(fh, lineterminator="\n")
             if command.exact_rows:
-                w.writerow(["n", "numerator", "denominator"])
-                rows = [(n, v.numerator, v.denominator) for n, v in rows]
-            else:
-                w.writerow(["n", "value"])
-            w.writerows(rows)
-            for key, val in (footer or {}).items():
-                fh.write(f"# {key},{val}\n")
+                rows = ((n, v.numerator, v.denominator) for n, v in rows)
+            fh.write("n,numerator,denominator\n" if command.exact_rows else "n,value\n")
+            fh.writelines(",".join(map(_decimal_str, row)) + "\n" for row in rows)
+            fh.writelines(f"# {key},{val}\n" for key, val in (footer or {}).items())
     man_path = out_dir / f"{name}.manifest.json"
     with _create(man_path) as fh:
         _dump_json(manifest, fh)

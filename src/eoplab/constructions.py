@@ -19,17 +19,17 @@ sequences, and the recurrence route unrolls the recurrence derived from the
 generating ODE (``holonomic.unroll``). The closed and series routes return
 unreduced (numerator, denominator) pairs. The agreement gate reports the
 recurrence route, whose reduction is the cheapest (see ``_run_routes``), and
-checks the other two against it by cross-multiplication; disagreeing routes
-raise :class:`RouteDisagreement`. A run is returned as one immutable
+checks the other two against it by divisibility; disagreeing routes raise
+:class:`RouteDisagreement`. A run is returned as one immutable
 :class:`ApproximationRun` record.
 
 Limit and growth-model estimation work on the exact rational data: the limit
 uses a smooth-window weighted tail mean (exact in rational arithmetic), which
 handles the sqrt(n)-phase oscillation these sequences exhibit; for fast
 (eventually geometric) convergence it is one Aitken Delta^2 step on the last
-three values instead. The decay exponent of |P_n - limit| is
-:func:`numcore.decay_exponent`, the fit that ``asymlab.transfer_rate_check``
-makes against a trusted limit.
+three values instead (or the last value, where the tail is not geometric). The
+decay exponent of |P_n - limit| is :func:`numcore.decay_exponent`, the fit
+that ``asymlab.transfer_rate_check`` makes against a trusted limit.
 """
 
 from __future__ import annotations
@@ -269,15 +269,16 @@ def _run_routes(what: str, routes: dict, N: int, method: str, prec: int,
     Under "all" that is the recurrence route: ``unroll`` builds its Fractions
     anyway, from a running denominator within a few bits of the reduced one,
     so its gcds cost less than either other route's. The other routes are
-    checked against it by cross-multiplication, with no Fraction built."""
+    checked against it by divisibility, with no Fraction built: as gcd(u, v) = 1,
+    a pair a/b equals u/v iff v divides b and a = u (b // v)."""
     if N < 1:
         raise DomainError("need N >= 1")
     if method == "all":
         results = {name: fn(N) for name, fn in routes.items()}
-        vals = _reduced(results["recurrence"])
+        vals = _reduced(results.pop("recurrence"))
         if not all(_agree(vals, r) for r in results.values()):
             raise RouteDisagreement(f"method disagreement in {what}")
-        meta = {"methods": sorted(results), "exact_agreement": True}
+        meta = {"methods": sorted(routes), "exact_agreement": True}
     elif method in routes:
         vals = _reduced(routes[method](N))
         meta = {"methods": [method]}
@@ -296,12 +297,15 @@ def _reduced(values: list) -> list:
 
 
 def _agree(vals: list, route: list) -> bool:
-    """The reduced vals and the route's values are equal term by term: the
-    same pair, or equal cross products."""
-    pairs = [v if isinstance(v, tuple) else (v.numerator, v.denominator) for v in route]
-    return len(pairs) == len(vals) and all(
-        (a, b) == (x.numerator, x.denominator) or a * x.denominator == x.numerator * b
-        for x, (a, b) in zip(vals, pairs))
+    """The reduced vals and the route's values are equal term by term."""
+    if len(route) != len(vals):
+        return False
+    for x, v in zip(vals, route):
+        a, b = v if isinstance(v, tuple) else (v.numerator, v.denominator)
+        q, r = divmod(b, x.denominator)
+        if r or a != x.numerator * q:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +526,9 @@ def limit_estimate(values: list, prec: int = DEFAULT_PREC) -> LimitEstimate:
     The limit is a smooth-window weighted mean of the last three quarters
     (exact rational arithmetic); for sequences whose differences decay
     super-polynomially it is one Aitken Delta^2 step on the last three values
-    instead, exact for a geometric tail L + c r^n.
+    instead, exact for a geometric tail L + c r^n. The step is taken when the
+    last two difference ratios are equal, or grow within (0, 1) (it then falls
+    short of the limit rather than past it); otherwise the limit is the last value.
     The rate exponent is :func:`numcore.decay_exponent` against that limit
     over [max(16, N/10), N) (a narrower window is too noisy for sequences whose
     error carries a sqrt(n)-phase oscillation), or None when degenerate.
@@ -547,13 +553,14 @@ def limit_estimate(values: list, prec: int = DEFAULT_PREC) -> LimitEstimate:
     d_end = abs(vals[-1] - vals[-1 - step])
     d_mid = abs(vals[N // 2] - vals[N // 2 - step])
     if d_mid != 0 and d_end * (1 << 12) < d_mid:
-        a, b, c = vals[-3:]
-        if c - 2 * b + a != 0:
-            est = c - (c - b) ** 2 / (c - 2 * b + a)
-            method = "aitken"
+        z, a, b, c = vals[-4:]
+        est, method = c, "last-value"
+        if a != z and b != a:
+            r, s = (b - a) / (a - z), (c - b) / (b - a)
+            if r == s != 1 or 0 < r <= s < 1:
+                est, method = c - (c - b) ** 2 / (c - 2 * b + a), "aitken"
     elif d_mid == 0 and d_end == 0 and vals[-1] == vals[N // 2]:
-        est = vals[-1]
-        method = "tail-constant"
+        est, method = vals[-1], "tail-constant"
     return LimitEstimate(
         limit=to_mpf(est, prec), rate_exponent=decay_exponent(vals, est, max(16, N // 10), N),
         degenerate=False, method=method,

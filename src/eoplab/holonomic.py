@@ -17,8 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .numcore import (DomainError, Frozen, LeadingCoefficientVanishes, PolyQ, Rational,
-                      poly_gcd)
+from .numcore import DomainError, Frozen, LeadingCoefficientVanishes, PolyQ, poly_gcd
 
 __all__ = [
     "DifferentialOperator",
@@ -96,34 +95,29 @@ class HolonomicSequence(Frozen):
         object.__setattr__(self, "initial", init)
 
 
-def _falling_factorial(shift: Rational, length: int) -> PolyQ:
-    """(n + shift)(n + shift - 1)...(n + shift - length + 1) as a PolyQ in n."""
-    out = PolyQ([1])
-    for m in range(length):
-        out = out * PolyQ([Fraction(shift) - m, 1])
-    return out
-
-
 def ode_to_recurrence(op: DifferentialOperator) -> LinearRecurrence:
-    """Translate an ODE into the normalized recurrence on Taylor coefficients."""
-    shifts: dict[int, PolyQ] = {}
-    for i, p in enumerate(op.coeffs):
-        for j, c in enumerate(p.coeffs):
-            if c == 0:
-                continue
-            s = i - j
-            term = _falling_factorial(s, i) * c
-            shifts[s] = shifts.get(s, PolyQ([])) + term
-    live = {s: q for s, q in shifts.items() if not q.is_zero()}
-    if not live:
-        raise DomainError("operator annihilates every series; no recurrence")
-    s_min, s_max = min(live), max(live)
-    if s_max == s_min:
+    """Translate an ODE into the normalized recurrence on Taylor coefficients.
+
+    Each term of the module docstring's identity is p_{i,j} times a falling
+    factorial of degree i in n, so no shift that has a term cancels; each is
+    expanded one linear factor at a time, directly in n - s_min.
+    """
+    # integer coefficients: normalized() divides the common scale out again
+    scale = lcm(*(c.denominator for p in op.coeffs for c in p.coeffs))
+    terms = [(i - j, i, c.numerator * (scale // c.denominator))
+             for i, p in enumerate(op.coeffs) for j, c in enumerate(p.coeffs) if c]
+    s_min = min(s for s, _, _ in terms)
+    order = max(s for s, _, _ in terms) - s_min
+    if order == 0:
         raise DomainError("recurrence of order 0; the only solution is trivial")
-    coeffs = []
-    for s in range(s_min, s_max + 1):
-        q = live.get(s, PolyQ([]))
-        coeffs.append(q.shift_var(-s_min))
+    coeffs = [[0] * len(op.coeffs) for _ in range(order + 1)]
+    for s, i, c in terms:
+        t = s - s_min
+        ff = [c]  # c (n + t)(n + t - 1)...(n + t - i + 1), lowest degree first
+        for a in range(t, t - i, -1):
+            ff = [a * ff[0], *(p + a * q for p, q in zip(ff, ff[1:])), ff[-1]]
+        for k, f in enumerate(ff):
+            coeffs[t][k] += f
     return LinearRecurrence(coeffs).normalized()
 
 

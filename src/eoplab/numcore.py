@@ -156,8 +156,12 @@ def int_cauchy(a: list, b: list, n: int) -> list:
     return out
 
 
-def _decimal_str(x: int) -> str:
-    return str(Decimal(x))
+def _decimal_str(x) -> str:
+    """str(x); an int past the int/str digit limit is written through Decimal."""
+    try:
+        return str(x)
+    except ValueError:
+        return str(Decimal(x))
 
 
 def _split_int(s: str, limit: int) -> int:
@@ -368,16 +372,6 @@ class PolyQ(Frozen):
         return PolyQ(small_cauchy(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
-
-    def shift_var(self, c: Rational) -> "PolyQ":
-        """Substitute x -> x + c."""
-        out = PolyQ([])
-        xc = PolyQ([1])
-        lin = PolyQ([Fraction(c), Fraction(1)])
-        for coef in self.coeffs:
-            out = out + xc * coef
-            xc = xc * lin
-        return out
 
     def divmod(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
         if other.is_zero():

@@ -1,11 +1,13 @@
 """The `eop` command line: a golden artifact corpus, the exit codes, round trips."""
 
+import csv
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -151,6 +153,66 @@ def test_golden_artifacts(workdir, capsys, argvs, digests):
     assert {path: _sha256(path) for path in printed} == digests
 
 
+def _without(argv, *flags):
+    """argv without each flag in flags and the value after it."""
+    out = list(argv)
+    for flag in flags:
+        if flag in out:
+            i = out.index(flag)
+            del out[i:i + 2]
+    return out
+
+
+def _read_csv(path):
+    """(rows, footer) of a CSV artifact, after checking that csv.reader returns
+    exactly the comma-separated fields written, so that unquoted rows are valid CSV."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    assert list(csv.reader(lines)) == [line.split(",") for line in lines]
+    footer = dict(line[2:].split(",") for line in lines if line.startswith("# "))
+    return [line.split(",") for line in lines if not line.startswith("#")], footer
+
+
+def _expected_rows(doc):
+    """The CSV rows that a JSON artifact's fields stand for."""
+    cmd, est = doc["command"], doc["estimates"]
+    exact = ["n", "numerator", "denominator"]
+    if cmd in ("gamma_approx", "euler_approx", "e_convergents"):
+        return [exact, *([str(n), a, b] for n, a, b in doc["values"])]
+    if cmd == "pade":
+        at_z = [[f"{k}(z)", *est[f"{k}_at_z"].split("/")] for k in "pq" if est]
+        return [exact, *([f"{k}{i}", *c] for k in "pq" for i, c in enumerate(doc[f"{k}_coeffs"])),
+                *at_z]
+    if cmd == "intseq":
+        fracs = (Fraction(int(u), int(v) or 1) for u, v in zip(doc["U"], doc["V"]))
+        return [exact, *([str(k), str(f.numerator), str(f.denominator)]
+                         for k, f in enumerate(fracs))]
+    if cmd == "gamma_deriv":
+        return [["n", "value"], *([str(k), v] for k, v in doc["values"])]
+    return [["n", "value"], *sorted([k, str(v)] for k, v in est.items())]  # asym_check, fit
+
+
+@pytest.mark.parametrize("argvs", [pytest.param(case.values[0], id=case.id) for case in GOLDEN])
+def test_csv_and_json_artifacts_carry_the_same_values(workdir, argvs):
+    # the command of each golden case (a replay's is the one it replays), run
+    # after the commands before it, once per format
+    *before, argv = [a for a in argvs if a[0] != "replay"]
+    for prior in before:
+        assert main(prior) == EXIT_OK
+    argv = _without(argv, "--format", "--out")
+    assert main([*argv, "--out", "c"]) == EXIT_OK
+    assert main([*argv, "--format", "json", "--out", "j"]) == EXIT_OK
+    name = argv[0].replace("-", "_")
+    doc = json.loads(Path("j", f"{name}.json").read_text(encoding="utf-8"))
+    rows, footer = _read_csv(Path("c", f"{name}.csv"))
+    if doc["command"] in ("asym_check", "fit"):  # rows of estimates, which JSON sorts by key
+        rows[1:] = sorted(rows[1:])
+    assert rows == _expected_rows(doc)
+    if doc["command"] in ("gamma_approx", "euler_approx", "intseq"):
+        assert footer == {k: str(v) for k, v in doc["estimates"].items()}
+    else:
+        assert footer == {}
+
+
 def _exit_code(argv, capsys):
     rc = main(argv)
     err = capsys.readouterr().err
@@ -241,6 +303,33 @@ def test_gamma_approx_on_the_aitken_path_finishes(workdir, capsys):
     assert json.loads(Path("out/gamma_approx.json").read_text())["estimates"]
 
 
+@pytest.mark.parametrize("argv", [
+    "intseq --k 1700 --prec 32 --digits 5",
+    "gamma-approx --alpha=1/3 --n 1500 --method recurrence",
+    "e-convergents --n 1500",
+])
+def test_integers_wider_than_the_int_str_digit_limit_are_written(workdir, capsys, argv):
+    assert _exit_code([*argv.split(), "--out", "out"], capsys) == (EXIT_OK, "")
+    path = next(Path("out").glob("*.csv"))
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()
+            if not line.startswith("#")]
+    assert max(len(field) for row in rows for field in row) > 4300
+    if argv.startswith("e-convergents"):
+        want = [(n, Fraction(*pair)) for n, pair in enumerate(constructions._e_convergent_rows(1500), 1)]
+        assert [(int(n), Fraction(cli._read_int(a), cli._read_int(b))) for n, a, b in rows[1:]] == want
+    if argv.startswith("gamma-approx"):
+        assert _exit_code(["fit", "--input", str(path), "--out", "fit"], capsys) == (EXIT_OK, "")
+        assert Path("fit/fit.csv").read_text(encoding="utf-8").startswith("n,value\nq,1.0000")
+
+
+def test_wide_integer_fields_read_back():
+    for x in (7**6000, -(7**6000), 10**4300, -(10**4299), 0, -1, 12):
+        assert cli._read_int(numcore._decimal_str(x)) == x
+    for bad in ("1 2" * 2000, "12-3" * 1200, "+" + "9" * 5000 + "x", "", "-"):
+        with pytest.raises(ValueError):
+            cli._read_int(bad)
+
+
 @pytest.mark.parametrize("k", [855, 1000])
 def test_intseq_prints_values_wider_than_the_int_str_digit_limit(workdir, capsys, k):
     # A_k is carried at about 2 log2(k!) bits (14 300 at k = 855), and printing
@@ -310,9 +399,11 @@ loaded = ours()
 print(sorted(loaded))
 rc = eoplab.cli.main(sys.argv[1:])
 print(rc, sorted(ours() - loaded))
-print(sorted(m for m in ("dataclasses", "inspect", "eoplab.series", "eoplab.holonomic")
+print(sorted(m for m in ("csv", "dataclasses", "eoplab.holonomic", "eoplab.series", "inspect")
              if m in sys.modules))
 """
+
+_SEQUENCE_MODULES = ["eoplab.constructions", "eoplab.holonomic", "eoplab.series"]
 
 
 @pytest.mark.parametrize("argv,added", [
@@ -320,8 +411,16 @@ print(sorted(m for m in ("dataclasses", "inspect", "eoplab.series", "eoplab.holo
     ("asym-check --which elog --z 10", ["eoplab.asymlab", "eoplab.gammalab"]),
     ("asym-check --which ealpha --alpha=-5/3 --z 12", ["eoplab.asymlab", "eoplab.gammalab"]),
     ("intseq --k 20 --prec 128", ["eoplab.constructions"]),
+    ("gamma-approx --alpha=1/3 --n 20", _SEQUENCE_MODULES),
+    ("euler-approx --n 20", _SEQUENCE_MODULES),
+    ("pade --n 6 --z=1/2", ["eoplab.constructions"]),
+    ("e-convergents --n 12", ["eoplab.constructions"]),
+    ("fit --input e_convergents.csv", ["eoplab.constructions"]),
 ])
 def test_each_command_imports_only_the_modules_it_runs(tmp_path, argv, added):
+    # only fit reads CSV, so only fit loads csv
+    if argv.startswith("fit"):
+        assert main(["e-convergents", "--n", "40", "--out", str(tmp_path)]) == EXIT_OK
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -329,7 +428,10 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, argv, added):
                          cwd=tmp_path, capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
     assert lines[0] == str(["eoplab", "eoplab.cli", "eoplab.numcore"])
-    assert lines[-2:] == [f"{EXIT_OK} {added}", "[]"]
+    needed = [m for m in added if m in ("eoplab.holonomic", "eoplab.series")]
+    if argv.startswith("fit"):
+        needed.insert(0, "csv")
+    assert lines[-2:] == [f"{EXIT_OK} {added}", str(needed)]
 
 
 def test_leading_coefficient_vanishes_is_one_class():

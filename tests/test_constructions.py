@@ -322,6 +322,23 @@ def test_limit_estimate_fast_path_is_one_aitken_step():
     assert est.denominator.bit_length() <= 3 * biggest + 64
 
 
+def test_limit_estimate_steps_only_on_geometric_tails():
+    # At alpha = -21/2, N = 40 the last difference ratios fall (0.717, 0.707)
+    # as the tail turns: one Delta^2 step lands 2.2e-10 from Gamma(alpha), the
+    # last value 8.4e-12 from it.
+    vals = gamma_seq(F(-21, 2), 40, method="recurrence").values
+    est = limit_estimate(vals)
+    gamma = mp.gamma(mpf(-21) / 2)
+    assert est.method == "last-value" and est.limit == to_mpf(vals[-1])
+    assert abs(est.limit - gamma) < mpf("8.4e-12")
+    # at -25/2, N = 16 they grow (0.039, 0.110): the step falls short of the
+    # limit, 1.73e-5 from it, where the last value is 3.79e-5 from it
+    vals = gamma_seq(F(-25, 2), 16, method="recurrence").values
+    est = limit_estimate(vals)
+    assert est.method == "aitken"
+    assert abs(est.limit - mp.gamma(mpf(-25) / 2)) < mpf("1.74e-5")
+
+
 def test_limit_estimate_gamma_window():
     run_vals = gamma_seq(F(1, 2), 400, method="recurrence").values
     est = limit_estimate(run_vals)

@@ -17,27 +17,33 @@ from mpmath import mp, mpf, workprec
 
 from eoplab.asymlab import asym_E_alpha
 from eoplab.cli import _digits
+from eoplab import constructions
 from eoplab.constructions import (
+    _agree,
     _bessel_sum,
     _e_convergent_rows,
     _euler_closed,
     _gamma_closed,
     e_convergents,
     gamma_coefficient_recurrence,
+    gamma_generating_ode,
     gamma_seed_values,
+    gamma_seq,
     intseq,
     pade_exp,
 )
 from eoplab.holonomic import (
+    DifferentialOperator,
     HolonomicSequence,
     LeadingCoefficientVanishes,
     LinearRecurrence,
+    ode_to_recurrence,
     unroll,
 )
 from eoplab import gammalab
 from eoplab.gammalab import _add_ratios, _inverse_power_sum, y_alpha_i
-from eoplab.numcore import (GUARD_BITS, DomainError, PolyQ, binary_split, capped_sum, int_cauchy,
-                            small_cauchy)
+from eoplab.numcore import (GUARD_BITS, DomainError, PolyQ, RouteDisagreement, binary_split,
+                            capped_sum, int_cauchy, small_cauchy)
 from eoplab.series import (
     TruncatedSeries,
     _canonical,
@@ -659,3 +665,133 @@ def test_y_alpha_i_takes_one_linear_factor_per_step(alpha, monkeypatch):
     N = 40
     y_alpha_i(alpha, 3, N)
     assert len(calls) <= N + abs(math.floor(alpha)) + 2
+
+
+def oracle_agree(vals, route):
+    """The gate as it compared a route with the reduced values before it
+    tested divisibility: the same pair, or equal cross products."""
+    pairs = [v if isinstance(v, tuple) else (v.numerator, v.denominator) for v in route]
+    return len(pairs) == len(vals) and all(
+        (a, b) == (x.numerator, x.denominator) or a * x.denominator == x.numerator * b
+        for x, (a, b) in zip(vals, pairs))
+
+
+@st.composite
+def gate_cases(draw):
+    """(vals, route): reduced values and a route of pairs (Fractions now and
+    then) that are multiples of them, of either sign, except at up to two
+    places, where a pair is off by a little or anything, zero numerators and
+    denominators included; sometimes a term short."""
+    vals = draw(st.lists(st.builds(F, st.integers(-60, 60), st.integers(1, 60)), max_size=8))
+    off = draw(st.sets(st.integers(0, 7), max_size=2))
+    route = []
+    for i, x in enumerate(vals):
+        k = draw(st.integers(-5, 5).filter(bool))
+        a, b = k * x.numerator, k * x.denominator
+        kind = draw(st.sampled_from(["numerator", "denominator", "any"])) if i in off else ""
+        if kind == "numerator":
+            a += draw(st.integers(-2, 2))
+        elif kind == "denominator":
+            b = draw(st.sampled_from([b + 1, b - 1, 2 * b, b * x.denominator + 1]))
+        elif kind == "any":
+            a, b = draw(st.integers(-99, 99)), draw(st.integers(-99, 99))
+        route.append(F(a, b) if b and draw(st.booleans()) else (a, b))
+    if route and draw(st.integers(0, 3)) == 0:
+        route.pop(draw(st.integers(0, len(route) - 1)))
+    return vals, route
+
+
+@settings(max_examples=300)
+@given(gate_cases())
+@example(([], []))
+@example(([F(3, 4)], [(-6, -8)]))
+@example(([F(3, 4)], [(3, 8)]))
+@example(([F(0)], [(0, 7)]))
+@example(([F(0)], [(0, 0)]))
+@example(([F(-1, 2)], [(1, -2)]))
+@example(([F(5, 6)], [(10, 18)]))
+def test_gate_matches_the_cross_products(case):
+    vals, route = case
+    assert _agree(vals, route) == oracle_agree(vals, route)
+
+
+def _falling(shift, length):
+    """(n + shift)(n + shift - 1)...(n + shift - length + 1) as a PolyQ."""
+    out = PolyQ([1])
+    for m in range(length):
+        out = out * PolyQ([F(shift) - m, 1])
+    return out
+
+
+def _shift_var(p, c):
+    """p(n + c), one power of (n + c) at a time."""
+    out, power = PolyQ([]), PolyQ([1])
+    for coef in p.coeffs:
+        out = out + power * coef
+        power = power * PolyQ([F(c), 1])
+    return out
+
+
+def oracle_ode_to_recurrence(op):
+    """The PolyQ derivation ode_to_recurrence ran before it expanded each
+    falling factorial directly in n - s_min."""
+    shifts = {}
+    for i, p in enumerate(op.coeffs):
+        for j, c in enumerate(p.coeffs):
+            if c:
+                shifts[i - j] = shifts.get(i - j, PolyQ([])) + _falling(i - j, i) * c
+    live = {s: q for s, q in shifts.items() if not q.is_zero()}
+    s_min, s_max = min(live), max(live)
+    if s_max == s_min:
+        raise DomainError("recurrence of order 0")
+    return LinearRecurrence([_shift_var(live.get(s, PolyQ([])), -s_min)
+                             for s in range(s_min, s_max + 1)]).normalized()
+
+
+def _derived(fn, op):
+    try:
+        return fn(op)
+    except DomainError:
+        return "order 0"
+
+
+operators = st.lists(st.lists(st.one_of(st.just(F(0)), small_rationals), max_size=5),
+                     min_size=1, max_size=4).filter(
+    lambda cs: any(c for p in cs for c in p)).map(DifferentialOperator)
+
+
+@settings(max_examples=150)
+@given(operators)
+@example(DifferentialOperator([[F(-1)], [F(1)]]))
+@example(DifferentialOperator([[F(1, 2)]]))
+@example(DifferentialOperator([[0, 0, F(3)], [0, F(-1)]]))
+def test_ode_to_recurrence_matches_the_polyq_derivation(op):
+    assert _derived(ode_to_recurrence, op) == _derived(oracle_ode_to_recurrence, op)
+
+
+@given(alphas())
+@example(F(1, 3))
+@example(F(-29, 12))
+def test_gamma_recurrence_matches_the_polyq_derivation(alpha):
+    op = gamma_generating_ode(alpha)
+    assert gamma_coefficient_recurrence(alpha) == oracle_ode_to_recurrence(op)
+
+
+@settings(max_examples=30)
+@given(alphas(), st.sampled_from(["closed", "series"]), st.sampled_from(["numerator", "denominator"]),
+       st.integers(16, 60), st.data())
+def test_gate_rejects_a_mutated_route(alpha, name, mutation, N, data):
+    route = constructions._GAMMA_METHODS[name]
+    at = data.draw(st.integers(0, N - 1))
+
+    def mutated(alpha, N):
+        pairs = route(alpha, N)
+        a, b = pairs[at]
+        pairs[at] = (a + 1, b) if mutation == "numerator" else (a, 2 * b)
+        return pairs
+
+    assert route(alpha, N)[at][0] != 0  # doubling the denominator changes the value
+    with pytest.MonkeyPatch.context() as m:
+        m.setitem(constructions._GAMMA_METHODS, name, mutated)
+        with pytest.raises(RouteDisagreement):
+            gamma_seq(alpha, N)
