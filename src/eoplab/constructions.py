@@ -24,12 +24,14 @@ checks the other two against it by divisibility; disagreeing routes raise
 :class:`ApproximationRun` record.
 
 Limit and growth-model estimation work on the exact rational data: the limit
-uses a smooth-window weighted tail mean (exact in rational arithmetic), which
-handles the sqrt(n)-phase oscillation these sequences exhibit; for fast
-(eventually geometric) convergence it is one Aitken Delta^2 step on the last
-three values instead (or the last value, where the tail is not geometric). The
-decay exponent of |P_n - limit| is :func:`numcore.decay_exponent`, the fit
-that ``asymlab.transfer_rate_check`` makes against a trusted limit.
+uses a smooth-window weighted tail mean, which handles the sqrt(n)-phase
+oscillation these sequences exhibit; for fast (eventually geometric)
+convergence it is one Aitken Delta^2 step on the last three values instead (or
+the last value, where the tail is not geometric). The mean is formed in fixed
+point and printed as the exact mean rounded once; the exact rational sum runs
+only when the fixed-point bracket cannot settle that rounding. The decay
+exponent of |P_n - limit| is :func:`numcore.decay_exponent`, the fit that
+``asymlab.transfer_rate_check`` makes against a trusted limit.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from operator import add
 from mpmath import mp, mpf, workprec
 
 from .numcore import (
+    Bracket,
     DEFAULT_PREC,
     GUARD_BITS,
     DomainError,
@@ -56,6 +59,7 @@ from .numcore import (
     least_squares_line,
     off_poles,
     to_mpf,
+    weighted_mean,
 )
 
 # The series and holonomic layers are imported inside the functions that run
@@ -523,15 +527,19 @@ def _win_weight(i: int, width: int) -> int:
 def limit_estimate(values: list, prec: int = DEFAULT_PREC) -> LimitEstimate:
     """Limit and empirical decay exponent of a convergent exact sequence.
 
-    The limit is a smooth-window weighted mean of the last three quarters
-    (exact rational arithmetic); for sequences whose differences decay
-    super-polynomially it is one Aitken Delta^2 step on the last three values
-    instead, exact for a geometric tail L + c r^n. The step is taken when the
-    last two difference ratios are equal, or grow within (0, 1) (it then falls
-    short of the limit rather than past it); otherwise the limit is the last value.
-    The rate exponent is :func:`numcore.decay_exponent` against that limit
-    over [max(16, N/10), N) (a narrower window is too noisy for sequences whose
-    error carries a sqrt(n)-phase oscillation), or None when degenerate.
+    For sequences whose differences decay super-polynomially the limit is one
+    Aitken Delta^2 step on the last three values, exact for a geometric tail
+    L + c r^n. The step is taken when the last two difference ratios are
+    equal, or grow within (0, 1) (it then falls short of the limit rather than
+    past it); otherwise the limit is the last value. Any other sequence gets a
+    smooth-window weighted mean of its last three quarters, formed only then,
+    in fixed point (:func:`numcore.weighted_mean`): its printed value is the
+    exact mean rounded once to ``prec`` bits, taken from the fixed-point
+    bracket when both ends round alike and from the exact rational sum when
+    they do not. The rate exponent is :func:`numcore.decay_exponent` against
+    that limit over [max(16, N/10), N) (a narrower window is too noisy for
+    sequences whose error carries a sqrt(n)-phase oscillation), or None when
+    degenerate.
     """
     vals = [Fraction(v) for v in values]
     N = len(vals)
@@ -542,13 +550,6 @@ def limit_estimate(values: list, prec: int = DEFAULT_PREC) -> LimitEstimate:
             limit=to_mpf(vals[0], prec), rate_exponent=None,
             degenerate=True, method="constant",
         )
-    method = "window"
-    tail = vals[N // 4:]
-    weights = [_win_weight(i, len(tail)) for i in range(len(tail))]
-    # one integer sum over the common denominator of the tail
-    den = math.lcm(*(v.denominator for v in tail))
-    est = Fraction(sum(w * v.numerator * (den // v.denominator)
-                       for w, v in zip(weights, tail)), den * sum(weights))
     step = max(1, N // 8)
     d_end = abs(vals[-1] - vals[-1 - step])
     d_mid = abs(vals[N // 2] - vals[N // 2 - step])
@@ -561,8 +562,16 @@ def limit_estimate(values: list, prec: int = DEFAULT_PREC) -> LimitEstimate:
                 est, method = c - (c - b) ** 2 / (c - 2 * b + a), "aitken"
     elif d_mid == 0 and d_end == 0 and vals[-1] == vals[N // 2]:
         est, method = vals[-1], "tail-constant"
+    else:
+        tail = vals[N // 4:]
+        est = weighted_mean(tail, [_win_weight(i, len(tail)) for i in range(len(tail))], prec)
+        limit, method = est.rounded(prec), "window"
+        if limit is None:
+            est = est.exact()
+    if not isinstance(est, Bracket):
+        limit = to_mpf(est, prec)
     return LimitEstimate(
-        limit=to_mpf(est, prec), rate_exponent=decay_exponent(vals, est, max(16, N // 10), N),
+        limit=limit, rate_exponent=decay_exponent(vals, est, max(16, N // 10), N),
         degenerate=False, method=method,
     )
 

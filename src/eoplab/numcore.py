@@ -4,32 +4,46 @@ Exact quantities are ``fractions.Fraction`` values (always normalized, positive
 denominator). Configurable-precision reals are ``mpmath.mpf`` values computed
 inside an explicit ``workprec`` context; every public numeric routine takes a
 ``prec`` argument in bits and guarantees at least that many significand bits.
-There is no interval arithmetic and no certified error bound yet: the tests
-check numeric results against mpmath oracles and, through the ``double_run``
-fixture, at twice the precision; certified bounds are open work (ROADMAP item 9).
+:func:`to_mpf` rounds a Fraction once, to the nearest. There is no interval
+arithmetic and no certified truncation bound yet: the tests check numeric
+results against mpmath oracles and, through the ``double_run`` fixture, at
+twice the precision; certified bounds are open work (ROADMAP item 9).
+
+Results of exact sequences that are needed only to some bits are computed in
+fixed point, on integers floor(v 2^W), with the exact rational path kept as
+the fallback: :func:`weighted_mean` returns a :class:`Bracket` of width 2^-W
+around the mean, which rounds it when both ends round alike, and
+:func:`decay_exponent` takes the log of each fixed-point difference that keeps
+64 bits.
 
 :func:`int_cauchy` is the exact product kernel for long integer coefficient
 vectors: it packs both vectors into one ``Decimal`` each (Kronecker
-substitution) and multiplies them in a private exact context.
+substitution) and multiplies them in a private exact context. The same
+context joins the halves of :func:`_decimal_str`, the divide-and-conquer
+writer of integers past the int/str digit limit, which the CLI artifacts and
+the wide fields of :func:`int_cauchy` use.
 :func:`small_cauchy` is the schoolbook loop for short vectors of ``Fraction``
 or ``mpf`` entries (polynomial and Taylor-jet products). :func:`binary_split`
 adds or multiplies many small rationals as a balanced tree.
 
 :func:`off_poles` is the one pole test (Gamma and the E_alpha family have
 their poles at the nonpositive integers). :func:`decay_exponent` is the one
-fit of the decay rate of |P_n - L|, on exact rationals.
+fit of the decay rate of |P_n - L|.
 """
 
 from __future__ import annotations
 
 import decimal
+import functools
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, log
+from math import gcd, lcm, log
 import sys
 import threading
 
-from mpmath import mpf, workprec
+from mpmath import mp, mpf, workprec
+from mpmath.libmp import from_rational, round_nearest
 
 Rational = Fraction
 
@@ -69,10 +83,14 @@ class LeadingCoefficientVanishes(ArithmeticError):
 
 
 def to_mpf(q, prec: int = DEFAULT_PREC) -> mpf:
-    """Round an exact rational (or int/mpf) to an mpf with ``prec`` bits."""
+    """Round an exact rational (or int/mpf) to the nearest mpf with ``prec`` bits.
+
+    A Fraction is rounded once, by ``libmp.from_rational`` (rounding the
+    numerator first and then dividing would round twice).
+    """
+    if isinstance(q, Fraction):
+        return mp.make_mpf(from_rational(q.numerator, q.denominator, prec, round_nearest))
     with workprec(prec):
-        if isinstance(q, Fraction):
-            return mpf(q.numerator) / q.denominator
         return +mpf(q)
 
 
@@ -157,11 +175,43 @@ def int_cauchy(a: list, b: list, n: int) -> list:
 
 
 def _decimal_str(x) -> str:
-    """str(x); an int past the int/str digit limit is written through Decimal."""
+    """str(x); an int past the int/str digit limit is converted by divide and
+    conquer (Brent and Zimmermann, *Modern Computer Arithmetic*, 1.7).
+
+    ``str(Decimal(x))`` is quadratic in the digits. Instead x = hi 2^k + lo,
+    with k the largest power of two below the bit length of x, and the halves,
+    converted the same way, are joined as exact ``Decimal`` values,
+    hi * 2^k + lo, by products that libmpdec makes subquadratic. Each 2^k is
+    the square of 2^(k/2) and is built once.
+    """
     try:
         return str(x)
     except ValueError:
-        return str(Decimal(x))
+        return str(_to_decimal(x))
+
+
+#: Integers of at most this many bits go to Decimal directly.
+_DIRECT_BITS = 1 << 11
+
+
+def _to_decimal(x: int) -> Decimal:
+    if x < 0:
+        return _EXACT.minus(_to_decimal(-x))
+    if x.bit_length() <= _DIRECT_BITS:
+        return Decimal(x)
+    j = (x.bit_length() - 1).bit_length() - 1  # k = 2^j < bit length <= 2k
+    k = 1 << j
+    hi = x >> k
+    return _EXACT.fma(_to_decimal(hi), _pow2(j), _to_decimal(x - (hi << k)))
+
+
+@functools.cache
+def _pow2(j: int) -> Decimal:
+    """2^(2^j) as an exact Decimal."""
+    if (1 << j) <= _DIRECT_BITS:
+        return Decimal(1 << (1 << j))
+    half = _pow2(j - 1)
+    return _EXACT.multiply(half, half)
 
 
 def _split_int(s: str, limit: int) -> int:
@@ -218,21 +268,102 @@ def least_squares_line(xs: list, ys: list) -> tuple:
     return slope, (sy - slope * sx) / n
 
 
-def decay_exponent(values: list, limit: Fraction, lo: int, hi: int) -> float | None:
-    """Least-squares slope of log|v_n - limit| against log n over lo <= n < hi,
-    or None when fewer than four v_n there differ from the limit.
+#: Fixed-point differences carry this many bits past the largest value; a
+#: float log is taken of one that keeps at least _KEPT_BITS of them.
+_FIT_BITS = 128
+_KEPT_BITS = 64
 
-    The v_n and the limit are exact rationals, and each log is taken of an exact
-    integer: log|v_n - p/q| = log|num_n q - p den_n| - log(den_n q).
+
+def _magnitude(values) -> int:
+    """An e with |v| < 2^(e+1) for every v among the rationals ``values``
+    (0 for none)."""
+    return max((v.numerator.bit_length() - v.denominator.bit_length() for v in values),
+               default=0)
+
+
+class Bracket(namedtuple("Bracket", "num den bits exact")):
+    """A rational L known in fixed point, num/den <= L 2^bits < num/den + 1;
+    ``exact()`` computes L itself (a cached zero-argument function).
+
+    :meth:`floor` and :meth:`rounded` answer from the bracket alone when it
+    settles the answer, and return None when it does not.
     """
-    p, q = limit.numerator, limit.denominator
+
+    __slots__ = ()
+
+    def floor(self, w: int) -> int | None:
+        """floor(L 2^w), for 0 <= w <= bits."""
+        if not 0 <= w <= self.bits:
+            return None
+        m = self.den << (self.bits - w)
+        f = self.num // m
+        return f if (self.num + self.den - 1) // m == f else None
+
+    def rounded(self, prec: int) -> mpf | None:
+        """L rounded to the nearest mpf of ``prec`` bits: both ends of the
+        bracket round to it, and rounding is monotone."""
+        scale = self.den << self.bits
+        low = from_rational(self.num, scale, prec, round_nearest)
+        if from_rational(self.num + self.den, scale, prec, round_nearest) != low:
+            return None
+        return mp.make_mpf(low)
+
+
+def weighted_mean(values: list, weights: list, prec: int) -> Bracket:
+    """sum_i w_i v_i / sum_i w_i for rationals v_i and positive integer weights,
+    as a :class:`Bracket` of 2^-W with W = max(prec, 128) + 64 bits past the
+    largest |v_i|.
+
+    Its num is sum_i w_i floor(v_i 2^W) and its den sum_i w_i; each floor is
+    short by less than 1, so the mean lies within 2^-W above num/(den 2^W).
+    The exact mean is one integer sum over the common denominator.
+    """
+    w = max(0, max(prec, _FIT_BITS) + _KEPT_BITS - _magnitude(values))
+    total = sum(weights)
+
+    @functools.cache
+    def exact() -> Fraction:
+        den = lcm(*(v.denominator for v in values))
+        return Fraction(sum(c * v.numerator * (den // v.denominator)
+                            for c, v in zip(weights, values)), den * total)
+
+    num = sum(c * ((v.numerator << w) // v.denominator) for c, v in zip(weights, values))
+    return Bracket(num, total, w, exact)
+
+
+def decay_exponent(values: list, limit, lo: int, hi: int) -> float | None:
+    """Least-squares slope of log|v_n - L| against log n over lo <= n < hi,
+    or None when fewer than four v_n there differ from the limit L.
+
+    The v_n are rationals, and L is a Fraction or a :class:`Bracket`. Each
+    difference is formed in fixed point, floor(v_n 2^W) - floor(L 2^W), with
+    W = 128 bits past the largest |v_n| in the window. W depends on the values
+    alone, so an exact L and a bracket that settles floor(L 2^W) give the same
+    floors. The difference is within 2 units of (v_n - L) 2^W, and its float log
+    is taken when it keeps at least 64 bits; otherwise that n uses the exact
+    integer log|num_n q - p den_n| - log(den_n q), with L = p/q.
+    """
+    w = max(0, _FIT_BITS - _magnitude(values[lo:hi]))
+    exact = limit.exact if isinstance(limit, Bracket) else lambda: limit
+    fl = limit.floor(w) if isinstance(limit, Bracket) else None
+    if fl is None:
+        L = exact()
+        fl = (L.numerator << w) // L.denominator
+    shift = w * log(2)
     xs, ys = [], []
     for n in range(lo, hi):
         v = values[n]
-        d = abs(v.numerator * q - p * v.denominator)
-        if d:
-            xs.append(log(n))
-            ys.append(log(d) - log(v.denominator * q))
+        d = abs((v.numerator << w) // v.denominator - fl)
+        if d >> _KEPT_BITS:
+            y = log(d) - shift
+        else:
+            L = exact()
+            d = abs(v.numerator * L.denominator - L.numerator * v.denominator)
+            if not d:
+                continue
+            y = log(d) - log(v.denominator * L.denominator)
+        xs.append(log(n))
+        ys.append(y)
     return least_squares_line(xs, ys)[0] if len(xs) >= 4 else None
 
 

@@ -318,6 +318,12 @@ def test_integers_wider_than_the_int_str_digit_limit_are_written(workdir, capsys
         want = [(n, Fraction(*pair)) for n, pair in enumerate(constructions._e_convergent_rows(1500), 1)]
         assert [(int(n), Fraction(cli._read_int(a), cli._read_int(b))) for n, a, b in rows[1:]] == want
     if argv.startswith("gamma-approx"):
+        # a long run: the limit, its decay fit and the wide fields all pinned
+        assert _sha256(path) == "56dd0c333528c0c5caaffc7ea2b09cdbda39a9e935c0445027faf86d2d6ea4d6"
+        json_argv = [*argv.split(), "--format", "json", "--out", "out"]
+        assert _exit_code(json_argv, capsys) == (EXIT_OK, "")
+        assert _sha256("out/gamma_approx.json") == (
+            "cb13135b35aed51a994141190f9e8954484a4b7fb03a78e41e9817dbd630b801")
         assert _exit_code(["fit", "--input", str(path), "--out", "fit"], capsys) == (EXIT_OK, "")
         assert Path("fit/fit.csv").read_text(encoding="utf-8").startswith("n,value\nq,1.0000")
 

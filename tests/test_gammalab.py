@@ -194,7 +194,7 @@ def test_gamma_deriv_bits_are_pinned():
             values = gamma_deriv(4, x, prec).values
             h.update(repr([tuple(map(int, v._mpf_)) for v in values]).encode())
     assert len(grid) == 108
-    assert h.hexdigest() == "b078bc81377f1e455deb6e05fa48c6ff1fd15392666b853dfb6a82a854595782"
+    assert h.hexdigest() == "e79856954d9fad875a30452da4533980b9d4086917c3c48ac736cd84060eacee"
 
 
 def test_structure_polynomial_leading_gamma_coefficient():

@@ -7,6 +7,7 @@ be; the kernels must give the same values under ``==``.
 import decimal
 import math
 import operator
+import random
 import sys
 from fractions import Fraction as F
 from itertools import count
@@ -24,12 +25,14 @@ from eoplab.constructions import (
     _e_convergent_rows,
     _euler_closed,
     _gamma_closed,
+    _win_weight,
     e_convergents,
     gamma_coefficient_recurrence,
     gamma_generating_ode,
     gamma_seed_values,
     gamma_seq,
     intseq,
+    limit_estimate,
     pade_exp,
 )
 from eoplab.holonomic import (
@@ -37,13 +40,15 @@ from eoplab.holonomic import (
     HolonomicSequence,
     LeadingCoefficientVanishes,
     LinearRecurrence,
+    _coprime_at_integers,
     ode_to_recurrence,
     unroll,
 )
 from eoplab import gammalab
 from eoplab.gammalab import _add_ratios, _inverse_power_sum, y_alpha_i
-from eoplab.numcore import (GUARD_BITS, DomainError, PolyQ, RouteDisagreement, binary_split,
-                            capped_sum, int_cauchy, small_cauchy)
+from eoplab.numcore import (GUARD_BITS, DomainError, PolyQ, RouteDisagreement, _decimal_str,
+                            binary_split, capped_sum, decay_exponent, int_cauchy,
+                            least_squares_line, poly_gcd, small_cauchy, to_mpf, weighted_mean)
 from eoplab.series import (
     TruncatedSeries,
     _canonical,
@@ -795,3 +800,170 @@ def test_gate_rejects_a_mutated_route(alpha, name, mutation, N, data):
         m.setitem(constructions._GAMMA_METHODS, name, mutated)
         with pytest.raises(RouteDisagreement):
             gamma_seq(alpha, N)
+
+
+def oracle_decay_exponent(values, limit, lo, hi):
+    """The decay fit before it worked in fixed point: each log taken of an
+    exact integer, log|num_n q - p den_n| - log(den_n q)."""
+    p, q = limit.numerator, limit.denominator
+    xs, ys = [], []
+    for n in range(lo, hi):
+        v = values[n]
+        d = abs(v.numerator * q - p * v.denominator)
+        if d:
+            xs.append(math.log(n))
+            ys.append(math.log(d) - math.log(v.denominator * q))
+    return least_squares_line(xs, ys)[0] if len(xs) >= 4 else None
+
+
+def _window_mean(vals):
+    tail = vals[len(vals) // 4:]
+    weights = [_win_weight(i, len(tail)) for i in range(len(tail))]
+    return tail, weights, sum(w * v for w, v in zip(weights, tail)) / sum(weights)
+
+
+def _same_fit(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert abs(got - want) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(alphas(), st.integers(16, 240))
+@example(F(1, 3), 240)
+@example(F(-25, 2), 16)  # an Aitken limit: a geometric tail
+@example(F(-29, 2), 40)
+def test_decay_exponent_matches_the_exact_fit_on_gamma_sequences(alpha, N):
+    vals = gamma_seq(alpha, N, "recurrence").values
+    lo = max(16, N // 10)
+    limits = [_window_mean(vals)[2], vals[-1], F(0)]
+    if len(set(vals)) > 1:  # the limit limit_estimate took, at 1024 bits
+        sign, man, exp, _ = limit_estimate(vals, 1024).limit._mpf_
+        limits.append((-1) ** sign * man * F(2) ** exp)
+    for L in limits:
+        _same_fit(decay_exponent(vals, L, lo, N), oracle_decay_exponent(vals, L, lo, N))
+
+
+@given(st.sampled_from([F(1, 2), F(-1, 5), F(2, 3), F(-7, 8), F(1, 1000)]),
+       st.builds(F, st.integers(-50, 50), st.integers(1, 9)), st.integers(4, 64))
+@example(F(1, 1000), F(3), 40)
+def test_decay_exponent_matches_the_exact_fit_on_geometric_tails(r, L, N):
+    # v_n - L = r^n soon keeps fewer than 64 of the fixed-point bits, and
+    # those n take the exact difference; at L itself no n counts
+    vals = [L + r**n for n in range(N)]
+    for limit in (L, L + r ** (N + 3), vals[N // 2]):
+        _same_fit(decay_exponent(vals, limit, 1, N), oracle_decay_exponent(vals, limit, 1, N))
+
+
+def test_decay_exponent_reads_a_bracket_as_its_exact_limit():
+    vals = gamma_seq(F(1, 3), 400, "recurrence").values
+    tail, weights, exact = _window_mean(vals)
+    mean = weighted_mean(tail, weights, 256)
+    assert mean.exact() == exact
+    calls = []
+    counted = mean._replace(exact=lambda: calls.append(1) or exact)
+    assert decay_exponent(vals, counted, 40, 400) == decay_exponent(vals, exact, 40, 400)
+    assert not calls  # the bracket settled floor(L 2^W): no exact sum
+
+
+def _mean_cases():
+    wide = st.builds(F, st.integers(-(2**2000), 2**2000), st.integers(1, 2**2000))
+    small = st.builds(F, st.integers(-99, 99), st.integers(1, 99))
+    return st.lists(st.tuples(st.one_of(wide, small), st.integers(1, 10**9)), min_size=1,
+                    max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mean_cases(), st.sampled_from([2, 53, 128, 256, 1024]))
+@example([(F(1, 3), 1)], 53)
+@example([(F(0), 5)], 256)
+@example([(F(-7, 2**3000), 1), (F(7, 2**3000), 1)], 53)  # a zero mean
+def test_weighted_mean_rounds_as_the_exact_mean(case, prec):
+    values, weights = [v for v, _ in case], [w for _, w in case]
+    exact = sum(w * v for w, v in case) / sum(weights)
+    mean = weighted_mean(values, weights, prec)
+    assert mean.exact() == exact
+    num, den, bits = mean.num, mean.den, mean.bits
+    assert F(num, den << bits) <= exact < F(num + den, den << bits)
+    got = mean.rounded(prec)
+    assert got is None or got == to_mpf(exact, prec)
+    for w in range(0, bits + 1, max(1, bits // 7)):
+        fl = mean.floor(w)
+        assert fl is None or fl == math.floor(exact * 2**w)
+
+
+def test_weighted_mean_falls_back_within_a_bracket_of_a_tie():
+    # the exact mean is 2^-1000 above the tie t = 1 + 2^-256 between two
+    # 256-bit floats, so it rounds up; every v_i 2^W is within 2^-1000 of an
+    # integer, so the bracket's low end is t itself, which rounds to even
+    t, delta = 1 + F(1, 2**256), F(1, 2**1000)
+    weights = [_win_weight(i, 48) for i in range(48)]
+    values = [t + delta + F(2 * i - 47, 2**20) for i in range(48)]  # symmetric about t + delta
+    mean = weighted_mean(values, weights, 256)
+    assert mean.bits == 320 and F(mean.num, mean.den << mean.bits) == t
+    assert mean.rounded(256) is None
+    up = to_mpf(t + delta, 256)
+    assert up == 1 + mpf(2) ** -255 and to_mpf(t, 256) == 1
+    # limit_estimate takes the window mean of the last three quarters
+    vals = [t + delta + F(2 * i - 47, 2**20) for i in range(-16, 48)]
+    est = limit_estimate(vals)
+    assert est.method == "window" and est.limit == up
+
+
+@pytest.mark.parametrize("digits", [4300, 4301, 13500, 80000, 320000])
+def test_decimal_str_matches_the_decimal_conversion(digits):
+    rng = random.Random(digits)
+    x = rng.randrange(10 ** (digits - 1), 10**digits)
+    cases = [x, 10**digits - 1, 10**digits, 10**digits + 1]
+    if digits < 100000:  # the oracle is quadratic
+        cases += [-x, -(10**digits) + 1, -(10**digits) - 1]
+    else:
+        cases = cases[:1]
+    for v in cases:
+        assert _decimal_str(v) == str(decimal.Decimal(v)), v.bit_length()
+
+
+def test_decimal_str_below_the_digit_limit_is_str():
+    for v in (0, -1, 7, 10**4299, -(10**4299) + 1, 2**14000):
+        assert _decimal_str(v) == str(v)
+
+
+def oracle_normalized(rec):
+    """normalized() before the Gauss-lemma test: poly_gcd on every recurrence."""
+    polys = list(rec.coeffs)
+    g = PolyQ([])
+    for p in polys:
+        g = poly_gcd(g, p)
+    if not g.is_zero() and g.degree() > 0:
+        polys = [p.exact_div(g) for p in polys]
+    content = PolyQ([c for p in polys for c in p.coeffs]).content()
+    if content != 1:
+        polys = [p * (1 / content) for p in polys]
+    if polys[-1].leading() < 0:
+        polys = [-p for p in polys]
+    return LinearRecurrence(polys)
+
+
+nonzero_polys = st.lists(small_rationals, min_size=1, max_size=4).map(PolyQ).filter(
+    lambda p: not p.is_zero())
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3).flatmap(lambda r: st.lists(polys, min_size=r, max_size=r)),
+       nonzero_polys, st.one_of(st.just(PolyQ([1])), nonzero_polys))
+@example([PolyQ([0, 1, 1])], PolyQ([2, 0, 2]), PolyQ([1]))  # 2 | m(m + 1) at every m
+@example([PolyQ([3])], PolyQ([5]), PolyQ([-1, 2]))
+def test_normalized_matches_the_poly_gcd_path(lower, lead, factor):
+    rec = LinearRecurrence([p * factor for p in [*lower, lead]])
+    assert rec.normalized() == oracle_normalized(rec)
+
+
+@pytest.mark.parametrize("alpha", [F(1, 3), F(-29, 12), F(5, 6)])
+def test_normalized_skips_poly_gcd_only_when_coprime_is_proved(alpha):
+    rec = gamma_coefficient_recurrence(alpha)
+    assert _coprime_at_integers(list(rec.coeffs))
+    assert rec.normalized() == oracle_normalized(rec) == rec
+    # a real common factor: the test cannot pass, and poly_gcd divides it out
+    common = LinearRecurrence([p * PolyQ([F(1, 2), 3, 1]) for p in rec.coeffs])
+    assert not _coprime_at_integers(list(common.coeffs))
+    assert common.normalized() == oracle_normalized(common) == rec

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
 from eoplab import numcore
@@ -195,6 +195,51 @@ def test_to_mpf_rounds_at_requested_precision():
     x = to_mpf(F(1, 3), 128)
     with workprec(200):
         assert abs(x - mpf(1) / 3) < mpf(2) ** -126
+
+
+def _neighbours(r, prec):
+    """The prec-bit floats next to the nonzero mpf r, below and above in
+    magnitude, as Fractions, and whether r's prec-bit mantissa is even."""
+    sign, man, exp, bc = r._mpf_
+    top = exp + bc  # 2^(top-1) <= |r| < 2^top
+    x = F(man) * F(2) ** exp
+    gap = F(2) ** (top - prec)
+    below = gap / 2 if man == 1 else gap  # |r| = 2^(top-1): the spacing halves below it
+    s = -1 if sign else 1
+    return s * (x - below), s * x, s * (x + gap), (x / gap) % 2 == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(2**3000), 2**3000), st.integers(1, 2**3000),
+       st.sampled_from([2, 53, 256, 1000]))
+@example(0, 1, 53)
+@example(1, 3, 2)
+@example(2**600 + 1, 2**600, 53)  # just above 1
+@example(2**600 - 1, 2**600, 53)  # just below 1, where the spacing halves
+@example(2**53 + 1, 2**53, 53)  # a tie, to the even mantissa 2^52
+@example(-(2**3000) + 1, 3, 256)
+def test_to_mpf_rounds_a_fraction_once_to_the_nearest(num, den, prec):
+    q = F(num, den)
+    r = to_mpf(q, prec)
+    if not q:
+        assert not r
+        return
+    assert r._mpf_[3] <= prec and (r < 0) == (q < 0)
+    lo, x, hi, even = _neighbours(r, prec)
+    # no neighbouring float is nearer q, and a tie goes to the even mantissa
+    assert abs(q - x) <= abs(q - lo) and abs(q - x) <= abs(q - hi)
+    if abs(q - x) in (abs(q - lo), abs(q - hi)):
+        assert even
+
+
+def test_to_mpf_keeps_the_value_of_narrow_numerators():
+    # a numerator within prec bits is exact as an mpf, so dividing it once by
+    # the denominator was already a single rounding
+    rng = random.Random(16)
+    for _ in range(200):
+        num, den = rng.getrandbits(250) + 1, rng.getrandbits(rng.choice([60, 600, 3000])) + 1
+        with workprec(256):
+            assert to_mpf(F(num, den), 256) == mpf(num) / den
 
 
 def test_double_run_accepts_stable_and_rejects_drifting(double_run):
