@@ -541,7 +541,7 @@ def limit_estimate(values: list, prec: int = DEFAULT_PREC) -> LimitEstimate:
     sequences whose error carries a sqrt(n)-phase oscillation), or None when
     degenerate.
     """
-    vals = [Fraction(v) for v in values]
+    vals = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
     N = len(vals)
     if N < 16:
         raise DomainError("limit_estimate needs at least 16 values")

@@ -17,11 +17,11 @@ around the mean, which rounds it when both ends round alike, and
 64 bits.
 
 :func:`int_cauchy` is the exact product kernel for long integer coefficient
-vectors: it packs both vectors into one ``Decimal`` each (Kronecker
-substitution) and multiplies them in a private exact context. The same
-context joins the halves of :func:`_decimal_str`, the divide-and-conquer
-writer of integers past the int/str digit limit, which the CLI artifacts and
-the wide fields of :func:`int_cauchy` use.
+vectors: it packs each vector into one exact ``Decimal``, a sum of shifted
+fields with no digit string and no borrows (Kronecker substitution), and
+multiplies the two in a private exact context. That context also joins the
+halves in :func:`_to_decimal`, the divide-and-conquer conversion behind those
+fields and behind :func:`_decimal_str`, the writer of wide CLI integers.
 :func:`small_cauchy` is the schoolbook loop for short vectors of ``Fraction``
 or ``mpf`` entries (polynomial and Taylor-jet products). :func:`binary_split`
 adds or multiplies many small rationals as a balanced tree.
@@ -131,19 +131,19 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
 def int_cauchy(a: list, b: list, n: int) -> list:
     """The first n coefficients of (sum_i a_i z^i)(sum_j b_j z^j), integer vectors.
 
-    The product is one big multiplication (Kronecker substitution z = 10^d): each
-    vector is packed into a decimal digit string of d-digit fields with
-    10^d > 2 n max|a| max|b|, the two ``Decimal`` values are multiplied once
-    (libmpdec switches to a number-theoretic transform for large operands,
-    where CPython's int product is Karatsuba), and the low n fields are read
-    back as balanced signed digits. Every int <-> decimal conversion is per
-    field (converting the packed number at once would be quadratic): through
-    ``str`` and ``int`` while d is within ``sys.get_int_max_str_digits()``; a
-    wider field is written through ``Decimal(int)``, which that limit does not
-    cover, and read back by halves split until within it, hi * 10^h + lo
-    (``int(Decimal(str))`` is quadratic in d). Neither the limit nor the
-    thread's decimal context is changed; before Python 3.10.7 there is no
-    limit and ``str``/``int`` serve every width.
+    The product is one big multiplication (Kronecker substitution z = 10^d;
+    Brent and Zimmermann, *Modern Computer Arithmetic*, 1.3): each vector is
+    packed into one exact ``Decimal``, sum_i v_i 10^(d i), with
+    10^d > 2 n max|a| max|b|, and the two are multiplied once (libmpdec
+    switches to a number-theoretic transform for large operands, where
+    CPython's int product is Karatsuba). Each field is converted by
+    :func:`_to_decimal` (no int/str digit limit applies), shifted by ``scaleb``
+    and summed pairwise: no digit string, no borrows. The low n fields of
+    |product| are read back as balanced signed digits, the sign restored, one
+    field at a time (the whole product at once would be quadratic): by ``int``
+    while d is within ``sys.get_int_max_str_digits()`` (none before Python
+    3.10.7), else by halves split until within it. Neither the limit nor the
+    thread's decimal context is changed.
     """
     if n <= 0:
         return []
@@ -154,15 +154,15 @@ def int_cauchy(a: list, b: list, n: int) -> list:
     # 10^d > 2^bit_length > bound, as 0.30103 > log10(2)
     d = bound.bit_length() * 30103 // 100000 + 1
     base = 10**d
-    # str(int) and int(str) are faster, but each call is capped at
-    # sys.get_int_max_str_digits() digits
+    # int(str) is faster, but each call is capped at sys.get_int_max_str_digits()
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if d <= (limit or d):
-        to_str, to_int = str, int
-    else:
-        to_str, to_int = _decimal_str, lambda s: _split_int(s, limit)
-    product = _EXACT.multiply(_pack(a, n, d, base, to_str), _pack(b, n, d, base, to_str))
-    digits = str(product).rjust(n * d, "0")
+    to_int = int if d <= (limit or d) else lambda s: _split_int(s, limit)
+    product = _EXACT.multiply(_pack(a, d), _pack(b, d))
+    sign = -1 if product.is_signed() else 1
+    product = product.copy_abs()
+    # "f": leading zero fields give the product a positive exponent, which
+    # str() would write in exponent notation
+    digits = format(product, "f").rjust(n * d, "0")
     top = len(digits)
     out = []
     carry = False
@@ -170,8 +170,14 @@ def int_cauchy(a: list, b: list, n: int) -> list:
     for k in range(n):
         v = to_int(digits[top - (k + 1) * d:top - k * d]) + carry
         carry = v >= half
-        out.append(v - base if carry else v)
+        out.append(sign * (v - base if carry else v))
     return out
+
+
+def _pack(v: list, d: int) -> Decimal:
+    """sum_i v_i 10^(d i) as one exact Decimal, its nonzero fields summed pairwise."""
+    fields = [_EXACT.scaleb(_to_decimal(x), d * i) for i, x in enumerate(v) if x]
+    return binary_split(_EXACT.add, fields, Decimal(0))
 
 
 def _decimal_str(x) -> str:
@@ -220,24 +226,6 @@ def _split_int(s: str, limit: int) -> int:
         return int(s)
     h = len(s) // 2
     return _split_int(s[:-h], limit) * 10**h + _split_int(s[-h:], limit)
-
-
-def _pack(v: list, n: int, d: int, base: int, to_str) -> Decimal:
-    """sum_i v_i 10^(d i) mod 10^(d n) as one Decimal: a negative field borrows
-    10^d from the field above it, and the borrow out of field n - 1 is dropped."""
-    zero = "0" * d
-    fields = []
-    borrow = False
-    for i in range(n):
-        x = v[i] if i < len(v) else 0
-        if borrow:
-            x -= 1
-        borrow = x < 0
-        if borrow:
-            x += base
-        fields.append(to_str(x).rjust(d, "0") if x else zero)
-    fields.reverse()
-    return Decimal("".join(fields))
 
 
 def small_cauchy(a, b, n: int) -> list:

@@ -143,13 +143,23 @@ def euler_substitution(f: TruncatedSeries) -> TruncatedSeries:
 
 
 def binomial_series(beta: Rational, order: int) -> TruncatedSeries:
-    """(1-z)^(-beta): coefficient_n = beta(beta+1)...(beta+n-1)/n!."""
-    # with beta = p/q, coefficient n is prod_{j<n} (p + jq) / (q^n n!)
+    """(1-z)^(-beta): coefficient_n = beta(beta+1)...(beta+n-1)/n!.
+
+    With beta = s/q, coefficient n is prod_{j<n} (s + jq) / (q^n n!) and its
+    reduced denominator is q^n times the q-part of n! (its largest divisor of
+    primes of q): for a prime l not dividing q, one of any l^k consecutive
+    s + jq is divisible by l^k, and no s + jq by a prime of q. So den is
+    q^(N-1) gcd((N-1)!, q^(N-1)) (a prime divides (N-1)! fewer than N - 1
+    times if N > 1), and B_0 = den, B_{m+1} = B_m (s + mq) / ((m + 1) q).
+    """
     beta = Fraction(beta)
-    p, q = beta.numerator, beta.denominator
-    tail = _tail_products([q * m for m in range(order)])  # q^(N-1-n) (N-1)!/n!
-    heads = accumulate((p + j * q for j in range(order - 1)), mul, initial=1)
-    return _canonical([h * t for h, t in zip(heads, tail)][:order], tail[0])
+    s, q = beta.numerator, beta.denominator
+    top = max(order - 1, 0)
+    qn = q**top
+    nums = [qn * math.gcd(math.factorial(top), qn)]
+    for m in range(top):
+        nums.append(nums[-1] * (s + m * q) // ((m + 1) * q))
+    return _raw(nums[:order], nums[0])
 
 
 def log_over_one_minus_z(order: int) -> TruncatedSeries:

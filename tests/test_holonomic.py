@@ -325,15 +325,14 @@ def test_ode_to_recurrence_matches_sympy_on_random_operators(op):
 
 
 @st.composite
-def regular_singular_operators(draw):
+def regular_singular_operators(draw, integer_root=False):
     """p_0 + p_1 d/dz + p_2 d^2/dz^2, each p_i of degree <= 2, with p_2(0) = 0 !=
     p_2'(0) and p_1(0) != 0: z = 0 is a regular singular point with indicial roots
-    0 and 1 - p_1(0)/p_2'(0), the second kept off the integers (at an integer
-    second root sympy keys the series by that root instead of by 0). p_0(0) != 0
-    keeps the recurrence's order >= 1."""
+    0 and 1 - p_1(0)/p_2'(0), the second kept off the integers, or on them with
+    ``integer_root``. p_0(0) != 0 keeps the recurrence's order >= 1."""
     nonzero = small_rationals.filter(bool)
     b = draw(nonzero)
-    a = draw(nonzero.filter(lambda a: (a / b).denominator != 1))
+    a = draw(nonzero.filter(lambda a: ((a / b).denominator == 1) == integer_root))
     p0 = [draw(nonzero), *draw(st.lists(small_rationals, max_size=2))]
     p1 = [a, *draw(st.lists(small_rationals, max_size=2))]
     p2 = [F(0), b, *draw(st.lists(small_rationals, max_size=1))]
@@ -345,6 +344,36 @@ def regular_singular_operators(draw):
 def test_ode_to_recurrence_matches_sympy_at_a_regular_singular_point(op):
     # sympy returns one recurrence per indicial root; ours is the one keyed by 0
     assert _sympy_recurrences(op)[0] == ode_to_recurrence(op)
+
+
+def _shifted(rec, r):
+    """The recurrence rec with n replaced by n + r in every coefficient."""
+    def shift(p):
+        out = PolyQ([])
+        for c in reversed(p.coeffs):
+            out = out * PolyQ([r, 1]) + PolyQ([c])
+        return out
+
+    return LinearRecurrence([shift(p) for p in rec.coeffs]).normalized()
+
+
+@settings(max_examples=15, deadline=None)
+@given(regular_singular_operators(integer_root=True))
+def test_ode_to_recurrence_matches_sympy_at_an_integer_second_root(op):
+    # at an integer second root r sympy keys its one series by min(0, r): for
+    # r < 0 its c_n is our coefficient n + r, so its recurrence is ours at n + r
+    p1, p2 = op.coeffs[1], op.coeffs[2]
+    r = min(0, 1 - p1.coeffs[0] / p2.coeffs[1])
+    assert _sympy_recurrences(op) == {r: _shifted(ode_to_recurrence(op), r)}
+
+
+def test_ode_to_recurrence_matches_sympy_at_the_second_root_minus_two():
+    # z f'' + (3 + z) f' + (1 + 2z) f: indicial roots 0 and 1 - 3 = -2
+    op = DifferentialOperator([[1, 2], [3, 1], [0, 1]])
+    ours = ode_to_recurrence(op)
+    assert ours == LinearRecurrence([PolyQ([2]), PolyQ([2, 1]), PolyQ([8, 6, 1])])
+    assert _sympy_recurrences(op) == {-2: LinearRecurrence(
+        [PolyQ([2]), PolyQ([0, 1]), PolyQ([0, 2, 1])])}
 
 
 def test_holonomic_does_not_import_series():

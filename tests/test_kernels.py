@@ -245,9 +245,16 @@ def cauchy_cases(draw):
 @example(([0] * 200, [1] * 200, 200))
 @example(([0, 0], [0, -11], 2))
 @example(([-1], [-1], 1))
+@example(([0, 0, 3], [0, 5, -7], 3))
+@example(([4, -9], [2, 3], 2))
+@example(([6, 0, -10**700], [-1, 2], 3))
+@example(([0, 2], [0, -3, 1], 3))
+@example(([0, 0, 0, 5], [0, 0, 7, -1], 4))
 def test_int_cauchy_matches_the_double_loop(case):
-    # small sizes reach the edge cases of the packing: one field, borrows into
-    # the dropped top field, all-zero vectors
+    # small sizes reach the edge cases of the packing: one field, a negative
+    # top field (a negative packed operand), leading zero fields (a packed
+    # operand and product with a positive exponent), a product with some but
+    # not all of its low fields zero, all-zero vectors
     a, b, n = case
     assert int_cauchy(a, b, n) == oracle_int_cauchy(a, b, n)
 
@@ -432,7 +439,17 @@ def _same_series(s, want):
 @example(F(4, 3), 0)
 @example(F(4, 3), 1)
 @example(F(4, 3), 2)
+@example(F(5, 8), 200)
+@example(F(-7, 9), 150)
+@example(F(3, 16), 128)
+@example(F(-20, 27), 100)
+@example(F(49, 72), 181)
+@example(F(-3), 10)
+@example(F(-7), 30)
 def test_binomial_series_matches_fraction_loop(beta, order):
+    # the examples reach what the draws do not: a large q-part of (N-1)!,
+    # negative beta, and a nonpositive integer beta whose coefficients vanish
+    # from n = 1 - beta on
     _same_series(binomial_series(beta, order), oracle_binomial_series(beta, order))
 
 
