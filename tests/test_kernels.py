@@ -5,6 +5,7 @@ be; the kernels must give the same values under ``==``.
 """
 
 import decimal
+import functools
 import math
 import operator
 import random
@@ -22,14 +23,13 @@ from eoplab import constructions
 from eoplab.constructions import (
     _agree,
     _bessel_sum,
+    _closed,
     _e_convergent_rows,
-    _euler_closed,
-    _gamma_closed,
     _win_weight,
     e_convergents,
+    euler_seq,
     gamma_coefficient_recurrence,
     gamma_generating_ode,
-    gamma_seed_values,
     gamma_seq,
     intseq,
     limit_estimate,
@@ -74,6 +74,46 @@ def oracle_int_cauchy(a, b, n):
             if y:
                 out[i + j] += x * y
     return out
+
+
+def old_gamma_closed(alpha, N):
+    """The gamma closed route before the one engine, with its unreduced pairs."""
+    p, q = alpha.numerator, alpha.denominator
+    lin = [k * q + p for k in range(N)]
+    tail = [math.lcm(*lin)] * N  # tail[k] = lcm c_{N-1} / c_k
+    for k in range(N - 2, -1, -1):
+        tail[k] = tail[k + 1] * lin[k + 1]
+    a = [(-1) ** k * q ** (k + 1) * (tail[k] // lin[k]) for k in range(N)]
+    out = []
+    scale = 1  # q^n n!
+    for n, s in enumerate(constructions._binomial_transform(a)):
+        if n:
+            scale *= q * n
+        out.append((s, scale * tail[n]))
+    return out
+
+
+def old_euler_closed(N):
+    """The Euler closed route before the one engine, with its unreduced pairs."""
+    lcm = math.lcm(*range(1, N))
+    top = math.factorial(N - 1)
+    a = [0]
+    fact = 1
+    for k in range(1, N):
+        fact *= k
+        a.append((-1) ** k * (fact - 1) * (lcm // k) * (top // fact))
+    M = lcm * top
+    return [(s, M) for s in constructions._binomial_transform(a)]
+
+
+def engine_closed(run, N):
+    """The closed route's pairs from the family record that ``run`` builds."""
+    families = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setitem(constructions._METHODS, "closed",
+                  lambda family, n: families.append(family) or [(1, 1)] * n)
+        run(1, method="closed")
+    return _closed(families[0].beta, families[0].terms, N)
 
 
 def oracle_gamma_closed(alpha, N):
@@ -151,7 +191,8 @@ small_rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
 @example(F(-7, 11), 2)
 @example(F(-5, 3), 3)
 def test_gamma_closed_matches_fraction_loop(alpha, N):
-    pairs = _gamma_closed(alpha, N)  # unreduced (numerator, denominator)
+    pairs = engine_closed(functools.partial(gamma_seq, alpha), N)
+    assert pairs == old_gamma_closed(alpha, N)  # the same unreduced pairs
     assert all(type(a) is int and type(b) is int for a, b in pairs)
     assert [F(a, b) for a, b in pairs] == oracle_gamma_closed(alpha, N)
 
@@ -161,9 +202,44 @@ def test_gamma_closed_matches_fraction_loop(alpha, N):
 @example(2)
 @example(3)
 def test_euler_closed_matches_fraction_loop(N):
-    pairs = _euler_closed(N)  # unreduced (numerator, denominator)
+    pairs = engine_closed(euler_seq, N)
+    assert pairs == old_euler_closed(N)  # the same unreduced pairs
     assert all(type(a) is int and type(b) is int for a, b in pairs)
     assert [F(a, b) for a, b in pairs] == oracle_euler_closed(N)
+
+
+@st.composite
+def betas(draw):
+    """beta = s/q with q <= 12 in [-3, 4]: negatives, and beta >= 2, which no
+    gamma_seq run reaches, included; the nonpositive integers, where c_n
+    vanishes, excluded."""
+    q = draw(st.integers(1, 12))
+    return F(draw(st.integers(-3 * q, 4 * q).filter(lambda s: s > 0 or s % q)), q)
+
+
+def generalized_binomial(x, m):
+    out = F(1)
+    for j in range(m):
+        out = out * (x - j) / (j + 1)
+    return out
+
+
+term_pairs = st.lists(st.tuples(st.integers(-99, 99), st.integers(-99, 99).filter(bool)),
+                      min_size=1, max_size=40)
+
+
+@given(betas(), term_pairs)
+@example(F(7, 2), [(3, -4)])
+@example(F(-13, 5), [(1, 2), (-5, 3)])
+@example(F(2), [(0, 7), (1, 1), (9, -8)])
+def test_closed_is_the_binomial_sum_for_any_beta_and_terms(beta, pairs):
+    N = len(pairs)
+    got = _closed(beta, lambda n: pairs[:n], N)
+    assert all(type(a) is int and type(b) is int for a, b in got)
+    want = [sum((-1) ** k * generalized_binomial(n + beta - 1, n - k)
+                * F(u, v * math.factorial(k)) for k, (u, v) in enumerate(pairs[:n + 1]))
+            for n in range(N)]
+    assert [F(a, b) for a, b in got] == want
 
 
 @given(st.integers(0, 80))
@@ -180,7 +256,8 @@ def test_pade_exp_matches_fraction_loop(n):
 @example(F(-7, 11), 2)
 @example(F(-5, 3), 3)
 def test_unroll_matches_fraction_loop_on_gamma_recurrence(alpha, N):
-    seq = HolonomicSequence(gamma_coefficient_recurrence(alpha), gamma_seed_values(alpha))
+    seeds = gamma_seq(alpha, 3, method="closed").values
+    seq = HolonomicSequence(gamma_coefficient_recurrence(alpha), seeds)
     assert unroll(seq, N) == oracle_unroll(seq, N)
 
 
@@ -803,20 +880,24 @@ def test_gamma_recurrence_matches_the_polyq_derivation(alpha):
 @given(alphas(), st.sampled_from(["closed", "series"]), st.sampled_from(["numerator", "denominator"]),
        st.integers(16, 60), st.data())
 def test_gate_rejects_a_mutated_route(alpha, name, mutation, N, data):
-    route = constructions._GAMMA_METHODS[name]
+    route = constructions._METHODS[name]
     at = data.draw(st.integers(0, N - 1))
 
-    def mutated(alpha, N):
-        pairs = route(alpha, N)
+    def mutated(family, N):
+        pairs = route(family, N)
         a, b = pairs[at]
         pairs[at] = (a + 1, b) if mutation == "numerator" else (a, 2 * b)
         return pairs
 
-    assert route(alpha, N)[at][0] != 0  # doubling the denominator changes the value
+    gamma = functools.partial(gamma_seq, alpha)
+    assert gamma(N, method=name).values[at] != 0  # doubling the denominator changes it
+    # P_0 = P_1 = 0 for Euler's constant, where only the numerator mutation shows
+    runs = [gamma] + [euler_seq] * (mutation == "numerator" or at > 1)
     with pytest.MonkeyPatch.context() as m:
-        m.setitem(constructions._GAMMA_METHODS, name, mutated)
-        with pytest.raises(RouteDisagreement):
-            gamma_seq(alpha, N)
+        m.setitem(constructions._METHODS, name, mutated)
+        for run in runs:
+            with pytest.raises(RouteDisagreement):
+                run(N)
 
 
 def oracle_decay_exponent(values, limit, lo, hi):
