@@ -27,7 +27,7 @@ from mpmath import mp, workprec
 
 from . import __version__
 from .numcore import (DEFAULT_PREC, GUARD_BITS, DomainError, LeadingCoefficientVanishes,
-                      PrecisionError, RouteDisagreement, _decimal_str, _split_int, to_mpf)
+                      PrecisionError, RouteDisagreement, _decimal_str, _parse_int, to_mpf)
 
 # Each command imports the module it runs (constructions, asymlab or gammalab)
 # when it runs, so a job does not pay for importing the others; constructions
@@ -74,15 +74,6 @@ def _digits(value, d: int) -> str:
         return mp.nstr(+value, d, strip_zeros=False)
 
 
-def _read_int(field: str) -> int:
-    """int(field); a field of digits past the int/str digit limit is read by halves."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    digits = field.removeprefix("-")
-    if not (limit and digits.isascii() and digits.isdigit()):
-        return int(field)
-    return -_split_int(digits, limit) if field.startswith("-") else _split_int(digits, limit)
-
-
 def _ratio(v: Fraction) -> list:
     return [_decimal_str(v.numerator), _decimal_str(v.denominator)]
 
@@ -96,12 +87,13 @@ def _exact_body(args, rows: list, estimates: dict) -> dict:
     return body
 
 
-# A subcommand: args holds (flag, add_argument keywords) pairs; compute(args)
-# returns (params, body, rows, footer), the recorded parameters, the other JSON
-# fields, the CSV rows and its footer; records_digits says whether the manifest
-# records --digits; exact_rows, whether CSV rows are n,numerator,denominator
-# (else n,value).
-_Command = namedtuple("_Command", "name help args compute records_digits exact_rows")
+# A subcommand: args holds (flag, add_argument keywords) pairs, _DIGITS among
+# them for a command that prints numeric digits (the manifest records --digits
+# exactly when the command has it); compute(args) returns (params, body, rows,
+# footer), the recorded parameters, the other JSON fields, the CSV rows and its
+# footer; exact_rows says whether CSV rows are n,numerator,denominator (else
+# n,value).
+_Command = namedtuple("_Command", "name help args compute exact_rows")
 
 
 def _sequence(args) -> tuple:
@@ -144,7 +136,7 @@ def _e_convergents(args) -> tuple:
     from . import constructions
 
     rows = [(n, Fraction(*pair))
-            for n, pair in enumerate(constructions._e_convergent_rows(args.n), 1)]
+            for n, pair in enumerate(constructions.e_convergents(args.n), 1)]
     return {"n": args.n}, _exact_body(args, rows, {}), rows, None
 
 
@@ -222,7 +214,7 @@ def _fit(args) -> tuple:
             reader = csv.DictReader((ln for ln in fh if not ln.startswith("#")), restval="")
             if not {"numerator", "denominator"} <= set(reader.fieldnames or ()):
                 raise _UsageError("fit input needs an n,numerator,denominator CSV")
-            values = [Fraction(_read_int(row["numerator"]), _read_int(row["denominator"]))
+            values = [Fraction(_parse_int(row["numerator"]), _parse_int(row["denominator"]))
                       for row in reader]
     # no file, a directory, non-UTF-8 bytes, a bad field, a zero denominator, a short row
     except (OSError, csv.Error, ValueError, ZeroDivisionError) as exc:
@@ -244,31 +236,32 @@ def _fit(args) -> tuple:
 _METHOD = ("--method",
            dict(choices=("closed", "recurrence", "series", "all"), default="all"))
 _N = ("--n", dict(type=int, required=True))
+_DIGITS = ("--digits", dict(type=int, default=30))
 
 COMMANDS = (
     _Command("gamma-approx", "sequence converging to Gamma(alpha)",
-             (("--alpha", dict(type=_parse_rational, required=True)), _N, _METHOD),
-             _sequence, True, True),
+             (("--alpha", dict(type=_parse_rational, required=True)), _N, _METHOD, _DIGITS),
+             _sequence, True),
     _Command("euler-approx", "sequence converging to Euler's constant",
-             (_N, _METHOD), _sequence, True, True),
+             (_N, _METHOD, _DIGITS), _sequence, True),
     _Command("pade", "diagonal rational approximant to exp",
              (_N, ("--z", dict(type=_parse_rational, default=None))),
-             _pade, False, True),
+             _pade, True),
     _Command("e-convergents", "continued-fraction convergents of e",
-             (_N,), _e_convergents, False, True),
+             (_N,), _e_convergents, True),
     _Command("intseq", "integer pair for the Bessel-type ratio",
-             (("--k", dict(type=int, required=True)),), _intseq, True, True),
+             (("--k", dict(type=int, required=True)), _DIGITS), _intseq, True),
     _Command("asym-check", "asymptotic expansion vs direct summation",
              (("--which", dict(choices=("ealpha", "elog"), required=True)),
               ("--alpha", dict(type=_parse_rational, default=None)),
-              ("--z", dict(type=_parse_rational, required=True))),
-             _asym_check, True, False),
+              ("--z", dict(type=_parse_rational, required=True)), _DIGITS),
+             _asym_check, False),
     _Command("gamma-deriv", "derivatives of Gamma at a rational point",
              (("--s", dict(type=_parse_rational, required=True)),
-              ("--order", dict(type=int, required=True))),
-             _gamma_deriv, True, False),
+              ("--order", dict(type=int, required=True)), _DIGITS),
+             _gamma_deriv, False),
     _Command("fit", "growth-model fit of an exact CSV sequence",
-             (("--input", dict(required=True)),), _fit, False, False),
+             (("--input", dict(required=True)),), _fit, False),
 )
 
 
@@ -293,7 +286,7 @@ def _run(command: _Command, args) -> None:
     out_dir = Path(args.out)
     path = out_dir / f"{name}.{args.format}"
     recorded = {**params, "format": args.format}
-    if command.records_digits:
+    if "digits" in args:
         recorded["digits"] = args.digits
     manifest = {"command": name, "params": recorded, "precision_bits": args.prec,
                 "tool_version": __version__, "outputs": [str(path)]}
@@ -348,7 +341,6 @@ def _build_parser() -> _Parser:
         for flag, kwargs in command.args:
             p.add_argument(flag, **kwargs)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--digits", type=int, default=30)
         p.add_argument("--prec", type=int, default=DEFAULT_PREC,
                        help=f"precision in bits, at least 1 (default {DEFAULT_PREC})")
         p.add_argument("--out", default=".", help="output directory")
@@ -366,7 +358,7 @@ def main(argv: list | None = None) -> int:
             return _cmd_replay(args)
         if args.prec < 1:
             raise _UsageError(f"precision must be at least 1 bit, got {args.prec}")
-        if args.digits < 1:
+        if "digits" in args and args.digits < 1:
             raise _UsageError(f"--digits must be at least 1, got {args.digits}")
         _run(args.command, args)
         return EXIT_OK

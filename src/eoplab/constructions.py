@@ -320,7 +320,7 @@ def pade_exp(n: int) -> tuple[PolyQ, PolyQ]:
     return PolyQ(p), PolyQ(q)
 
 
-def _e_convergent_rows(N: int) -> list:
+def e_convergents(N: int) -> list:
     """[(|n! P_n(1)|, |n! Q_n(1)|) for n = 1..N]: convergent numerators and
     denominators of e, unreduced, from u_{n+1} = (4n+2) u_n + u_{n-1} with
     u_0 = (1, 1) and u_1 = (3, 1)."""
@@ -333,11 +333,6 @@ def _e_convergent_rows(N: int) -> list:
         prev, cur = cur, (k * cur[0] + prev[0], k * cur[1] + prev[1])
         rows.append(cur)
     return rows
-
-
-def e_convergents(n: int) -> tuple[int, int]:
-    """(|n! P_n(1)|, |n! Q_n(1)|), an exact convergent numerator/denominator of e."""
-    return _e_convergent_rows(n)[-1]
 
 
 # ---------------------------------------------------------------------------

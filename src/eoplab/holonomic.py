@@ -63,18 +63,14 @@ class LinearRecurrence(Frozen):
         return len(self.coeffs) - 1
 
     def normalized(self) -> "LinearRecurrence":
-        """Divide out the common polynomial factor and rational content; fix sign.
-
-        ``poly_gcd`` runs only when :func:`_coprime_at_integers` cannot show
-        that the coefficients have no common factor of positive degree.
-        """
+        """Divide out the gcd of the coefficients (``poly_gcd`` folded over
+        all of them) and their rational content; fix the sign."""
+        g = PolyQ([])
+        for p in self.coeffs:
+            g = poly_gcd(g, p)
         polys = list(self.coeffs)
-        if not _coprime_at_integers(polys):
-            g = PolyQ([])
-            for p in polys:
-                g = poly_gcd(g, p)
-            if not g.is_zero() and g.degree() > 0:
-                polys = [p.exact_div(g) for p in polys]
+        if not g.is_zero() and g.degree() > 0:
+            polys = [p.exact_div(g) for p in polys]
         # one content over every coefficient, so a zero polynomial does not count
         content = PolyQ([c for p in polys for c in p.coeffs]).content()
         if content != 1:
@@ -82,30 +78,6 @@ class LinearRecurrence(Frozen):
         if polys[-1].leading() < 0:
             polys = [-p for p in polys]
         return LinearRecurrence(polys)
-
-
-def _coprime_at_integers(polys: list) -> bool:
-    """True when gcd_i p_i(m) = 1 at 2d + 1 of the integers 0 <= m < 8 (2d + 1),
-    d the largest degree, with the p_i scaled to one integer vector. The points
-    need not be consecutive: the values often share a small prime at some m
-    (2 divides m(m + 1) at every m).
-
-    A common factor G, taken primitive, divides each integer p_i over the
-    integers (Gauss's lemma), so G(m) divides gcd_i p_i(m) at every integer m.
-    Then G = +-1 at 2d + 1 points, and a G of positive degree <= d takes each
-    of the values 1 and -1 at no more than d points. True is proof; False
-    proves nothing.
-    """
-    scale = lcm(*(c.denominator for p in polys for c in p.coeffs))
-    ints = [[c.numerator * (scale // c.denominator) for c in reversed(p.coeffs)]
-            for p in polys]
-    need = 2 * max(len(c) for c in ints) - 1
-    for m in range(8 * need):
-        if gcd(*(_horner(c, m) for c in ints)) == 1:
-            need -= 1
-            if not need:
-                return True
-    return False
 
 
 class HolonomicSequence(Frozen):

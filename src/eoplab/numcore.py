@@ -21,7 +21,10 @@ vectors: it packs each vector into one exact ``Decimal``, a sum of shifted
 fields with no digit string and no borrows (Kronecker substitution), and
 multiplies the two in a private exact context. That context also joins the
 halves in :func:`_to_decimal`, the divide-and-conquer conversion behind those
-fields and behind :func:`_decimal_str`, the writer of wide CLI integers.
+fields and behind :func:`_decimal_str`, the writer of wide CLI integers. Python's
+int/str digit limit is handled in one place: :func:`_decimal_str` writes an
+integer past it and :func:`_parse_int` reads one back (the product's fields
+and the CLI's CSV integers), each only after ``str`` or ``int`` has refused.
 :func:`small_cauchy` is the schoolbook loop for short vectors of ``Fraction``
 or ``mpf`` entries (polynomial and Taylor-jet products). :func:`binary_split`
 adds or multiplies many small rationals as a balanced tree.
@@ -39,7 +42,6 @@ from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm, log
-import sys
 import threading
 
 from mpmath import mp, mpf, workprec
@@ -100,23 +102,12 @@ def capped_sum(terms, tiny: mpf, cap: int, what: str, acc=0, least: int = 0) -> 
     Stops after the first term of index >= ``least`` with |term| < ``tiny``
     (leading terms may be exactly zero or still growing), and raises
     ``PrecisionError`` once ``cap`` terms have been added without stopping.
-    ``tiny`` must be a positive mpf; callers run this inside their ``workprec``.
+    Callers run this inside their ``workprec``.
     """
-    _, _, texp, tbc = tiny._mpf_
-    top = texp + tbc  # 2^(top-1) <= tiny < 2^top
+    low = -tiny  # low < term < tiny is abs(term) < tiny without a new mpf per term
     for i, term in zip(range(cap), terms):
         acc += term
-        if i < least:
-            continue
-        # Compare a nonzero finite term, man*2^exp in [2^(mag-1), 2^mag), by its
-        # binary magnitude: abs(term) would round a new mpf for every term. An
-        # exact comparison settles a tie with tiny's magnitude, zero and inf/nan.
-        _, man, exp, bc = term._mpf_
-        mag = exp + bc
-        if man and mag != top:
-            if mag < top:
-                return acc
-        elif abs(term) < tiny:
+        if i >= least and low < term < tiny:
             return acc
     raise PrecisionError(f"{what} did not converge")
 
@@ -137,13 +128,11 @@ def int_cauchy(a: list, b: list, n: int) -> list:
     10^d > 2 n max|a| max|b|, and the two are multiplied once (libmpdec
     switches to a number-theoretic transform for large operands, where
     CPython's int product is Karatsuba). Each field is converted by
-    :func:`_to_decimal` (no int/str digit limit applies), shifted by ``scaleb``
-    and summed pairwise: no digit string, no borrows. The low n fields of
-    |product| are read back as balanced signed digits, the sign restored, one
-    field at a time (the whole product at once would be quadratic): by ``int``
-    while d is within ``sys.get_int_max_str_digits()`` (none before Python
-    3.10.7), else by halves split until within it. Neither the limit nor the
-    thread's decimal context is changed.
+    :func:`_to_decimal`, shifted by ``scaleb`` and summed pairwise: no digit
+    string, no borrows. The low n fields of |product| are read back as
+    balanced signed digits, the sign restored, one field at a time (the whole
+    product at once would be quadratic) by :func:`_parse_int`. The thread's
+    decimal context is not changed.
     """
     if n <= 0:
         return []
@@ -154,9 +143,6 @@ def int_cauchy(a: list, b: list, n: int) -> list:
     # 10^d > 2^bit_length > bound, as 0.30103 > log10(2)
     d = bound.bit_length() * 30103 // 100000 + 1
     base = 10**d
-    # int(str) is faster, but each call is capped at sys.get_int_max_str_digits()
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    to_int = int if d <= (limit or d) else lambda s: _split_int(s, limit)
     product = _EXACT.multiply(_pack(a, d), _pack(b, d))
     sign = -1 if product.is_signed() else 1
     product = product.copy_abs()
@@ -168,7 +154,7 @@ def int_cauchy(a: list, b: list, n: int) -> list:
     carry = False
     half = base >> 1
     for k in range(n):
-        v = to_int(digits[top - (k + 1) * d:top - k * d]) + carry
+        v = _parse_int(digits[top - (k + 1) * d:top - k * d]) + carry
         carry = v >= half
         out.append(sign * (v - base if carry else v))
     return out
@@ -220,12 +206,19 @@ def _pow2(j: int) -> Decimal:
     return _EXACT.multiply(half, half)
 
 
-def _split_int(s: str, limit: int) -> int:
-    """int(s) for a digit string of any length, by halves of at most limit digits."""
-    if len(s) <= limit:
+def _parse_int(s: str) -> int:
+    """int(s); a string of digits, with or without a minus sign, that is past
+    the int/str digit limit is read by halves, the inverse of
+    :func:`_decimal_str`."""
+    try:
         return int(s)
-    h = len(s) // 2
-    return _split_int(s[:-h], limit) * 10**h + _split_int(s[-h:], limit)
+    except ValueError:
+        digits = s.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+    h = len(digits) // 2
+    v = _parse_int(digits[:-h]) * 10**h + _parse_int(digits[-h:])
+    return -v if s.startswith("-") else v
 
 
 def small_cauchy(a, b, n: int) -> list:

@@ -315,8 +315,9 @@ def test_integers_wider_than_the_int_str_digit_limit_are_written(workdir, capsys
             if not line.startswith("#")]
     assert max(len(field) for row in rows for field in row) > 4300
     if argv.startswith("e-convergents"):
-        want = [(n, Fraction(*pair)) for n, pair in enumerate(constructions._e_convergent_rows(1500), 1)]
-        assert [(int(n), Fraction(cli._read_int(a), cli._read_int(b))) for n, a, b in rows[1:]] == want
+        want = [(n, Fraction(*pair)) for n, pair in enumerate(constructions.e_convergents(1500), 1)]
+        assert [(int(n), Fraction(numcore._parse_int(a), numcore._parse_int(b)))
+                for n, a, b in rows[1:]] == want
     if argv.startswith("gamma-approx"):
         # a long run: the limit, its decay fit and the wide fields all pinned
         assert _sha256(path) == "56dd0c333528c0c5caaffc7ea2b09cdbda39a9e935c0445027faf86d2d6ea4d6"
@@ -330,10 +331,10 @@ def test_integers_wider_than_the_int_str_digit_limit_are_written(workdir, capsys
 
 def test_wide_integer_fields_read_back():
     for x in (7**6000, -(7**6000), 10**4300, -(10**4299), 0, -1, 12):
-        assert cli._read_int(numcore._decimal_str(x)) == x
+        assert numcore._parse_int(numcore._decimal_str(x)) == x
     for bad in ("1 2" * 2000, "12-3" * 1200, "+" + "9" * 5000 + "x", "", "-"):
         with pytest.raises(ValueError):
-            cli._read_int(bad)
+            numcore._parse_int(bad)
 
 
 @pytest.mark.parametrize("k", [855, 1000])
@@ -534,7 +535,23 @@ def test_help_lists_each_flag(capsys, cmd, flags):
         main([cmd, "--help"])
     assert exc.value.code == 0
     listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
-    assert listed == {*flags.split(), "--format", "--digits", "--prec", "--out", "--help"}
+    digits = {"--digits"} if cmd in DIGITS_COMMANDS else set()
+    assert listed == {*flags.split(), *digits, "--format", "--prec", "--out", "--help"}
+
+
+# The commands that print numeric digits; the others have no --digits.
+DIGITS_COMMANDS = {"gamma-approx", "euler-approx", "intseq", "asym-check", "gamma-deriv"}
+
+
+@pytest.mark.parametrize("argv", [
+    "pade --n 4 --digits 12",
+    "e-convergents --n 6 --digits 12",
+    "fit --input missing.csv --digits 12",
+])
+def test_digits_is_a_usage_error_where_no_digits_are_printed(workdir, capsys, argv):
+    code, err = _exit_code(argv.split(), capsys)
+    assert code == EXIT_USAGE and "--digits" in err
+    assert not os.listdir(".")
 
 
 # One quick command line per subcommand.

@@ -205,12 +205,9 @@ def test_pade_reflection_sign_is_plus():
 
 
 def test_e_convergents_values_and_membership():
-    assert e_convergents(1) == (3, 1)
-    assert e_convergents(2) == (19, 7)
-    assert e_convergents(3) == (193, 71)
+    assert e_convergents(3) == [(3, 1), (19, 7), (193, 71)]
     convs = cf_convergents(e_cf_quotients(30))
-    for n in range(1, 9):
-        num, den = e_convergents(n)
+    for n, (num, den) in enumerate(e_convergents(8), 1):
         assert F(num, den) in convs
         # empirical index map: pair n sits at convergent index 3n - 2
         assert convs[3 * n - 2] == F(num, den)
@@ -220,8 +217,7 @@ def test_e_convergents_strictly_improve():
     with workprec(300):
         e_val = mp.e
         prev = None
-        for n in range(1, 12):
-            num, den = e_convergents(n)
+        for num, den in e_convergents(11):
             err = abs(to_mpf(F(num, den), 280) - e_val)
             if prev is not None:
                 assert err < prev

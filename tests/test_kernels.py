@@ -4,6 +4,7 @@ Each oracle below is the plain per-term Fraction loop that the kernel used to
 be; the kernels must give the same values under ``==``.
 """
 
+import contextlib
 import decimal
 import functools
 import math
@@ -24,7 +25,6 @@ from eoplab.constructions import (
     _agree,
     _bessel_sum,
     _closed,
-    _e_convergent_rows,
     _win_weight,
     e_convergents,
     euler_seq,
@@ -40,14 +40,14 @@ from eoplab.holonomic import (
     HolonomicSequence,
     LeadingCoefficientVanishes,
     LinearRecurrence,
-    _coprime_at_integers,
     ode_to_recurrence,
     unroll,
 )
 from eoplab import gammalab
 from eoplab.gammalab import _add_ratios, _inverse_power_sum, y_alpha_i
-from eoplab.numcore import (GUARD_BITS, DomainError, PolyQ, RouteDisagreement, _decimal_str,
-                            binary_split, capped_sum, decay_exponent, int_cauchy,
+from eoplab.numcore import (GUARD_BITS, DomainError, PolyQ, PrecisionError, RouteDisagreement,
+                            _decimal_str, _parse_int, binary_split, capped_sum,
+                            decay_exponent, int_cauchy,
                             least_squares_line, poly_gcd, small_cauchy, to_mpf, weighted_mean)
 from eoplab.series import (
     TruncatedSeries,
@@ -362,24 +362,63 @@ def test_int_cauchy_wide_field_leaves_process_state_alone():
     assert decimal.getcontext() is ctx and repr(ctx) == before
 
 
-def test_int_cauchy_splits_wide_fields_until_within_the_limit(monkeypatch):
-    # with the limit at 16 digits, a field of over 128 digits is halved three
-    # times or more before int() reads it
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 16, raising=False)
-    n = 40
-    a = [(-1) ** i * 7 ** (60 + i) for i in range(n)]
-    b = [11 ** (50 + i) - 10**90 for i in range(n)]
+@contextlib.contextmanager
+def int_str_limit(digits):
+    """Python's int/str digit limit set to ``digits`` (0: no limit), then restored."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def _field_digits(a, b, n):
+    """The field width d that int_cauchy packs a and b with."""
     bound = 2 * n * max(map(abs, a)) * max(map(abs, b))
-    assert bound.bit_length() * 30103 // 100000 + 1 > 8 * 16
-    assert int_cauchy(a, b, n) == oracle_int_cauchy(a, b, n)
+    return bound.bit_length() * 30103 // 100000 + 1
 
 
-def test_int_cauchy_without_the_int_str_digit_limit(monkeypatch):
-    # Python before 3.10.7 has no sys.get_int_max_str_digits
-    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
-    a = [(-1) ** i * 5**i for i in range(140)]
-    b = [11**i - 7**i for i in range(140)]
-    assert int_cauchy(a, b, 140) == oracle_int_cauchy(a, b, 140)
+def test_int_cauchy_splits_wide_fields_until_within_the_limit():
+    # with the limit at its least, 640 digits, a field of over 2 560 digits is
+    # halved twice or more before int() reads it
+    n = 40
+    a = [(-1) ** i * 7 ** (1500 + i) for i in range(n)]
+    b = [11 ** (1300 + i) - 10**1400 for i in range(n)]
+    assert _field_digits(a, b, n) > 4 * 640
+    with int_str_limit(640):
+        got = int_cauchy(a, b, n)
+    assert got == oracle_int_cauchy(a, b, n)
+
+
+def test_int_cauchy_without_the_int_str_digit_limit():
+    # fields past the default limit of 4 300 digits, read by int() at once
+    n = 30
+    a = [(-1) ** i * 5 ** (6000 + i) for i in range(n)]
+    b = [11 ** (1200 + i) - 7**i for i in range(n)]
+    assert _field_digits(a, b, n) > 4300
+    with int_str_limit(0):
+        got = int_cauchy(a, b, n)
+    assert got == oracle_int_cauchy(a, b, n)
+
+
+@pytest.mark.parametrize("digits", [4299, 4300, 4301, 9000])
+def test_parse_int_reads_what_decimal_str_writes(digits):
+    rng = random.Random(digits)
+    x = rng.randrange(10 ** (digits - 1), 10**digits)
+    for v in (x, -x, 10**digits - 1, -(10**digits) + 1, 10 ** (digits - 1)):
+        assert _parse_int(_decimal_str(v)) == v
+    # leading zeros count as digits, and are read by halves past the limit too
+    assert _parse_int("0" * digits + "12") == 12
+    assert _parse_int("-" + "0" * (digits - 1) + "7") == -7
+    assert _parse_int(" 12 ") == 12
+
+
+@pytest.mark.parametrize("bad", ["1 2" * 2000, "12-3" * 1200, "+" + "9" * 5000 + "x",
+                                 "", "-", "--" + "9" * 5000, "\u0662" * 5000, "x"])
+def test_parse_int_rejects_what_int_rejects(bad):
+    with pytest.raises(ValueError):
+        _parse_int(bad)
 
 
 def oracle_polyq_mul(a, b):
@@ -582,11 +621,11 @@ def oracle_e_convergent(n):
 
 
 def test_e_convergent_rows_match_pade_evaluation():
-    rows = _e_convergent_rows(80)
+    rows = e_convergents(80)
     assert rows == [oracle_e_convergent(n) for n in range(1, 81)]
-    assert all(e_convergents(n) == rows[n - 1] for n in (1, 2, 40, 80))
+    assert all(e_convergents(n) == rows[:n] for n in (1, 2, 40, 80))
     with pytest.raises(DomainError):
-        _e_convergent_rows(0)
+        e_convergents(0)
 
 
 def oracle_a_direct(k, wp):
@@ -1057,11 +1096,54 @@ def test_normalized_matches_the_poly_gcd_path(lower, lead, factor):
 
 
 @pytest.mark.parametrize("alpha", [F(1, 3), F(-29, 12), F(5, 6)])
-def test_normalized_skips_poly_gcd_only_when_coprime_is_proved(alpha):
+def test_normalized_divides_out_a_common_factor(alpha):
     rec = gamma_coefficient_recurrence(alpha)
-    assert _coprime_at_integers(list(rec.coeffs))
     assert rec.normalized() == oracle_normalized(rec) == rec
-    # a real common factor: the test cannot pass, and poly_gcd divides it out
+    # a real common factor: poly_gcd divides it out
     common = LinearRecurrence([p * PolyQ([F(1, 2), 3, 1]) for p in rec.coeffs])
-    assert not _coprime_at_integers(list(common.coeffs))
     assert common.normalized() == oracle_normalized(common) == rec
+
+
+def old_capped_sum(terms, tiny, cap, what, acc=0, least=0):
+    """capped_sum before it compared -tiny < term < tiny on every term: a
+    nonzero finite term was compared by its binary magnitude first."""
+    _, _, texp, tbc = tiny._mpf_
+    top = texp + tbc  # 2^(top-1) <= tiny < 2^top
+    for i, term in zip(range(cap), terms):
+        acc += term
+        if i < least:
+            continue
+        _, man, exp, bc = term._mpf_
+        mag = exp + bc
+        if man and mag != top:
+            if mag < top:
+                return acc
+        elif abs(term) < tiny:
+            return acc
+    raise PrecisionError(f"{what} did not converge")
+
+
+# Terms around tiny = 3 2^-12, in [2^-11, 2^-10): zero, a magnitude below,
+# tiny's magnitude on both sides of tiny, tiny itself, a magnitude above, and
+# larger terms; each of either sign.
+_TINY = mpf(3) / 2**12
+around_tiny = st.sampled_from([mpf(0), mpf(2) ** -12, mpf(2) ** -11, mpf(5) / 2**13, _TINY,
+                               mpf(7) / 2**13, mpf(2) ** -10, mpf(1), mpf(2) ** 40])
+signed_terms = st.tuples(around_tiny, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(signed_terms, max_size=12), st.integers(0, 5), st.integers(1, 14))
+@example([mpf(0), mpf(0), mpf(1), _TINY, -mpf(2) ** -11], 2, 10)
+@example([mpf(7) / 2**13, -mpf(5) / 2**13], 0, 5)
+def test_capped_sum_matches_the_binary_magnitude_test(terms, least, cap):
+    def run(fn):
+        it = iter(terms)
+        with workprec(64):
+            try:
+                got = fn(it, _TINY, cap, "x", acc=mpf(0), least=least)
+            except PrecisionError:
+                got = None
+        return got, len(list(it))
+
+    assert run(capped_sum) == run(old_capped_sum)

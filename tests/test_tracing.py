@@ -87,3 +87,19 @@ def test_sequence_routes_run_through_the_traced_functions():
         assert not tracer.errors
     finally:
         tracer.uninstall()
+
+
+def test_e_convergents_job_records_one_construction_span(tmp_path, capsys):
+    # the rows the CLI writes come from the traced public function
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        from eoplab import cli
+
+        assert cli.main(["e-convergents", "--n", "12", "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    spans = Counter(span[0] for span in tracer.spans)
+    assert spans["constructions.e_convergents"] == 1
+    assert spans["cli.main"] == 1
