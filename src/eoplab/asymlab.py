@@ -4,11 +4,12 @@ Both implemented instances share the shape
 
     f(z)  ~  front(z) - e^(-z) * sum_{n>=0} t_n z^(-n-1),
 
-with exact rational tail coefficients t_n: the alpha-family has front
-Gamma(alpha) z^(-alpha) and t_n = (-1)^n (1-alpha)_n; the logarithmic instance
-has front -gamma - log z and t_n = (-1)^n n!. Evaluation truncates the tail at
-the smallest-term index N* ~ |z| and is verified against cancellation-aware
-direct Taylor summation along the positive real axis.
+with exact rational tail coefficients t_n: the alpha-family E_alpha(-z) has
+front Gamma(alpha) z^(-alpha) and t_n = (-1)^n (1-alpha)_n; the logarithmic
+instance E(-z) has front -gamma - log z and t_n = (-1)^n n!. Evaluation
+truncates the tail at the smallest-term index N* = round|z| and is verified
+against cancellation-aware direct Taylor summation along the positive real
+axis. Throughout, alpha=None selects the logarithmic instance.
 """
 
 from __future__ import annotations
@@ -50,14 +51,12 @@ FrontTerm = namedtuple("FrontTerm", "coefficient power log_power")
 FrontTerm.__doc__ = "coefficient * z^(-power) * (log z)^log_power."
 
 
-class AsymptoticSeries(namedtuple("AsymptoticSeries",
-                                  "front_terms exp_rho tail_sign tail_coeffs")):
-    """Front terms plus an exponentially weighted, factorially divergent tail.
+class AsymptoticSeries(namedtuple("AsymptoticSeries", "front_terms exp_rho tail_coeffs")):
+    """Front terms minus an exponentially weighted, factorially divergent tail.
 
     The represented expansion is
-    front(z) + tail_sign * e^(exp_rho * z) * sum_n tail_coeffs[n] * z^(-n-1);
-    both instances carry tail_sign = -1 so that tail_coeffs match the unsigned
-    coefficient sequences ((-1)^n (1-alpha)_n and (-1)^n n!).
+    front(z) - e^(exp_rho * z) * sum_n tail_coeffs[n] * z^(-n-1), so that
+    tail_coeffs are the sequences (-1)^n (1-alpha)_n and (-1)^n n!.
     """
 
     __slots__ = ()
@@ -85,7 +84,7 @@ def _expansion(front: tuple, alpha: Fraction, order: int) -> AsymptoticSeries:
     # t_0 = 1 and t_{n+1} = -(1 - alpha + n) t_n, one product per term
     factors = (alpha - 1 - n for n in range(order - 1))
     tail = tuple(accumulate(factors, mul, initial=Fraction(1)))[:order]
-    return AsymptoticSeries(front_terms=front, exp_rho=-1, tail_sign=-1, tail_coeffs=tail)
+    return AsymptoticSeries(front_terms=front, exp_rho=-1, tail_coeffs=tail)
 
 
 def _abs_real(z) -> float:
@@ -99,18 +98,14 @@ def _abs_real(z) -> float:
     return zf
 
 
-def optimal_truncation(z, max_order: int | None = None) -> int:
-    """Smallest-term index for a tail ~ n!/z^(n+1): round(|z|), clamped."""
-    n = int(round(_abs_real(z)))
-    if max_order is None:
-        return n
-    if max_order < 0:
-        raise DomainError(f"max_order must be >= 0, got {max_order}")
-    return min(n, max_order)
+def optimal_truncation(z) -> int:
+    """Smallest-term index for a tail ~ n!/z^(n+1): round(|z|). eval_asym
+    raises when it passes the order a series carries."""
+    return int(round(_abs_real(z)))
 
 
 def eval_asym(a: AsymptoticSeries, z, N: int, prec: int = DEFAULT_PREC) -> mpf:
-    """front(z) + tail_sign * e^(rho z) * sum_{n<N} tail_n z^(-n-1)."""
+    """front(z) - e^(exp_rho z) * sum_{n<N} tail_n z^(-n-1), for 0 <= N <= a.order."""
     if not 0 <= N <= a.order:
         raise DomainError(f"truncation {N} is outside 0..{a.order}, the available order")
     _abs_real(z)  # rejects a complex z before to_mpf would raise TypeError
@@ -127,26 +122,21 @@ def eval_asym(a: AsymptoticSeries, z, N: int, prec: int = DEFAULT_PREC) -> mpf:
         for n in range(N):
             tail += to_mpf(a.tail_coeffs[n], wp) * pw
             pw *= zinv
-        acc += a.tail_sign * mp.e ** (a.exp_rho * zv) * tail
+        acc -= mp.e ** (a.exp_rho * zv) * tail
         return +acc
 
 
-def direct_E_eval(which: str, z, prec: int = DEFAULT_PREC, alpha: Rational | None = None) -> mpf:
-    """Taylor summation of E_alpha(-z) or the log instance E(-z) at real z > 0.
+def direct_E_eval(z, prec: int = DEFAULT_PREC, alpha: Rational | None = None) -> mpf:
+    """Taylor summation of E_alpha(-z), or of the log instance E(-z) when alpha
+    is None, at real z > 0.
 
     Alternating sums lose about |z| log2(e) bits to cancellation, so the
     working precision is prec + ceil(|z| log2 e) + 32 guard bits; summation
     stops after the first term past n = |z| whose absolute value is below
     2^(-working precision).
     """
-    if which not in ("E_alpha", "E_loglike"):
-        raise DomainError(f"unknown function {which!r}")
-    if which == "E_alpha":
-        if alpha is None:
-            raise DomainError("E_alpha needs alpha")
-        alpha = off_poles(alpha, "E_alpha")
-    else:
-        alpha = Fraction(0)  # E(-z) is the alpha = 0 sum without its n = 0 term
+    # E(-z) is the alpha = 0 sum without its n = 0 term
+    alpha = Fraction(0) if alpha is None else off_poles(alpha, "E_alpha")
     zf = _abs_real(z)
     if z <= 0:
         raise DomainError(f"direct summation needs real z > 0, got {z}")

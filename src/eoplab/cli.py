@@ -88,21 +88,20 @@ def _exact_body(args, rows: list, estimates: dict) -> dict:
 
 
 # A subcommand: args holds (flag, add_argument keywords) pairs, _DIGITS among
-# them for a command that prints numeric digits (the manifest records --digits
-# exactly when the command has it); compute(args) returns (params, body, rows,
-# footer), the recorded parameters, the other JSON fields, the CSV rows and its
+# them for a command that prints numeric digits; compute(args) returns (body,
+# rows, footer), the JSON fields after the parameters, the CSV rows and its
 # footer; exact_rows says whether CSV rows are n,numerator,denominator (else
-# n,value).
+# n,value). _run records the flags given as the parameters: each declared flag
+# whose value is not None, an int as itself and anything else as str; --digits
+# and --format go into the manifest only.
 _Command = namedtuple("_Command", "name help args compute exact_rows")
 
 
 def _sequence(args) -> tuple:
     from . import constructions
 
-    params = {"n": args.n, "method": args.method}
     if args.cmd == "gamma-approx":
         run = constructions.gamma_seq(args.alpha, args.n, args.method, args.prec)
-        params["alpha"] = str(args.alpha)
     else:
         run = constructions.euler_seq(args.n, args.method, args.prec)
     estimates = {}
@@ -113,23 +112,22 @@ def _sequence(args) -> tuple:
     if "exact_agreement" in run.metadata:
         estimates["exact_agreement"] = run.metadata["exact_agreement"]
     rows = list(enumerate(run.values))
-    return params, _exact_body(args, rows, estimates), rows, estimates
+    return _exact_body(args, rows, estimates), rows, estimates
 
 
 def _pade(args) -> tuple:
     from . import constructions
 
     p, q = constructions.pade_exp(args.n)
-    params, body, rows = {"n": args.n}, {"estimates": {}}, []
+    body, rows = {"estimates": {}}, []
     for name, poly in (("p", p), ("q", q)):
         body[f"{name}_coeffs"] = [_ratio(c) for c in poly.coeffs]
         rows += [(f"{name}{i}", c) for i, c in enumerate(poly.coeffs)]
     if args.z is not None:
         pz, qz = p(args.z), q(args.z)
-        params["z"] = str(args.z)
         body["estimates"] = {"p_at_z": "/".join(_ratio(pz)), "q_at_z": "/".join(_ratio(qz))}
         rows += [("p(z)", pz), ("q(z)", qz)]
-    return params, body, rows, None
+    return body, rows, None
 
 
 def _e_convergents(args) -> tuple:
@@ -137,7 +135,7 @@ def _e_convergents(args) -> tuple:
 
     rows = [(n, Fraction(*pair))
             for n, pair in enumerate(constructions.e_convergents(args.n), 1)]
-    return {"n": args.n}, _exact_body(args, rows, {}), rows, None
+    return _exact_body(args, rows, {}), rows, None
 
 
 def _intseq(args) -> tuple:
@@ -158,31 +156,26 @@ def _intseq(args) -> tuple:
         "A": [_digits(a, args.digits) for a in res.A],
         "estimates": estimates,
     }
-    return {"k": args.k}, body, rows, estimates
+    return body, rows, estimates
 
 
 def _asym_check(args) -> tuple:
     from . import asymlab
 
-    prec = args.prec
-    if args.which == "ealpha" and args.alpha is None:
-        raise _UsageError("--which ealpha requires --alpha")
-    alpha = args.alpha if args.which == "ealpha" else None
-    which = "E_loglike" if alpha is None else "E_alpha"
-    direct = asymlab.direct_E_eval(which, args.z, prec, alpha=alpha)
-    order = max(8, int(round(abs(float(args.z)))) + 8)
+    prec, alpha = args.prec, args.alpha
+    if (args.which == "ealpha") != (alpha is not None):
+        raise _UsageError("--alpha is given with --which ealpha and only with it")
+    direct = asymlab.direct_E_eval(args.z, prec, alpha)
+    nstar = asymlab.optimal_truncation(args.z)
+    order = max(8, nstar + 8)
     if alpha is None:
         series = asymlab.asym_E_log(order, prec)
     else:
         series = asymlab.asym_E_alpha(alpha, order, prec)
-    nstar = asymlab.optimal_truncation(args.z, series.order)
     approx = asymlab.eval_asym(series, args.z, nstar, prec)
     with workprec(prec + GUARD_BITS):
         rel = abs((direct - approx) / direct)
         passed = bool(rel <= to_mpf(Fraction(1, 10**15), prec))
-    params = {"which": args.which, "z": str(args.z)}
-    if alpha is not None:
-        params["alpha"] = str(alpha)
     estimates = {
         "direct": _digits(direct, args.digits),
         "asymptotic": _digits(approx, args.digits),
@@ -190,7 +183,7 @@ def _asym_check(args) -> tuple:
         "relative_error": _digits(rel, 8),
         "pass": passed,
     }
-    return params, {"values": [], "estimates": estimates}, list(estimates.items()), None
+    return {"values": [], "estimates": estimates}, list(estimates.items()), None
 
 
 def _gamma_deriv(args) -> tuple:
@@ -198,8 +191,7 @@ def _gamma_deriv(args) -> tuple:
 
     derivs = gammalab.gamma_deriv(args.order, args.s, args.prec)
     rows = [(k, _digits(v, args.digits)) for k, v in enumerate(derivs.values)]
-    params = {"s": str(args.s), "order": args.order}
-    return params, {"values": rows, "estimates": {}}, rows, None
+    return {"values": rows, "estimates": {}}, rows, None
 
 
 def _fit(args) -> tuple:
@@ -207,9 +199,8 @@ def _fit(args) -> tuple:
 
     from . import constructions
 
-    path = Path(args.input)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with args.input.open(newline="", encoding="utf-8") as fh:
             # skip the "# key,value" footer lines that sequence CSVs end with
             reader = csv.DictReader((ln for ln in fh if not ln.startswith("#")), restval="")
             if not {"numerator", "denominator"} <= set(reader.fieldnames or ()):
@@ -218,7 +209,7 @@ def _fit(args) -> tuple:
                       for row in reader]
     # no file, a directory, non-UTF-8 bytes, a bad field, a zero denominator, a short row
     except (OSError, csv.Error, ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"cannot read {path} as an n,numerator,denominator CSV: "
+        raise _UsageError(f"cannot read {args.input} as an n,numerator,denominator CSV: "
                           f"{type(exc).__name__}: {exc}")
     fit = constructions.fit_growth(values)
     estimates = {
@@ -229,8 +220,7 @@ def _fit(args) -> tuple:
         "factorial_order": fit.factorial_order,
         "oscillatory": fit.oscillatory,
     }
-    body = {"values": [], "estimates": estimates}
-    return {"input": str(path)}, body, list(estimates.items()), None
+    return {"values": [], "estimates": estimates}, list(estimates.items()), None
 
 
 _METHOD = ("--method",
@@ -253,7 +243,8 @@ COMMANDS = (
              (("--k", dict(type=int, required=True)), _DIGITS), _intseq, True),
     _Command("asym-check", "asymptotic expansion vs direct summation",
              (("--which", dict(choices=("ealpha", "elog"), required=True)),
-              ("--alpha", dict(type=_parse_rational, default=None)),
+              ("--alpha", dict(type=_parse_rational, default=None,
+                               help="alpha of E_alpha; given with --which ealpha only")),
               ("--z", dict(type=_parse_rational, required=True)), _DIGITS),
              _asym_check, False),
     _Command("gamma-deriv", "derivatives of Gamma at a rational point",
@@ -261,7 +252,7 @@ COMMANDS = (
               ("--order", dict(type=int, required=True)), _DIGITS),
              _gamma_deriv, False),
     _Command("fit", "growth-model fit of an exact CSV sequence",
-             (("--input", dict(required=True)),), _fit, False),
+             (("--input", dict(type=Path, required=True)),), _fit, False),
 )
 
 
@@ -281,7 +272,12 @@ def _create(path: Path, newline=None):
 
 def _run(command: _Command, args) -> None:
     """Compute, then write the artifact and the manifest, each once."""
-    params, body, rows, footer = command.compute(args)
+    body, rows, footer = command.compute(args)
+    params = {}
+    for flag, _ in command.args:
+        value = getattr(args, flag[2:])
+        if flag != "--digits" and value is not None:
+            params[flag[2:]] = value if isinstance(value, int) else str(value)
     name = command.name.replace("-", "_")
     out_dir = Path(args.out)
     path = out_dir / f"{name}.{args.format}"

@@ -102,7 +102,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-LimitEstimate = namedtuple("LimitEstimate", "limit rate_exponent degenerate method")
+LimitEstimate = namedtuple("LimitEstimate", "limit rate_exponent method")
 
 GrowthFit = namedtuple("GrowthFit", "q u v sub_geometric factorial_order oscillatory",
                        defaults=(False, 0, False))
@@ -518,8 +518,8 @@ def limit_estimate(values: list, prec: int = DEFAULT_PREC) -> LimitEstimate:
     bracket when both ends round alike and from the exact rational sum when
     they do not. The rate exponent is :func:`numcore.decay_exponent` against
     that limit over [max(16, N/10), N) (a narrower window is too noisy for
-    sequences whose error carries a sqrt(n)-phase oscillation), or None when
-    degenerate.
+    sequences whose error carries a sqrt(n)-phase oscillation), or None for a
+    constant sequence (method "constant").
     """
     vals = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
     N = len(vals)
@@ -527,8 +527,7 @@ def limit_estimate(values: list, prec: int = DEFAULT_PREC) -> LimitEstimate:
         raise DomainError("limit_estimate needs at least 16 values")
     if all(v == vals[0] for v in vals):
         return LimitEstimate(
-            limit=to_mpf(vals[0], prec), rate_exponent=None,
-            degenerate=True, method="constant",
+            limit=to_mpf(vals[0], prec), rate_exponent=None, method="constant",
         )
     step = max(1, N // 8)
     d_end = abs(vals[-1] - vals[-1 - step])
@@ -552,7 +551,7 @@ def limit_estimate(values: list, prec: int = DEFAULT_PREC) -> LimitEstimate:
         limit = to_mpf(est, prec)
     return LimitEstimate(
         limit=limit, rate_exponent=decay_exponent(vals, est, max(16, N // 10), N),
-        degenerate=False, method=method,
+        method=method,
     )
 
 

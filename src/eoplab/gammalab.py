@@ -46,7 +46,6 @@ __all__ = [
     "polygamma",
     "gamma_value",
     "gamma_deriv",
-    "recip_gamma_deriv",
     "recip_gamma_jet",
     "y_alpha_i",
     "lambda_log_poly",
@@ -155,12 +154,6 @@ def gamma_deriv(n: int, x: Rational, prec: int = DEFAULT_PREC) -> GammaDerivs:
     return GammaDerivs(point=x, order=n, values=tuple(_leibniz(n, x, prec + _GUARD, 1)))
 
 
-def gamma_jet(x: Rational, order: int, prec: int = DEFAULT_PREC) -> list:
-    """Taylor coefficients [Gamma(x), Gamma'(x), Gamma''(x)/2!, ...] of length order+1."""
-    derivs = gamma_deriv(order, x, prec)
-    return [derivs.values[k] / math.factorial(k) for k in range(order + 1)]
-
-
 def recip_gamma_jet(x: Rational, order: int, prec: int = DEFAULT_PREC) -> list:
     """Taylor jet of 1/Gamma at x, valid for every rational x (1/Gamma is entire)."""
     # 1/Gamma(z) = z(z+1)...(z+m) / Gamma(z+m+1) at x = -m; the empty product
@@ -175,15 +168,6 @@ def recip_gamma_jet(x: Rational, order: int, prec: int = DEFAULT_PREC) -> list:
             poly = small_cauchy(poly, [to_mpf(x + t, wp), mpf(1)], order + 2)
         jet = [derivs[k] / math.factorial(k) for k in range(order + 1)]
         return small_cauchy(poly, jet, order + 1)
-
-
-def recip_gamma_deriv(l: int, x: Rational, prec: int = DEFAULT_PREC) -> mpf:
-    """(1/Gamma)^(l)(x)."""
-    if l < 0:
-        raise DomainError("recip_gamma_deriv needs l >= 0")
-    jet = recip_gamma_jet(x, l, prec)
-    with workprec(prec + _GUARD):
-        return +(jet[l] * math.factorial(l))
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,7 @@ def _exit_code(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     "asym-check --which ealpha --z 12",  # ealpha needs --alpha
+    "asym-check --which elog --alpha=1/3 --z 12",  # and elog takes none
     "fit --input missing.csv",
     "gamma-approx --alpha 0.5 --n 10",  # a decimal is not an exact rational
     "gamma-approx --alpha=1/0 --n 10",
@@ -552,6 +553,38 @@ def test_digits_is_a_usage_error_where_no_digits_are_printed(workdir, capsys, ar
     code, err = _exit_code(argv.split(), capsys)
     assert code == EXIT_USAGE and "--digits" in err
     assert not os.listdir(".")
+
+
+# The flags of one command line per subcommand: every declared flag given
+# (the test adds --digits where it is declared), and the optional --z and
+# --alpha both given and omitted.
+GIVEN_FLAGS = [
+    ("gamma-approx", {"alpha": "-5/3", "n": 12, "method": "closed"}),
+    ("euler-approx", {"n": 12, "method": "recurrence"}),
+    ("pade", {"n": 4, "z": "-1/2"}),
+    ("pade", {"n": 4}),
+    ("e-convergents", {"n": 6}),
+    ("intseq", {"k": 8}),
+    ("asym-check", {"which": "ealpha", "alpha": "1/3", "z": "12"}),
+    ("asym-check", {"which": "elog", "z": "21/2"}),
+    ("gamma-deriv", {"s": "1/3", "order": 2}),
+    ("fit", {"input": "seq/gamma_approx.csv"}),
+]
+
+
+@pytest.mark.parametrize("cmd,given", GIVEN_FLAGS,
+                         ids=[f"{cmd}:{'+'.join(given)}" for cmd, given in GIVEN_FLAGS])
+def test_manifest_params_are_the_given_flags(workdir, cmd, given):
+    assert {c for c, _ in GIVEN_FLAGS} == {c.name for c in cli.COMMANDS}
+    assert main("gamma-approx --alpha=1/3 --n 32 --out seq".split()) == EXIT_OK
+    digits = {"digits": 12} if cmd in DIGITS_COMMANDS else {}
+    argv = [cmd, *(f"--{k}={v}" for k, v in {**given, **digits}.items())]
+    assert main([*argv, "--format", "json", "--out", "m"]) == EXIT_OK
+    name = cmd.replace("-", "_")
+    manifest = json.loads(Path("m", f"{name}.manifest.json").read_text(encoding="utf-8"))
+    doc = json.loads(Path("m", f"{name}.json").read_text(encoding="utf-8"))
+    assert manifest["params"] == {**given, "format": "json", **digits}
+    assert doc["params"] == given
 
 
 # One quick command line per subcommand.

@@ -287,7 +287,7 @@ def test_bessel_sums_reject_negative_derivatives():
 
 def test_limit_estimate_constant_sequence():
     est = limit_estimate([F(7, 3)] * 20)
-    assert est.degenerate
+    assert est.method == "constant"
     assert est.rate_exponent is None
     with workprec(300):
         assert abs(est.limit - to_mpf(F(7, 3), 280)) < mpf(2) ** -250

@@ -29,8 +29,8 @@ CALLS = {
     "psi": lambda: _bits(psi(F(-5, 3), 200)),
     "polygamma": lambda: _bits(polygamma(2, F(1, 3), 200)),
     "gamma_value": lambda: _bits(gamma_value(F(7, 2), 200)),
-    "direct_E_alpha": lambda: _bits(direct_E_eval("E_alpha", F(25, 2), 200, alpha=F(-5, 3))),
-    "direct_E_loglike": lambda: _bits(direct_E_eval("E_loglike", 10, 200)),
+    "direct_E_alpha": lambda: _bits(direct_E_eval(F(25, 2), 200, F(-5, 3))),
+    "direct_E_loglike": lambda: _bits(direct_E_eval(10, 200)),
     "bessel_f": lambda: _bits(bessel_f(F(3, 2), 200), bessel_f(F(3, 2), 200, deriv=1)),
     "bessel_g": lambda: _bits(bessel_g(F(3, 2), 200), bessel_g(F(3, 2), 200, deriv=1)),
     "intseq": lambda: _bits(*intseq(30, 128).A, intseq(30, 128).recurrence_disagreement),
@@ -112,10 +112,10 @@ def test_direct_sums_match_closed_forms(z, alpha):
     with workprec(prec + 64):
         zv = mpf(z.numerator) / z.denominator
         if alpha is None:
-            got = direct_E_eval("E_loglike", z, prec)
+            got = direct_E_eval(z, prec)
             want = -(mpmath.e1(zv) + mp.log(zv) + mp.euler)
         else:
-            got = direct_E_eval("E_alpha", z, prec, alpha=alpha)
+            got = direct_E_eval(z, prec, alpha)
             a = mpf(alpha.numerator) / alpha.denominator
             want = zv ** (-a) * mpmath.gammainc(a, 0, zv)
         assert _rel(got, want) <= mpf(2) ** -prec
