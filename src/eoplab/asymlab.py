@@ -8,8 +8,8 @@ with exact rational tail coefficients t_n: the alpha-family E_alpha(-z) has
 front Gamma(alpha) z^(-alpha) and t_n = (-1)^n (1-alpha)_n; the logarithmic
 instance E(-z) has front -gamma - log z and t_n = (-1)^n n!. Evaluation
 truncates the tail at the smallest-term index N* = round|z| and is verified
-against cancellation-aware direct Taylor summation along the positive real
-axis. Throughout, alpha=None selects the logarithmic instance.
+against the exact Taylor sum along the positive real axis. Throughout,
+alpha=None selects the logarithmic instance.
 """
 
 from __future__ import annotations
@@ -17,19 +17,20 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import accumulate
 from operator import mul
 
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import to_rational
 
 from .numcore import (
     DEFAULT_PREC,
     GUARD_BITS,
     DomainError,
     Rational,
-    capped_sum,
     decay_exponent,
     off_poles,
+    recurrence_sum,
     to_mpf,
 )
 from .gammalab import gamma_value, psi
@@ -87,28 +88,29 @@ def _expansion(front: tuple, alpha: Fraction, order: int) -> AsymptoticSeries:
     return AsymptoticSeries(front_terms=front, exp_rho=-1, tail_coeffs=tail)
 
 
-def _abs_real(z) -> float:
-    """|z| as a float; z must be real and finite (ints, Fractions, floats, mpfs)."""
+def _real(z) -> Fraction:
+    """z as an exact Fraction (a float or mpf read as its binary value); z must
+    be real and finite within the float range (ints, Fractions, floats, mpfs)."""
     try:
-        zf = abs(float(z))
+        finite = math.isfinite(float(z))
     except (TypeError, OverflowError):
-        zf = math.nan
-    if not math.isfinite(zf):
-        raise DomainError(f"z must be real and finite, got {z!r}")
-    return zf
+        finite = False
+    if not finite:
+        raise DomainError(f"{z!r} is not a real finite number")
+    return Fraction(*to_rational(z._mpf_)) if isinstance(z, mpf) else Fraction(z)
 
 
 def optimal_truncation(z) -> int:
     """Smallest-term index for a tail ~ n!/z^(n+1): round(|z|). eval_asym
     raises when it passes the order a series carries."""
-    return int(round(_abs_real(z)))
+    return round(abs(_real(z)))
 
 
 def eval_asym(a: AsymptoticSeries, z, N: int, prec: int = DEFAULT_PREC) -> mpf:
     """front(z) - e^(exp_rho z) * sum_{n<N} tail_n z^(-n-1), for 0 <= N <= a.order."""
     if not 0 <= N <= a.order:
         raise DomainError(f"truncation {N} is outside 0..{a.order}, the available order")
-    _abs_real(z)  # rejects a complex z before to_mpf would raise TypeError
+    _real(z)  # rejects a complex z before to_mpf would raise TypeError
     wp = prec + GUARD_BITS
     with workprec(wp):
         zv = to_mpf(z, wp)
@@ -127,32 +129,26 @@ def eval_asym(a: AsymptoticSeries, z, N: int, prec: int = DEFAULT_PREC) -> mpf:
 
 
 def direct_E_eval(z, prec: int = DEFAULT_PREC, alpha: Rational | None = None) -> mpf:
-    """Taylor summation of E_alpha(-z), or of the log instance E(-z) when alpha
-    is None, at real z > 0.
+    """Taylor sum of E_alpha(-z), or of the log instance E(-z) when alpha is
+    None, at the exact value of a real z > 0, by ``numcore.recurrence_sum``.
 
-    Alternating sums lose about |z| log2(e) bits to cancellation, so the
-    working precision is prec + ceil(|z| log2 e) + 32 guard bits; summation
-    stops after the first term past n = |z| whose absolute value is below
-    2^(-working precision).
+    The ratio of t_n = (-z)^n / (n! (n + alpha)) is -z (n + alpha) / ((n+1)
+    (n+1+alpha)), at most z/(n+1) <= 1/2 in size from max(2z, floor(-alpha)+1) on.
     """
-    # E(-z) is the alpha = 0 sum without its n = 0 term
     alpha = Fraction(0) if alpha is None else off_poles(alpha, "E_alpha")
-    zf = _abs_real(z)
+    z = _real(z)
     if z <= 0:
         raise DomainError(f"direct summation needs real z > 0, got {z}")
-    wp = prec + math.ceil(zf * math.log2(math.e)) + 32
-    with workprec(wp):
-        return +capped_sum(_taylor_terms(to_mpf(z, wp), alpha), mpf(2) ** (-wp),
-                           1001 + int(100 * zf), "direct summation", least=int(zf) + 1)
-
-
-def _taylor_terms(z: mpf, alpha: Fraction):
-    """(-z)^n / (n! (n + alpha)) for n = 0, 1, ..., and 0 where n + alpha = 0."""
+    a, b = z.numerator, z.denominator
     p, q = alpha.numerator, alpha.denominator
-    t = mpf(1)  # (-z)^n / n!
-    for n in count():
-        yield t * q / (n * q + p) if n * q + p else mpf(0)
-        t *= -z / (n + 1)
+    s = 0 if p else 1  # E(-z) is the alpha = 0 sum from its n = 1 term
+
+    def step(n):
+        n += s
+        return [[-a * (n * q + p)]], b * (n + 1) * ((n + 1) * q + p)
+
+    n0 = max(math.ceil(2 * z), math.floor(-alpha) + 1)
+    return recurrence_sum(step, [(-a) ** s * q], b**s * (s * q + p), n0, prec + GUARD_BITS)
 
 
 RateCheckReport = namedtuple(
@@ -180,13 +176,7 @@ def transfer_rate_check(
     lo, hi = window if window is not None else (max(16, N // 10), N)
     if not 1 <= lo < hi <= N:
         raise DomainError(f"window {(lo, hi)} must satisfy 1 <= lo < hi <= {N}")
-    if isinstance(trusted_limit, mpf):
-        # (-1)^sign man 2^exp; mpf.man_exp drops the sign, so read it from _mpf_
-        sign, man, exp, bc = trusted_limit._mpf_
-        if bc < 0:  # inf or nan
-            raise DomainError(f"the trusted limit must be finite, got {trusted_limit}")
-        trusted_limit = Fraction(-man if sign else man) * Fraction(2) ** exp
-    slope = decay_exponent(values, Fraction(trusted_limit), lo, hi)
+    slope = decay_exponent(values, _real(trusted_limit), lo, hi)
     if slope is None:
         raise DomainError("not enough points for a slope fit")
     return RateCheckReport(

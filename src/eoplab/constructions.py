@@ -18,7 +18,7 @@ Sequences are produced by independent routes that must agree exactly:
   with the recurrence A_{k+1} = k A_k + A_{k-1}, whose minimal solution
   A_k = (-1)^k F^(k)(1) is run backward from two direct sums (Gautschi) and
   checked against the forward run. Every value of F, G and their derivatives,
-  A_k included, is summed by one routine, ``_bessel_sum``.
+  A_k included, is summed exactly by ``numcore.recurrence_sum`` and rounded once.
 
 The exact kernels work on integer numerators over one common denominator:
 the closed route and the Pade numerator are binomial transforms of integer
@@ -65,6 +65,7 @@ from .numcore import (
     decay_exponent,
     least_squares_line,
     off_poles,
+    recurrence_sum,
     to_mpf,
     weighted_mean,
 )
@@ -341,47 +342,36 @@ def e_convergents(N: int) -> list:
 
 
 def bessel_f(x, prec: int = DEFAULT_PREC, deriv: int = 0) -> mpf:
-    """F(x) = sum_n x^n / n!^2 (or its derivative) by direct summation."""
+    """F(x) = sum_n x^n / n!^2 (or its derivative) at a rational x, summed exactly."""
     return _bessel_sum(x, prec, deriv, harmonic=False)
 
 
 def bessel_g(x, prec: int = DEFAULT_PREC, deriv: int = 0) -> mpf:
-    """G(x) = -2 sum_n H_n x^n / n!^2 (or its derivative)."""
+    """G(x) = -2 sum_n H_n x^n / n!^2 (or its derivative) at a rational x."""
     return _bessel_sum(x, prec, deriv, harmonic=True)
 
 
 def _bessel_sum(x, prec: int, d: int, harmonic: bool) -> mpf:
+    # F^(d)(x) = sum_m u_m and G^(d)(x) = -2 sum_m u_m H_(m+d), u_m = x^m / (m! (m+d)!).
+    # With x = p/q and k = m+1+d, u_(m+1) = u_m p / (q (m+1) k) and H_k = H_(m+d) + 1/k
+    # step G's state (u_m H_(m+d), u_m). The ratio x / ((m+1) k), times H_k / H_(m+d)
+    # <= 3/2 for G (m + d >= 1), is at most 1/2 in size once (m+1)^2 >= 3|x|; that
+    # n0 is at least 1 unless x = 0, where every term past the first is 0.
     if d < 0:
         raise DomainError(f"need deriv >= 0, got {d}")
-    # t_{n+1}/t_n = x/((n+1-d)(n+1)): the terms peak near n = sqrt|x|, and from
-    # n = d + ceil(2 sqrt|x|) on each is under 1/4 of the one before (3/8 with
-    # the factor H_{n+1}/H_n <= 3/2), so past that index the first term below
-    # 2^-wp bounds the tail. The largest term is under e^(2 sqrt|x|) < 2^(3 sqrt|x|),
-    # so 3 (least + wp) terms reach 2^-wp. For x >= 0 no term is negative and the
-    # result has prec correct bits. For x < 0 the terms alternate and cancel, so
-    # that many more bits are carried: the error is then about 2^-prec absolute,
-    # not relative, as the sums are J-type functions with real zeros (F(x) =
-    # J0(2 sqrt|x|) vanishes at x = -1.4458...).
-    root = 2 * math.sqrt(abs(x))
-    least = math.ceil(root)
-    wp = prec + GUARD_BITS + (int(1.5 * root) + 1 if x < 0 else 0)
-    with workprec(wp):
-        acc = capped_sum(_bessel_terms(to_mpf(x, wp), d, harmonic), mpf(2) ** (-wp),
-                         3 * (least + wp), "Bessel-type series", least=least)
-        return +(-2 * acc if harmonic else acc)
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    h = sum(Fraction(1, n) for n in range(1, d + 1))  # H_d
+    start, den = ([-2 * h.numerator, -2 * h.denominator], h.denominator) if harmonic else ([1], 1)
 
+    def step(m):
+        k = m + 1 + d
+        if harmonic:
+            return [[p * k, p], [0, p * k]], q * (m + 1) * k * k
+        return [[p]], q * (m + 1) * k
 
-def _bessel_terms(x: mpf, d: int, harmonic: bool):
-    """t_n = x^(n-d) / ((n-d)! n!) for n = d, d+1, ..., times H_n if harmonic:
-    the terms of F^(d)(x), or of G^(d)(x) / (-2)."""
-    t = mpf(1) / math.factorial(d)
-    h = mpf(0)
-    for n in range(1, d + 1):
-        h += mpf(1) / n
-    for n in count(d):
-        yield h * t if harmonic else t
-        t = t * x / ((n + 1 - d) * (n + 1))
-        h += mpf(1) / (n + 1)
+    n0 = math.isqrt(math.ceil(3 * abs(x)))
+    return recurrence_sum(step, start, den * math.factorial(d), n0, prec + GUARD_BITS)
 
 
 # A: the minimal solution, by backward recurrence from two direct sums; U, V:
@@ -403,12 +393,12 @@ def intseq(kmax: int, prec: int = DEFAULT_PREC) -> IntSeqResult:
     if kmax < 2:
         raise DomainError("need kmax >= 2")
     # the forward run amplifies initial rounding by ~ V_k * k!, so pad; the
-    # backward run and its seeds use the same wp, or their own rounding (and
-    # the seeds' absolute stopping floor, as A_kmax ~ 1/kmax!) would swamp it
+    # backward run and its seeds use the same wp, so that the disagreement
+    # measures the forward run and not their own rounding
     wp = prec + int(2 * math.lgamma(kmax + 1) / math.log(2)) + 32
 
-    def direct(k: int) -> mpf:  # A_k = (-1)^k F^(k)(1), summed at wp
-        return (-1) ** k * _bessel_sum(1, wp - GUARD_BITS, k, harmonic=False)
+    def direct(k: int) -> mpf:  # A_k = (-1)^k F^(k)(1), rounded to wp
+        return (-1) ** k * bessel_f(1, wp - GUARD_BITS, k)
 
     with workprec(wp):
         back = [direct(kmax + 1), direct(kmax)]
@@ -476,8 +466,7 @@ def intseq_generating_check(z, prec: int = DEFAULT_PREC) -> dict:
         floor, cap = mpf(2) ** (-wp), 9 + int(wp / (1 - abs(zv)))
         sU = capped_sum(_egf_terms(0, 1, zv), floor, cap, "U generating series", least=8)
         sV = capped_sum(_egf_terms(1, 0, zv), floor, cap, "V generating series", least=8)
-        Fz = bessel_f(1 - zv, wp)
-        Gz = bessel_g(1 - zv, wp)
+        Fz, Gz = (fn(1 - Fraction(z), wp) for fn in (bessel_f, bessel_g))  # at 1 - z exactly
         logF = mp.log(1 - zv) * Fz
         rhsU = -consts.a * Fz - consts.b * Gz - consts.b * logF
         rhsV = consts.c * Fz + consts.d * Gz + consts.d * logF

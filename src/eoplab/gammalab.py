@@ -5,9 +5,9 @@ production path shifts the argument upward by the exact recurrence
 Psi^(n)(x+1) = Psi^(n)(x) + (-1)^n n!/x^(n+1) and finishes with one
 Euler-Maclaurin tail, sum_k B_2k (2k+e-1)!/(2k)! X^-(2k+e) from
 :func:`_stirling_terms`: e = -1 for log Gamma, e = n >= 0 for Psi^(n). Digamma
-is Psi^(0) and Euler's constant is -Psi(1). The tail is summed through the
-package's one summation loop :func:`numcore.capped_sum` until a term drops
-below 2^-wp; the defining series stay around as low-precision test oracles.
+is Psi^(0) and Euler's constant is -Psi(1). The tail is summed by
+:func:`numcore.capped_sum`, the package's one mpf summation loop, until a term
+drops below 2^-wp; the defining series stay around as low-precision test oracles.
 All routines take rational arguments, return ``mpf`` values carrying at least
 ``prec`` significand bits, and are pure.
 

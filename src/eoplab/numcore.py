@@ -4,10 +4,11 @@ Exact quantities are ``fractions.Fraction`` values (always normalized, positive
 denominator). Configurable-precision reals are ``mpmath.mpf`` values computed
 inside an explicit ``workprec`` context; every public numeric routine takes a
 ``prec`` argument in bits and guarantees at least that many significand bits.
-:func:`to_mpf` rounds a Fraction once, to the nearest. There is no interval
-arithmetic and no certified truncation bound yet: the tests check numeric
-results against mpmath oracles and, through the ``double_run`` fixture, at
-twice the precision; certified bounds are open work (ROADMAP item 9).
+:func:`to_mpf` rounds a Fraction once, to the nearest. :func:`recurrence_sum`
+sums the E-function series exactly, under a certified tail bound; the Stirling
+tails of :func:`capped_sum` have none yet (ROADMAP item 9), and there is no
+interval arithmetic: the tests check against mpmath oracles and, through the
+``double_run`` fixture, at twice the precision.
 
 Results of exact sequences that are needed only to some bits are computed in
 fixed point, on integers floor(v 2^W), with the exact rational path kept as
@@ -110,6 +111,26 @@ def capped_sum(terms, tiny: mpf, cap: int, what: str, acc=0, least: int = 0) -> 
         if i >= least and low < term < tiny:
             return acc
     raise PrecisionError(f"{what} did not converge")
+
+
+def recurrence_sum(step, start: list, den: int, n0: int, prec: int) -> mpf:
+    """S = sum_n v_n[0] rounded once to ``prec`` bits, where v_0 = start/den and
+    v_{n+1} = A_n v_n / d_n for (A_n, d_n) = step(n), integer rows and a nonzero int.
+
+    The terms and S_N = sum_{n<N} v_n[0] are carried exactly over one running
+    denominator (Haible and Papanikolaou, 1998, summed in sequence). The caller
+    proves |v_{n+1}[0]| <= |v_n[0]|/2 for n >= n0, so |S - S_N| <= 2|v_N[0]|
+    there: the first such N with 2|v_N[0]| <= 2^-(prec+2) |S_N| stops the sum,
+    and the rounded S_N is within (2^-prec + 2^-(prec+2)) |S_N| of S.
+    """
+    v, s, n = start, 0, 0
+    while n < n0 or abs(v[0]) << (prec + 3) > abs(s):
+        A, d = step(n)
+        s = (s + v[0]) * d
+        v = [sum(a * x for a, x in zip(row, v)) for row in A]
+        den *= d
+        n += 1
+    return mp.make_mpf(from_rational(s, den, prec, round_nearest))
 
 
 # A private exact context: multiplication of integral Decimals never rounds,

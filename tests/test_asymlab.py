@@ -147,6 +147,19 @@ def test_direct_eval_domain_errors():
             direct_E_eval(z, 64, F(1, 2))
 
 
+def test_direct_eval_accepts_every_positive_real_z():
+    # an mpf and a float are read as their exact binary values
+    for alpha in (None, F(1, 3)):
+        want = direct_E_eval(F(5, 2), 128, alpha)
+        assert direct_E_eval(mpf(5) / 2, 128, alpha) == want
+        assert direct_E_eval(2.5, 128, alpha) == want
+        assert direct_E_eval(5, 128, alpha) == direct_E_eval(mpf(5), 128, alpha)
+    with workprec(64):
+        z = mpf(1) / 3  # 1/3 rounded to 64 bits, a dyadic rational
+    man, exp = z.man_exp
+    assert direct_E_eval(z, 128) == direct_E_eval(man * F(2) ** exp, 128)
+
+
 def test_complex_z_rejected():
     a = asym_E_log(8, 64)
     for z in (complex(10, 1), mp.mpc(10, 1)):

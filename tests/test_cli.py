@@ -61,11 +61,11 @@ GOLDEN = [
         "out/e_convergents.manifest.json": "54568bb2cfa4f9cc96ef696f3b2880774c37879977a1afbb7a4d6ae5561bc45f",
     }),
     _case("intseq-csv", "intseq --k 16 --prec 128 --out out", digests={
-        "out/intseq.csv": "d7ea82a4c23f6ffb50bda5bb285faaec9c5f6960965307718759a59065ffbcbb",
+        "out/intseq.csv": "3b12e3dc5034cb639f63099b6f26d8caacdacaff1dca834fecdb9ea635c9f146",
         "out/intseq.manifest.json": "a09bf2e9964e22104d74eddc27f501da0a27b5afefcc0f71501154e7ef6a462c",
     }),
     _case("intseq-json", "intseq --k 16 --format json --digits 20 --out out", digests={
-        "out/intseq.json": "2716dc7e387a43389957376f5a848f8b13c8476a344f62d1fab4d41a0388983e",
+        "out/intseq.json": "ae388ac180f736129be0f6e327723b992a91d7c7332edebdf1c42ff62ac72a4e",
         "out/intseq.manifest.json": "d4e6693293944d64837abfbc0d3ff794c9bc2c48e9bd5f36f0394d7edb8cdd8e",
     }),
     _case("asym-ealpha-csv", "asym-check --which ealpha --alpha=1/3 --z 12 --out out", digests={

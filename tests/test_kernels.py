@@ -23,8 +23,8 @@ from eoplab.cli import _digits
 from eoplab import constructions
 from eoplab.constructions import (
     _agree,
-    _bessel_sum,
     _closed,
+    bessel_f,
     _win_weight,
     e_convergents,
     euler_seq,
@@ -630,7 +630,9 @@ def test_e_convergent_rows_match_pade_evaluation():
 
 def oracle_a_direct(k, wp):
     """A_k = (-1)^k sum_n 1/(n! (n+k)!) at wp bits, by the loop intseq ran
-    before it summed F^(k)(1) through _bessel_sum."""
+    before it summed F^(k)(1) through one Bessel-type mpf loop. It adds at most
+    wp + 2 terms, each rounded to wp bits, and stops below the absolute floor
+    2^-wp; as |A_k| >= 1/k!, it is within (wp + 3 + k!) 2^-wp relative of A_k."""
     def terms():
         term = 1 / mp.factorial(k)
         for n in count(1):
@@ -666,23 +668,26 @@ def oracle_intseq(kmax, prec):
 def test_intseq_backward_recurrence_matches_the_direct_sums(kmax, prec):
     res = intseq(kmax, prec)
     direct, disagreement = oracle_intseq(kmax, prec)
-    # the direct sums intseq seeds its two runs with, bit for bit
+    # the direct sums intseq seeds its two runs with: within the old loop's own
+    # rounding bound of it, and within 2^-(wp - GUARD_BITS) of (-1)^k I_k(2)
     wp = prec + int(2 * math.lgamma(kmax + 1) / math.log(2)) + 32
     for k in (0, 1, kmax // 2, kmax, kmax + 1):
         want = direct[k] if k <= kmax else oracle_a_direct(k, wp)
-        with workprec(wp):
-            assert (-1) ** k * _bessel_sum(1, wp - GUARD_BITS, k, harmonic=False) == want
+        with workprec(4 * wp):
+            got = (-1) ** k * bessel_f(1, wp - GUARD_BITS, k)
+            exact = (-1) ** k * mp.besseli(k, 2)
+            assert abs(got - exact) <= abs(exact) * mpf(2) ** -(wp - GUARD_BITS)
+            assert abs(want - got) <= abs(got) * (wp + 5 + math.factorial(k)) * mpf(2) ** -wp
     assert len(res.A) == kmax + 1
     assert all(abs(a - d) <= abs(d) * mpf(2) ** -prec for a, d in zip(res.A, direct))
+    # the disagreement is the seeds' rounding, amplified by the forward run, so
+    # its digits follow the seeds' last bits and only its size is pinned
     assert res.recurrence_disagreement <= mpf(2) ** -prec
-    if kmax < 5:
-        return  # the few-ulp gap at k <= 1 can set the disagreement's last digits
     # the strings eop writes. 20 digits lie within wp (at least prec + 32 bits)
     # everywhere; 100 digits only at 512 bits, as below that they reach past
     # what wp carries at small kmax and show the two routes' own rounding
     for d in (20, 100) if prec >= 512 else (20,):
         assert [_digits(a, d) for a in res.A] == [_digits(a, d) for a in direct]
-    assert _digits(res.recurrence_disagreement, 8) == _digits(disagreement, 8)
 
 
 def oracle_pochhammer(a, n):

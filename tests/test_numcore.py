@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
 from eoplab import numcore
+from eoplab.constructions import bessel_f, bessel_g
 from eoplab.numcore import (
     DomainError,
     PolyQ,
@@ -17,6 +18,7 @@ from eoplab.numcore import (
     capped_sum,
     least_squares_line,
     poly_gcd,
+    recurrence_sum,
     to_mpf,
 )
 
@@ -293,3 +295,47 @@ def test_capped_sum_threshold_is_exact(term, small):
     tiny = mpf(3) / 2 ** 12  # in [2^-11, 2^-10)
     got = capped_sum(iter([term, mpf(1), mpf(0)]), tiny, 5, "x")
     assert got == (term if small else term + 1)
+
+
+def _within_the_sum_bound(got, want, prec):
+    # rounding 2^-prec |S_N| plus the tail 2^-(prec+2) |S_N|, with
+    # |S_N| <= |S| / (1 - 2^-(prec+2)) < |S| (1 + 2^-prec)
+    with workprec(4 * prec):
+        want = mpf(want.numerator) / want.denominator if isinstance(want, F) else want
+        return abs(got - want) <= mpf(5) / 4 * mpf(2) ** -prec * abs(want) * (1 + mpf(2) ** -prec)
+
+
+@pytest.mark.parametrize("prec", [53, 256, 1024, 4096])
+def test_recurrence_sum_matches_closed_forms(prec):
+    # sum (3/7)^n / n!: the ratio 3/(7(n+1)) is at most 1/2 from n = 0
+    got = recurrence_sum(lambda n: ([[3]], 7 * (n + 1)), [1], 1, 0, prec)
+    with workprec(4 * prec):
+        assert _within_the_sum_bound(got, mp.exp(mpf(3) / 7), prec)
+    # 1/3, 1, 3, 9, 27, 27/2, 27/4, ...: a ratio of exactly 1/2 from n0 = 4,
+    # where the tail from N is exactly 2 v_N, so the factor 2 is tight
+    got = recurrence_sum(lambda n: ([[3]], 1) if n < 4 else ([[1]], 2), [1], 3, 4, prec)
+    assert _within_the_sum_bound(got, F(202, 3), prec)
+    # a vector state: sum (n+1) 4^-n = 16/9 from ((n+1) 4^-n, 4^-n), whose
+    # first entry has the ratio (n+2)/(4(n+1)) <= 1/2
+    got = recurrence_sum(lambda n: ([[1, 1], [0, 1]], 4), [1, 1], 1, 0, prec)
+    assert _within_the_sum_bound(got, F(16, 9), prec)
+
+
+def test_recurrence_sum_needs_its_n0():
+    # 1, 2^-(prec+10), 2, 1, 1/2, ...: the second term lies below 2^-(prec+2)
+    # times the partial sum, and the terms rise again after it
+    prec = 128
+    dip = 2 ** (prec + 10)
+
+    def step(n):
+        return ([[1]], dip) if n == 0 else ([[2 * dip]], 1) if n == 1 else ([[1]], 2)
+
+    assert _within_the_sum_bound(recurrence_sum(step, [1], 1, 2, prec), 5 + F(1, dip), prec)
+    assert recurrence_sum(step, [1], 1, 0, prec) == 1
+
+
+def test_recurrence_sum_stops_when_every_term_vanishes():
+    assert recurrence_sum(lambda n: ([[0]], 1), [0], 1, 0, 53) == 0
+    assert bessel_g(0, 256) == 0  # G(0) = -2 H_0 = 0
+    assert bessel_f(0, 256) == 1
+    assert bessel_g(0, 256, deriv=2) == -mpf(3) / 2  # -2 H_2 / 2!
