@@ -21,7 +21,6 @@ from itertools import accumulate
 from operator import mul
 
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import to_rational
 
 from .numcore import (
     DEFAULT_PREC,
@@ -29,6 +28,7 @@ from .numcore import (
     DomainError,
     Rational,
     decay_exponent,
+    exact_real,
     off_poles,
     recurrence_sum,
     to_mpf,
@@ -88,32 +88,27 @@ def _expansion(front: tuple, alpha: Fraction, order: int) -> AsymptoticSeries:
     return AsymptoticSeries(front_terms=front, exp_rho=-1, tail_coeffs=tail)
 
 
-def _real(z) -> Fraction:
-    """z as an exact Fraction (a float or mpf read as its binary value); z must
-    be real and finite within the float range (ints, Fractions, floats, mpfs)."""
-    try:
-        finite = math.isfinite(float(z))
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
-        raise DomainError(f"{z!r} is not a real finite number")
-    return Fraction(*to_rational(z._mpf_)) if isinstance(z, mpf) else Fraction(z)
+def _real_z(z) -> Fraction:
+    """z exactly (numcore.exact_real), with |z| < 2^1024: round|z| and 2z count terms."""
+    z = exact_real(z)
+    if abs(z) >= 2**1024:
+        raise DomainError("z lies beyond the float range")
+    return z
 
 
 def optimal_truncation(z) -> int:
     """Smallest-term index for a tail ~ n!/z^(n+1): round(|z|). eval_asym
     raises when it passes the order a series carries."""
-    return round(abs(_real(z)))
+    return round(abs(_real_z(z)))
 
 
 def eval_asym(a: AsymptoticSeries, z, N: int, prec: int = DEFAULT_PREC) -> mpf:
     """front(z) - e^(exp_rho z) * sum_{n<N} tail_n z^(-n-1), for 0 <= N <= a.order."""
     if not 0 <= N <= a.order:
         raise DomainError(f"truncation {N} is outside 0..{a.order}, the available order")
-    _real(z)  # rejects a complex z before to_mpf would raise TypeError
     wp = prec + GUARD_BITS
     with workprec(wp):
-        zv = to_mpf(z, wp)
+        zv = to_mpf(_real_z(z), wp)
         acc = mpf(0)
         logz = mp.log(zv)
         for t in a.front_terms:
@@ -136,7 +131,7 @@ def direct_E_eval(z, prec: int = DEFAULT_PREC, alpha: Rational | None = None) ->
     (n+1+alpha)), at most z/(n+1) <= 1/2 in size from max(2z, floor(-alpha)+1) on.
     """
     alpha = Fraction(0) if alpha is None else off_poles(alpha, "E_alpha")
-    z = _real(z)
+    z = _real_z(z)
     if z <= 0:
         raise DomainError(f"direct summation needs real z > 0, got {z}")
     a, b = z.numerator, z.denominator
@@ -176,7 +171,7 @@ def transfer_rate_check(
     lo, hi = window if window is not None else (max(16, N // 10), N)
     if not 1 <= lo < hi <= N:
         raise DomainError(f"window {(lo, hi)} must satisfy 1 <= lo < hi <= {N}")
-    slope = decay_exponent(values, _real(trusted_limit), lo, hi)
+    slope = decay_exponent(values, exact_real(trusted_limit), lo, hi)
     if slope is None:
         raise DomainError("not enough points for a slope fit")
     return RateCheckReport(

@@ -63,6 +63,7 @@ from .numcore import (
     RouteDisagreement,
     capped_sum,
     decay_exponent,
+    exact_real,
     least_squares_line,
     off_poles,
     recurrence_sum,
@@ -342,12 +343,12 @@ def e_convergents(N: int) -> list:
 
 
 def bessel_f(x, prec: int = DEFAULT_PREC, deriv: int = 0) -> mpf:
-    """F(x) = sum_n x^n / n!^2 (or its derivative) at a rational x, summed exactly."""
+    """F(x) = sum_n x^n / n!^2 (or its derivative) at the exact value of a real x."""
     return _bessel_sum(x, prec, deriv, harmonic=False)
 
 
 def bessel_g(x, prec: int = DEFAULT_PREC, deriv: int = 0) -> mpf:
-    """G(x) = -2 sum_n H_n x^n / n!^2 (or its derivative) at a rational x."""
+    """G(x) = -2 sum_n H_n x^n / n!^2 (or its derivative), likewise."""
     return _bessel_sum(x, prec, deriv, harmonic=True)
 
 
@@ -359,7 +360,7 @@ def _bessel_sum(x, prec: int, d: int, harmonic: bool) -> mpf:
     # n0 is at least 1 unless x = 0, where every term past the first is 0.
     if d < 0:
         raise DomainError(f"need deriv >= 0, got {d}")
-    x = Fraction(x)
+    x = exact_real(x)
     p, q = x.numerator, x.denominator
     h = sum(Fraction(1, n) for n in range(1, d + 1))  # H_d
     start, den = ([-2 * h.numerator, -2 * h.denominator], h.denominator) if harmonic else ([1], 1)
@@ -392,9 +393,8 @@ def intseq(kmax: int, prec: int = DEFAULT_PREC) -> IntSeqResult:
     """
     if kmax < 2:
         raise DomainError("need kmax >= 2")
-    # the forward run amplifies initial rounding by ~ V_k * k!, so pad; the
-    # backward run and its seeds use the same wp, so that the disagreement
-    # measures the forward run and not their own rounding
+    # pad for the forward run, which amplifies its seeds' rounding by ~ V_k k!;
+    # the backward run shares wp, so the disagreement measures the forward run
     wp = prec + int(2 * math.lgamma(kmax + 1) / math.log(2)) + 32
 
     def direct(k: int) -> mpf:  # A_k = (-1)^k F^(k)(1), rounded to wp
@@ -456,6 +456,7 @@ def intseq_generating_check(z, prec: int = DEFAULT_PREC) -> dict:
     (The U-side signs are opposite to the V-side ones; both checks use the
     plain, unsigned integer sequences.)
     """
+    z = exact_real(z)
     wp = prec + 48
     consts = intseq_constants(wp)
     with workprec(wp):
@@ -466,7 +467,8 @@ def intseq_generating_check(z, prec: int = DEFAULT_PREC) -> dict:
         floor, cap = mpf(2) ** (-wp), 9 + int(wp / (1 - abs(zv)))
         sU = capped_sum(_egf_terms(0, 1, zv), floor, cap, "U generating series", least=8)
         sV = capped_sum(_egf_terms(1, 0, zv), floor, cap, "V generating series", least=8)
-        Fz, Gz = (fn(1 - Fraction(z), wp) for fn in (bessel_f, bessel_g))  # at 1 - z exactly
+        Fz = bessel_f(1 - z, wp)  # at 1 - z exactly
+        Gz = bessel_g(1 - z, wp)
         logF = mp.log(1 - zv) * Fz
         rhsU = -consts.a * Fz - consts.b * Gz - consts.b * logF
         rhsV = consts.c * Fz + consts.d * Gz + consts.d * logF

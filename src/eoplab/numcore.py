@@ -4,7 +4,7 @@ Exact quantities are ``fractions.Fraction`` values (always normalized, positive
 denominator). Configurable-precision reals are ``mpmath.mpf`` values computed
 inside an explicit ``workprec`` context; every public numeric routine takes a
 ``prec`` argument in bits and guarantees at least that many significand bits.
-:func:`to_mpf` rounds a Fraction once, to the nearest. :func:`recurrence_sum`
+:func:`to_mpf` rounds an exact real once, to the nearest. :func:`recurrence_sum`
 sums the E-function series exactly, under a certified tail bound; the Stirling
 tails of :func:`capped_sum` have none yet (ROADMAP item 9), and there is no
 interval arithmetic: the tests check against mpmath oracles and, through the
@@ -31,8 +31,8 @@ or ``mpf`` entries (polynomial and Taylor-jet products). :func:`binary_split`
 adds or multiplies many small rationals as a balanced tree.
 
 :func:`off_poles` is the one pole test (Gamma and the E_alpha family have
-their poles at the nonpositive integers). :func:`decay_exponent` is the one
-fit of the decay rate of |P_n - L|.
+their poles at the nonpositive integers), :func:`exact_real` the one exact
+reader of a real, :func:`decay_exponent` the one decay fit of |P_n - L|.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from fractions import Fraction
 from math import gcd, lcm, log
 import threading
 
-from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_rational, round_nearest
+from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest, to_rational
 
 Rational = Fraction
 
@@ -77,6 +77,17 @@ def off_poles(x, what: str) -> Fraction:
     return x
 
 
+def exact_real(x) -> Fraction:
+    """x as an exact Fraction, a float or mpf read as its binary value; DomainError
+    unless x is a real finite number (an int, Fraction, float or mpf)."""
+    if isinstance(x, mpf) and mp.isfinite(x):  # to_rational reads an mpf inf as 0
+        return Fraction(*to_rational(x._mpf_))
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):  # complex, mpc, inf, nan
+        raise DomainError(f"{x!r} is not a real finite number") from None
+
+
 class LeadingCoefficientVanishes(ArithmeticError):
     """The recurrence cannot determine the next term at index ``n``."""
 
@@ -86,15 +97,11 @@ class LeadingCoefficientVanishes(ArithmeticError):
 
 
 def to_mpf(q, prec: int = DEFAULT_PREC) -> mpf:
-    """Round an exact rational (or int/mpf) to the nearest mpf with ``prec`` bits.
-
-    A Fraction is rounded once, by ``libmp.from_rational`` (rounding the
-    numerator first and then dividing would round twice).
-    """
-    if isinstance(q, Fraction):
-        return mp.make_mpf(from_rational(q.numerator, q.denominator, prec, round_nearest))
-    with workprec(prec):
-        return +mpf(q)
+    """The real q, read by :func:`exact_real`, rounded once to the nearest mpf with
+    ``prec`` bits by ``libmp.from_rational`` (rounding the numerator first and
+    then dividing would round twice)."""
+    q = exact_real(q)
+    return mp.make_mpf(from_rational(q.numerator, q.denominator, prec, round_nearest))
 
 
 def capped_sum(terms, tiny: mpf, cap: int, what: str, acc=0, least: int = 0) -> mpf:

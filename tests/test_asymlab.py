@@ -201,6 +201,9 @@ def test_transfer_rate_check_reads_an_mpf_limit_exactly_with_its_sign():
         assert transfer_rate_check(run, predicted, oracle) == \
             transfer_rate_check(run, predicted, exact)
     assert transfer_rate_check(run, F(-1), oracle) != transfer_rate_check(run, F(-1), -exact)
+    # a finite limit beyond the float range is read exactly too: |P_n - L| ~ |L|
+    for far in (mpf("1e400"), -F(10**400, 3)):
+        assert abs(transfer_rate_check(run, F(0), far).empirical_exponent) < 1e-6
 
 
 def test_transfer_rate_check_requires_enough_values():

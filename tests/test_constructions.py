@@ -274,6 +274,20 @@ def test_generating_identities_at_half():
         assert res["V"] < mpf(10) ** -20
 
 
+def test_bessel_sums_and_generating_check_read_every_real_exactly():
+    # an mpf or a float is read as its exact binary value, as for direct_E_eval
+    for x in (F(3, 2), F(-3, 2)):
+        for fn in (bessel_f, bessel_g):
+            want = fn(x, 128, deriv=1)
+            assert fn(mpf(x.numerator) / x.denominator, 128, deriv=1) == want
+            assert fn(float(x), 128, deriv=1) == want
+    assert intseq_generating_check(mpf(1) / 2, 128) == intseq_generating_check(F(1, 2), 128)
+    for bad in (complex(1, 1), mp.mpc(1, 1), mpf("nan"), float("inf")):
+        for fn in (bessel_f, bessel_g, intseq_generating_check):
+            with pytest.raises(DomainError):
+                fn(bad, 64)
+
+
 def test_intseq_requires_kmax():
     with pytest.raises(DomainError):
         intseq(1, 64)

@@ -632,7 +632,8 @@ def oracle_a_direct(k, wp):
     """A_k = (-1)^k sum_n 1/(n! (n+k)!) at wp bits, by the loop intseq ran
     before it summed F^(k)(1) through one Bessel-type mpf loop. It adds at most
     wp + 2 terms, each rounded to wp bits, and stops below the absolute floor
-    2^-wp; as |A_k| >= 1/k!, it is within (wp + 3 + k!) 2^-wp relative of A_k."""
+    2^-wp; as |A_k| >= 1/k!, it is within (wp + 5 + k!) 2^-wp relative of A_k:
+    wp + 2 for the additions, 3 for the rounded terms and k! for the tail."""
     def terms():
         term = 1 / mp.factorial(k)
         for n in count(1):
@@ -645,16 +646,23 @@ def oracle_a_direct(k, wp):
         return +((-1) ** k * acc)
 
 
-def oracle_intseq(kmax, prec):
+def oracle_intseq(kmax, prec, direct=oracle_a_direct):
     """(A, disagreement) as intseq gave them before the backward recurrence:
-    every A_k a direct sum, checked against the forward run from A_0, A_1."""
+    every A_k a direct sum direct(k, wp), checked against the forward run from
+    A_0, A_1."""
     wp = prec + int(2 * math.lgamma(kmax + 1) / math.log(2)) + 32
-    direct = [oracle_a_direct(k, wp) for k in range(kmax + 1)]
     with workprec(wp):
-        rec = [direct[0], direct[1]]
+        A = [direct(k, wp) for k in range(kmax + 1)]
+        rec = [A[0], A[1]]
         for k in range(1, kmax):
             rec.append(k * rec[k] + rec[k - 1])
-        return direct, max(abs(a - b) for a, b in zip(direct, rec))
+        return A, max(abs(a - b) for a, b in zip(A, rec))
+
+
+def exact_a_direct(k, wp):
+    """A_k = (-1)^k F^(k)(1) rounded to wp bits, as intseq sums its seeds;
+    called at wp bits."""
+    return (-1) ** k * bessel_f(1, wp - GUARD_BITS, k)
 
 
 @settings(max_examples=40)
@@ -667,22 +675,24 @@ def oracle_intseq(kmax, prec):
 @example(160, 53)
 def test_intseq_backward_recurrence_matches_the_direct_sums(kmax, prec):
     res = intseq(kmax, prec)
-    direct, disagreement = oracle_intseq(kmax, prec)
-    # the direct sums intseq seeds its two runs with: within the old loop's own
-    # rounding bound of it, and within 2^-(wp - GUARD_BITS) of (-1)^k I_k(2)
+    direct, _ = oracle_intseq(kmax, prec)
+    # the direct sums intseq seeds its two runs with: within 2^-(wp - GUARD_BITS)
+    # of (-1)^k I_k(2), and within the old loop's own rounding bound of it
     wp = prec + int(2 * math.lgamma(kmax + 1) / math.log(2)) + 32
     for k in (0, 1, kmax // 2, kmax, kmax + 1):
         want = direct[k] if k <= kmax else oracle_a_direct(k, wp)
         with workprec(4 * wp):
-            got = (-1) ** k * bessel_f(1, wp - GUARD_BITS, k)
+            got = exact_a_direct(k, wp)
             exact = (-1) ** k * mp.besseli(k, 2)
             assert abs(got - exact) <= abs(exact) * mpf(2) ** -(wp - GUARD_BITS)
             assert abs(want - got) <= abs(got) * (wp + 5 + math.factorial(k)) * mpf(2) ** -wp
     assert len(res.A) == kmax + 1
     assert all(abs(a - d) <= abs(d) * mpf(2) ** -prec for a, d in zip(res.A, direct))
-    # the disagreement is the seeds' rounding, amplified by the forward run, so
-    # its digits follow the seeds' last bits and only its size is pinned
     assert res.recurrence_disagreement <= mpf(2) ** -prec
+    if kmax >= 5:  # below, the backward run's own few-ulp rounding can set them
+        # the forward run from intseq's own seeds: the same run, bit for bit
+        _, disagreement = oracle_intseq(kmax, prec, exact_a_direct)
+        assert _digits(res.recurrence_disagreement, 8) == _digits(disagreement, 8)
     # the strings eop writes. 20 digits lie within wp (at least prec + 32 bits)
     # everywhere; 100 digits only at 512 bits, as below that they reach past
     # what wp carries at small kmax and show the two routes' own rounding

@@ -16,6 +16,7 @@ from eoplab.numcore import (
     PrecisionError,
     bernoulli,
     capped_sum,
+    exact_real,
     least_squares_line,
     poly_gcd,
     recurrence_sum,
@@ -339,3 +340,20 @@ def test_recurrence_sum_stops_when_every_term_vanishes():
     assert bessel_g(0, 256) == 0  # G(0) = -2 H_0 = 0
     assert bessel_f(0, 256) == 1
     assert bessel_g(0, 256, deriv=2) == -mpf(3) / 2  # -2 H_2 / 2!
+
+
+def test_exact_real_reads_every_finite_real_exactly():
+    with workprec(64):
+        third = mpf(1) / 3
+    man, exp = third.man_exp
+    assert exact_real(third) == man * F(2) ** exp
+    assert exact_real(-third) == -man * F(2) ** exp
+    assert exact_real(0.1) == F(3602879701896397, 2**55)
+    assert exact_real(mpf(0)) == 0 and exact_real(7) == 7
+    # finite values beyond the float range stay exact
+    man, exp = mpf("1e400").man_exp
+    assert exact_real(mpf("1e400")) == man * F(2) ** exp > 10**399
+    assert exact_real(F(10**400, 3)) == F(10**400, 3)
+    for x in (float("nan"), float("-inf"), mpf("nan"), mpf("-inf"), complex(1, 0), mp.mpc(1, 1)):
+        with pytest.raises(DomainError):
+            exact_real(x)
