@@ -47,7 +47,7 @@ import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import accumulate
 from operator import add, mul
 
 from mpmath import mp, mpf, workprec
@@ -61,7 +61,6 @@ from .numcore import (
     PrecisionError,
     Rational,
     RouteDisagreement,
-    capped_sum,
     decay_exponent,
     exact_real,
     least_squares_line,
@@ -463,25 +462,28 @@ def intseq_generating_check(z, prec: int = DEFAULT_PREC) -> dict:
         zv = to_mpf(z, wp)
         if not abs(zv) < 1:
             raise DomainError("the identity check needs |z| < 1")
-        # 0 <= U_k, V_k <= k!, so a term is at most |z|^k, below 2^-wp by k = wp/(1-|z|)
-        floor, cap = mpf(2) ** (-wp), 9 + int(wp / (1 - abs(zv)))
-        sU = capped_sum(_egf_terms(0, 1, zv), floor, cap, "U generating series", least=8)
-        sV = capped_sum(_egf_terms(1, 0, zv), floor, cap, "V generating series", least=8)
+        sU, sV = _egf_sums(z, wp)
         Fz = bessel_f(1 - z, wp)  # at 1 - z exactly
         Gz = bessel_g(1 - z, wp)
         logF = mp.log(1 - zv) * Fz
         rhsU = -consts.a * Fz - consts.b * Gz - consts.b * logF
         rhsV = consts.c * Fz + consts.d * Gz + consts.d * logF
-        return {"U": +abs(sU - rhsU), "V": +abs(sV - rhsV)}
+        return {"U": +abs(to_mpf(sU, wp) - rhsU), "V": +abs(to_mpf(sV, wp) - rhsV)}
 
 
-def _egf_terms(u0: int, u1: int, z: mpf):
-    """u_k z^k / k! for the solution of u_{k+1} = k u_k + u_{k-1} from u0, u1."""
-    t = mpf(1)  # z^k / k!
-    for k in count(1):
-        yield u0 * t
-        u0, u1 = u1, k * u1 + u0
-        t = t * z / k
+def _egf_sums(z: Fraction, wp: int) -> tuple:
+    """sum_{k<K} u_k z^k/k! exactly for u = U and V (u_{k+1} = k u_k + u_{k-1}
+    from 0, 1 and from 1, 0). As 0 <= u_k <= k!, the rest is at most
+    |z|^K/(1 - |z|), and K is the first count that makes it <= 2^-(wp+4)."""
+    p, q = z.numerator, z.denominator
+    sU, sV, den, pk, qk, k = 0, 1, 1, 1, 1, 0  # sums over den = q^k k!; p^k, q^k
+    U, U1, V, V1 = 0, 1, 1, 0  # u_k, u_{k+1} of each
+    while (abs(p * pk) << (wp + 4)) > qk * (q - abs(p)):
+        k += 1
+        U, U1, V, V1 = U1, k * U1 + U, V1, k * V1 + V
+        pk, qk, den = pk * p, qk * q, den * k * q
+        sU, sV = sU * k * q + U * pk, sV * k * q + V * pk
+    return Fraction(sU, den), Fraction(sV, den)
 
 
 # ---------------------------------------------------------------------------

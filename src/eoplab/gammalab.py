@@ -4,12 +4,12 @@ The defining series of Psi^(n) converge too slowly at hundreds of bits, so the
 production path shifts the argument upward by the exact recurrence
 Psi^(n)(x+1) = Psi^(n)(x) + (-1)^n n!/x^(n+1) and finishes with one
 Euler-Maclaurin tail, sum_k B_2k (2k+e-1)!/(2k)! X^-(2k+e) from
-:func:`_stirling_terms`: e = -1 for log Gamma, e = n >= 0 for Psi^(n). Digamma
-is Psi^(0) and Euler's constant is -Psi(1). The tail is summed by
-:func:`numcore.capped_sum`, the package's one mpf summation loop, until a term
-drops below 2^-wp; the defining series stay around as low-precision test oracles.
-All routines take rational arguments, return ``mpf`` values carrying at least
-``prec`` significand bits, and are pure.
+:func:`_stirling_tail`: e = -1 for log Gamma, e = n >= 0 for Psi^(n). Digamma
+is Psi^(0) and Euler's constant is -Psi(1). The tail is an exact rational that
+stops at a proven bound, and each value is one exact rational rounded once,
+with log X, log 2 pi and exp the only mpf steps; the defining series stay
+around as low-precision test oracles. All routines take rational arguments,
+return ``mpf`` values carrying at least ``prec`` significand bits, and are pure.
 
 Derivatives of Gamma and of 1/Gamma come from one Leibniz recursion: f' = s Psi f
 for f = Gamma^s, s = +-1, so f^(j+1) = s sum_i binom(j,i) Psi^(i) f^(j-i). At the
@@ -33,7 +33,7 @@ from .numcore import (
     Rational,
     bernoulli,
     binary_split,
-    capped_sum,
+    exact_real,
     off_poles,
     small_cauchy,
     to_mpf,
@@ -67,16 +67,34 @@ def _add_ratios(a: tuple, b: tuple) -> tuple:
     return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
 
 
-def _stirling_terms(e: int, X: mpf):
-    """B_2k (2k+e-1)!/(2k)! X^-(2k+e) for k = 1, 2, ..., at the ambient precision;
-    the weight is a ratio of two falling products, so no term rounds a Fraction."""
-    power = X ** (e + 2)
-    Xsq = X * X
+def _stirling_tail(e: int, X: Fraction, bound: Fraction) -> Fraction:
+    """sum_{k<=K} t_k, t_k = B_2k (2k+e-1)!/(2k)! X^-(2k+e) (e >= -1), exactly, for
+    the first K >= 0 with |t_{K+1}| <= bound, found by integer comparisons.
+
+    For real X > 0 the remainder after K terms has the sign of t_{K+1} and is at
+    most |t_{K+1}| (DLMF 5.11(ii) for log Gamma). By Binet's formula (DLMF 5.9)
+    it is int_0^oo t^e r_K(t) e^(-X t) dt for every e, where r_K(t), the rest of
+    1/(e^t - 1) - 1/t + 1/2 after K Bernoulli terms, has for t > 0 the sign of
+    its next term and is at most it. The terms decrease while 2k + e + 1 < 2 pi X,
+    and the callers' X >= X0 keeps that true well past K, so no cap is needed.
+    One common denominator: the lcm of the weights' ones times P^(2K+e), X = P/Q.
+    """
+    P, Q = X.numerator, X.denominator
+    Pk, Qk = P ** (e + 2), Q ** (e + 2)  # X^-(2k+e) = Qk/Pk, at k = 1 first
+    terms = []
     for k in count(1):
         b = bernoulli(2 * k)
-        num = b.numerator * math.perm(2 * k + e - 1, max(0, e - 1))
-        yield mpf(num) / (b.denominator * math.perm(2 * k, max(0, 1 - e))) / power
-        power *= Xsq
+        num = b.numerator * math.perm(2 * k + e - 1, max(0, e - 1)) * Qk
+        den = b.denominator * math.perm(2 * k, max(0, 1 - e))
+        if abs(num) * bound.denominator <= bound.numerator * den * Pk:
+            break
+        terms.append((num, den))
+        Pk, Qk = Pk * P * P, Qk * Q * Q
+    L = math.lcm(*(den for _, den in terms))
+    acc = 0
+    for num, den in terms:  # Horner in P^2
+        acc = acc * P * P + num * (L // den)
+    return Fraction(acc, L * P ** max(0, 2 * len(terms) + e))
 
 
 def euler_gamma(prec: int = DEFAULT_PREC) -> mpf:
@@ -96,36 +114,31 @@ def polygamma(n: int, x: Rational, prec: int = DEFAULT_PREC) -> mpf:
         raise DomainError("polygamma needs n >= 0")
     x = off_poles(x, "polygamma")
     wp = prec + _GUARD + n
-    X0 = max(16, int(0.35 * wp) + n)
-    m = max(0, math.ceil(X0 - x))
-    shift = _inverse_power_sum(x, m, n + 1)
+    m = max(0, math.ceil(max(16, int(0.35 * wp) + n) - x))  # X = x + m >= X0
+    X = x + m
     nfact = math.factorial(n)
+    # Psi^(n)(x) = (-1)^(n+1) [lead + n!/(2 X^(n+1)) + tail + n! shift], lead = (n-1)!/X^n
+    # (-log X at n = 0, where |[...]| > 2); the tail stops at 2^-(wp+4) of the lead, or of 1
+    lead = math.factorial(n - 1) / X**n if n else Fraction(0)
+    tail = _stirling_tail(n, X, Fraction(lead or 1, 1 << (wp + 4)))
+    rest = lead + nfact / (2 * X ** (n + 1)) + tail + nfact * _inverse_power_sum(x, m, n + 1)
     with workprec(wp):
-        X = to_mpf(x + m, wp)
-        # Psi^(n)(X) = (-1)^(n-1) [ lead + n!/(2 X^(n+1)) + tail ], where the
-        # lead is (n-1)!/X^n, and -log X at n = 0
-        lead = -mp.log(X) if n == 0 else mpf(math.factorial(n - 1)) / X**n
-        acc = lead + mpf(nfact) / (2 * X ** (n + 1))
-        acc = capped_sum(_stirling_terms(n, X), mpf(2) ** (-wp - 4) * abs(acc), int(8 * X),
-                         "polygamma asymptotic tail", acc)
-        sign = 1 if n % 2 else -1
-        return +(sign * acc - (-1) ** n * nfact * to_mpf(shift, wp))
+        rest = to_mpf(rest if n % 2 else -rest, wp)
+        return rest if n else +(mp.log(to_mpf(X, wp)) + rest)
 
 
 def gamma_value(x: Rational, prec: int = DEFAULT_PREC) -> mpf:
     """Gamma at a rational point via upward shift and the Stirling series."""
     x = off_poles(x, "Gamma")
     wp = prec + _GUARD + 8
-    X0 = max(20, int(0.2 * wp) + 8)
-    m = max(0, math.ceil(X0 - x))
+    m = max(0, math.ceil(max(20, int(0.2 * wp) + 8) - x))  # X = x + m >= X0
+    X = x + m
     p, q = x.numerator, x.denominator
     prod = Fraction(binary_split(mul, [p + j * q for j in range(m)], 1), q**m)
     with workprec(wp):
-        X = to_mpf(x + m, wp)
-        # log Gamma(X) = (X-1/2) log X - X + log(2 pi)/2 + tail
-        acc = (X - mpf(1) / 2) * mp.log(X) - X + mp.log(2 * mp.pi) / 2
-        acc = capped_sum(_stirling_terms(-1, X), mpf(2) ** (-wp - 4), int(8 * X),
-                         "Stirling tail", acc)
+        # log Gamma(X) = (X-1/2) log X + log(2 pi)/2 - (X - tail)
+        acc = to_mpf(X - Fraction(1, 2), wp) * mp.log(to_mpf(X, wp)) + mp.log(2 * mp.pi) / 2
+        acc -= to_mpf(X - _stirling_tail(-1, X, Fraction(1, 1 << (wp + 4))), wp)
         return +(mp.e ** acc / to_mpf(prod, wp))
 
 
@@ -158,7 +171,7 @@ def recip_gamma_jet(x: Rational, order: int, prec: int = DEFAULT_PREC) -> list:
     """Taylor jet of 1/Gamma at x, valid for every rational x (1/Gamma is entire)."""
     # 1/Gamma(z) = z(z+1)...(z+m) / Gamma(z+m+1) at x = -m; the empty product
     # (m = -1) elsewhere
-    x = Fraction(x)
+    x = exact_real(x)
     m = -x.numerator if x.denominator == 1 and x <= 0 else -1
     wp = prec + _GUARD
     derivs = _leibniz(order, x + m + 1, wp + _GUARD, -1)
@@ -190,7 +203,7 @@ def y_alpha_i(alpha: Rational, i: int, N: int) -> TruncatedSeries:
         raise DomainError("y_alpha_i needs i >= 0")
     from .series import TruncatedSeries
 
-    alpha = Fraction(alpha)
+    alpha = exact_real(alpha)
     fl = math.floor(alpha)
     length = i + 1
     jet = [Fraction(1)] + [Fraction(0)] * i
@@ -213,7 +226,7 @@ def lambda_log_poly(t: Rational, s: int, prec: int = DEFAULT_PREC) -> tuple:
     """
     if s < 0:
         raise DomainError("lambda needs s >= 0")
-    t = Fraction(t)
+    t = exact_real(t)
     point = 1 - t + math.floor(t)
     jet = recip_gamma_jet(point, s, prec)
     with workprec(prec + _GUARD):

@@ -4,11 +4,11 @@ Exact quantities are ``fractions.Fraction`` values (always normalized, positive
 denominator). Configurable-precision reals are ``mpmath.mpf`` values computed
 inside an explicit ``workprec`` context; every public numeric routine takes a
 ``prec`` argument in bits and guarantees at least that many significand bits.
-:func:`to_mpf` rounds an exact real once, to the nearest. :func:`recurrence_sum`
-sums the E-function series exactly, under a certified tail bound; the Stirling
-tails of :func:`capped_sum` have none yet (ROADMAP item 9), and there is no
-interval arithmetic: the tests check against mpmath oracles and, through the
-``double_run`` fixture, at twice the precision.
+:func:`to_mpf` rounds an exact real once, to the nearest. Every truncated sum
+follows one rule: exact terms, a stop at a proven tail bound, one rounding
+(:func:`recurrence_sum` for the E-function series, gammalab's Stirling tails,
+the U/V generating sums). There is no interval arithmetic: the tests check
+against mpmath oracles and, through the ``double_run`` fixture, at twice the precision.
 
 Results of exact sequences that are needed only to some bits are computed in
 fixed point, on integers floor(v 2^W), with the exact rational path kept as
@@ -70,8 +70,9 @@ class RouteDisagreement(ArithmeticError):
 
 
 def off_poles(x, what: str) -> Fraction:
-    """x as a Fraction; DomainError if it is a nonpositive integer, a pole of ``what``."""
-    x = Fraction(x)
+    """x read by :func:`exact_real`; DomainError if it is a nonpositive integer,
+    a pole of ``what``."""
+    x = exact_real(x)
     if x.denominator == 1 and x <= 0:
         raise DomainError(f"{what} has a pole at the nonpositive integer {x}")
     return x
@@ -102,22 +103,6 @@ def to_mpf(q, prec: int = DEFAULT_PREC) -> mpf:
     then dividing would round twice)."""
     q = exact_real(q)
     return mp.make_mpf(from_rational(q.numerator, q.denominator, prec, round_nearest))
-
-
-def capped_sum(terms, tiny: mpf, cap: int, what: str, acc=0, least: int = 0) -> mpf:
-    """acc + terms[0] + terms[1] + ..., added one at a time at the ambient precision.
-
-    Stops after the first term of index >= ``least`` with |term| < ``tiny``
-    (leading terms may be exactly zero or still growing), and raises
-    ``PrecisionError`` once ``cap`` terms have been added without stopping.
-    Callers run this inside their ``workprec``.
-    """
-    low = -tiny  # low < term < tiny is abs(term) < tiny without a new mpf per term
-    for i, term in zip(range(cap), terms):
-        acc += term
-        if i >= least and low < term < tiny:
-            return acc
-    raise PrecisionError(f"{what} did not converge")
 
 
 def recurrence_sum(step, start: list, den: int, n0: int, prec: int) -> mpf:

@@ -294,6 +294,20 @@ def test_domain_errors_exit_2(workdir, capsys, argv):
     assert list(workdir.iterdir()) == []
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1, 1)])
+def test_a_non_finite_point_past_the_parser_exits_2(workdir, capsys, monkeypatch, bad):
+    # the parser reads exact rationals only; a value that reaches gammalab
+    # through the Python API is read by numcore.exact_real, whose DomainError
+    # the CLI maps to exit 2
+    from eoplab import gammalab
+
+    real = gammalab.gamma_deriv
+    monkeypatch.setattr(gammalab, "gamma_deriv", lambda n, s, prec: real(n, bad, prec))
+    rc, err = _exit_code(["gamma-deriv", "--s=1/3", "--order", "1"], capsys)
+    assert rc == EXIT_DOMAIN
+    assert "is not a real finite number" in err
+
+
 def test_gamma_approx_on_the_aitken_path_finishes(workdir, capsys):
     # the limit estimate takes its Aitken path here, and each Delta^2 step
     # roughly triples the size of the exact values it works on

@@ -274,6 +274,22 @@ def test_generating_identities_at_half():
         assert res["V"] < mpf(10) ** -20
 
 
+def test_generating_sums_are_exact_partial_sums_within_their_bound():
+    # the U/V sums are sum_{k<K} u_k z^k/k! exactly, with the first K where
+    # |z|^K/(1 - |z|) <= 2^-(wp+4), and the omitted terms add up to no more
+    wp = 100
+    res = intseq(720, 64)  # K = 704 at z = 9/10
+    for z in (F(1, 2), F(-3, 4), F(9, 10), F(0)):
+        bound = lambda K: abs(z) ** K / (1 - abs(z))
+        for seq, got in zip((res.U, res.V), constructions._egf_sums(z, wp)):
+            partial = [F(0)]
+            for k, u in enumerate(seq):
+                partial.append(partial[-1] + u * z**k / math.factorial(k))
+            K = partial.index(got, 1)
+            assert bound(K) <= F(1, 2 ** (wp + 4)) < bound(K - 1) if K > 1 else K == 1
+            assert abs(partial[-1] - got) <= bound(K), z
+
+
 def test_bessel_sums_and_generating_check_read_every_real_exactly():
     # an mpf or a float is read as its exact binary value, as for direct_E_eval
     for x in (F(3, 2), F(-3, 2)):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
+from eoplab import gammalab
 from eoplab.numcore import DomainError, to_mpf
 from eoplab.gammalab import (
     euler_gamma,
@@ -192,7 +193,7 @@ def test_gamma_deriv_bits_are_pinned():
             values = gamma_deriv(4, x, prec).values
             h.update(repr([tuple(map(int, v._mpf_)) for v in values]).encode())
     assert len(grid) == 108
-    assert h.hexdigest() == "e79856954d9fad875a30452da4533980b9d4086917c3c48ac736cd84060eacee"
+    assert h.hexdigest() == "cf3d956bfe98db8c1d93da761ea72b2044be1c49aa298922fd03f43862ddfc91"
 
 
 def test_structure_polynomial_leading_gamma_coefficient():
@@ -415,3 +416,112 @@ def test_euler_gamma_against_mpmath_euler(prec):
     got = euler_gamma(prec)
     with workprec(prec + 64):
         assert _within(got, +mp.euler, prec), prec
+
+
+# psi, polygamma and gamma_value against mpmath from 53 to 4096 bits, each within
+# 2^-prec relative. At 4096 bits mpmath's own psi(0) and loggamma take seconds
+# below x ~ 10^3, so there psi(0) and Gamma are checked at x = 4001/3 only.
+@pytest.mark.parametrize("prec", [53, 256, 1024, 4096])
+def test_psi_polygamma_and_gamma_against_mpmath_up_to_4096_bits(prec):
+    for x in (F(2, 7), F(-7, 2), F(41, 3), F(4001, 3)):
+        slow = prec == 4096 and x < 1000
+        with workprec(prec + 64):
+            xv = to_mpf(x, prec + 64)
+            for n in range(1 if slow else 0, 5):
+                want = mpmath.psi(n, xv)
+                assert _relative_error(polygamma(n, x, prec), want, prec) <= mpf(2) ** -prec, (x, n)
+        if x > 0 and not slow:
+            # log Gamma(4001/3) < 2^14, so exp keeps prec + 64 bits of it
+            with workprec(prec + 80):
+                want = mp.exp(mpmath.loggamma(to_mpf(x, prec + 80)))
+            assert _relative_error(gamma_value(x, prec), want, prec) <= mpf(2) ** -prec, x
+
+
+def _tail_term(e, X, k):
+    """t_k = B_2k (2k+e-1)!/(2k)! X^-(2k+e), from mpmath's Bernoulli numbers."""
+    p, q = mpmath.bernfrac(2 * k)
+    return F(p, q) * F(math.factorial(2 * k + e - 1), math.factorial(2 * k)) / X ** (2 * k + e)
+
+
+def _tail_count(e, X, got):
+    """The K with got = t_1 + ... + t_K."""
+    partial = F(0)
+    for K in range(400):
+        if partial == got:
+            return K
+        partial += _tail_term(e, X, K + 1)
+    raise AssertionError("not a partial sum of the tail")
+
+
+@st.composite
+def tail_cases(draw):
+    e, w = draw(st.integers(-1, 4)), draw(st.integers(40, 200))
+    q = draw(st.integers(1, 12))
+    # X from w/4 + e + 8 on, past w ln 2/(2 pi) ~ w/9, where the least term is 2^-w
+    X = F(draw(st.integers(q * (w // 4 + e + 8), q * 3 * w)), q)
+    return e, X, w
+
+
+@settings(max_examples=40, deadline=None)
+@given(tail_cases())
+@example((-1, F(20), 53))
+@example((4, F(121, 12), 40))
+def test_stirling_tail_stops_at_the_bound_and_envelopes_its_remainder(case):
+    # K is the first count whose next term is within the bound, and the true
+    # remainder (mpmath at 4x precision) has that term's sign and is no larger
+    e, X, w = case
+    bound = F(1, 2**w)
+    got = gammalab._stirling_tail(e, X, bound)
+    K = _tail_count(e, X, got)
+    nxt = _tail_term(e, X, K + 1)
+    assert abs(nxt) <= bound < abs(_tail_term(e, X, K)) if K else abs(nxt) <= bound
+    with workprec(4 * w):
+        Xv = to_mpf(X, 4 * w)
+        if e == -1:
+            lead = (Xv - mpf(1) / 2) * mp.log(Xv) - Xv + mp.log(2 * mp.pi) / 2
+            tail = mpmath.loggamma(Xv) - lead
+        else:
+            lead = -mp.log(Xv) if e == 0 else math.factorial(e - 1) / Xv**e
+            lead += math.factorial(e) / (2 * Xv ** (e + 1))
+            tail = (-1) ** (e + 1) * mpmath.psi(e, Xv) - lead
+        rest, nxt = tail - to_mpf(got, 4 * w), to_mpf(nxt, 4 * w)
+        assert rest * nxt > 0 and abs(rest) <= abs(nxt), (e, X, w)
+
+
+def test_the_tail_is_summed_at_the_least_shift_past_x0(monkeypatch):
+    # X0 = max(16, 0.35 wp + n) for Psi^(n), max(20, 0.2 wp + 8) for Gamma;
+    # there the terms still decrease through the first omitted one
+    seen = []
+    real = gammalab._stirling_tail
+    monkeypatch.setattr(gammalab, "_stirling_tail",
+                        lambda e, X, bound: seen.append((e, X, bound)) or real(e, X, bound))
+    for prec in (53, 512):
+        for x in (F(-7, 2), F(2, 7), F(31, 2), F(1000, 3)):
+            for n in (0, 1, 3):
+                polygamma(n, x, prec)
+                wp = prec + gammalab._GUARD + n
+                X0 = max(16, int(0.35 * wp) + n)
+                assert seen[-1][:2] == (n, max(x, x + math.ceil(X0 - x))), (prec, x, n)
+            gamma_value(x, prec)
+            X0 = max(20, int(0.2 * (prec + gammalab._GUARD + 8)) + 8)
+            assert seen[-1][:2] == (-1, max(x, x + math.ceil(X0 - x))), (prec, x)
+    for e, X, bound in seen:
+        K = _tail_count(e, X, real(e, X, bound))
+        terms = [abs(_tail_term(e, X, k)) for k in range(1, K + 2)]
+        assert all(a > b for a, b in zip(terms, terms[1:])), (e, X)
+
+
+def test_gamma_routines_read_every_real_exactly():
+    # an mpf or a float is read as its exact binary value, as by numcore.exact_real
+    calls = (lambda v: gamma_value(v, 64), lambda v: polygamma(1, v, 64),
+             lambda v: gamma_deriv(2, v, 64).values, lambda v: recip_gamma_jet(v, 2, 64),
+             lambda v: lambda_log_poly(v, 2, 64), lambda v: y_alpha_i(v, 1, 5))
+    for x in (F(1, 2), F(-7, 4)):
+        for fn in calls:
+            want = fn(x)
+            assert fn(mpf(x.numerator) / x.denominator) == want
+            assert fn(float(x)) == want
+    for bad in (float("nan"), float("inf"), mpf("-inf"), complex(1, 1), mp.mpc(1, 1)):
+        for fn in calls:
+            with pytest.raises(DomainError):
+                fn(bad)

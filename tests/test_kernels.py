@@ -46,7 +46,7 @@ from eoplab.holonomic import (
 from eoplab import gammalab
 from eoplab.gammalab import _add_ratios, _inverse_power_sum, y_alpha_i
 from eoplab.numcore import (GUARD_BITS, DomainError, PolyQ, PrecisionError, RouteDisagreement,
-                            _decimal_str, _parse_int, binary_split, capped_sum,
+                            _decimal_str, _parse_int, binary_split,
                             decay_exponent, int_cauchy,
                             least_squares_line, poly_gcd, small_cauchy, to_mpf, weighted_mean)
 from eoplab.series import (
@@ -642,8 +642,12 @@ def oracle_a_direct(k, wp):
 
     with workprec(wp):
         # 1/(n! (n+k)!) <= 1/n!^2 <= 2^-n for n >= 2, so wp + 2 terms reach 2^-wp
-        acc = capped_sum(terms(), mpf(2) ** (-wp), wp + 2, "A_k series", least=5)
-        return +((-1) ** k * acc)
+        acc, floor = mpf(0), mpf(2) ** (-wp)
+        for i, term in zip(range(wp + 2), terms()):
+            acc += term
+            if i >= 5 and abs(term) < floor:
+                return +((-1) ** k * acc)
+        raise PrecisionError("A_k series did not converge")
 
 
 def oracle_intseq(kmax, prec, direct=oracle_a_direct):
@@ -1117,48 +1121,3 @@ def test_normalized_divides_out_a_common_factor(alpha):
     # a real common factor: poly_gcd divides it out
     common = LinearRecurrence([p * PolyQ([F(1, 2), 3, 1]) for p in rec.coeffs])
     assert common.normalized() == oracle_normalized(common) == rec
-
-
-def old_capped_sum(terms, tiny, cap, what, acc=0, least=0):
-    """capped_sum before it compared -tiny < term < tiny on every term: a
-    nonzero finite term was compared by its binary magnitude first."""
-    _, _, texp, tbc = tiny._mpf_
-    top = texp + tbc  # 2^(top-1) <= tiny < 2^top
-    for i, term in zip(range(cap), terms):
-        acc += term
-        if i < least:
-            continue
-        _, man, exp, bc = term._mpf_
-        mag = exp + bc
-        if man and mag != top:
-            if mag < top:
-                return acc
-        elif abs(term) < tiny:
-            return acc
-    raise PrecisionError(f"{what} did not converge")
-
-
-# Terms around tiny = 3 2^-12, in [2^-11, 2^-10): zero, a magnitude below,
-# tiny's magnitude on both sides of tiny, tiny itself, a magnitude above, and
-# larger terms; each of either sign.
-_TINY = mpf(3) / 2**12
-around_tiny = st.sampled_from([mpf(0), mpf(2) ** -12, mpf(2) ** -11, mpf(5) / 2**13, _TINY,
-                               mpf(7) / 2**13, mpf(2) ** -10, mpf(1), mpf(2) ** 40])
-signed_terms = st.tuples(around_tiny, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(signed_terms, max_size=12), st.integers(0, 5), st.integers(1, 14))
-@example([mpf(0), mpf(0), mpf(1), _TINY, -mpf(2) ** -11], 2, 10)
-@example([mpf(7) / 2**13, -mpf(5) / 2**13], 0, 5)
-def test_capped_sum_matches_the_binary_magnitude_test(terms, least, cap):
-    def run(fn):
-        it = iter(terms)
-        with workprec(64):
-            try:
-                got = fn(it, _TINY, cap, "x", acc=mpf(0), least=least)
-            except PrecisionError:
-                got = None
-        return got, len(list(it))
-
-    assert run(capped_sum) == run(old_capped_sum)

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -15,9 +14,9 @@ from eoplab.numcore import (
     PolyQ,
     PrecisionError,
     bernoulli,
-    capped_sum,
     exact_real,
     least_squares_line,
+    off_poles,
     poly_gcd,
     recurrence_sum,
     to_mpf,
@@ -265,39 +264,6 @@ def test_least_squares_line():
     assert least_squares_line([2.0, 2.0], [1.0, 4.0]) == (0.0, 2.5)
 
 
-def test_capped_sum_raises_past_its_cap():
-    with pytest.raises(PrecisionError, match="ones did not converge"):
-        capped_sum(itertools.repeat(mpf(1)), mpf(2) ** -10, 50, "ones")
-    # the cap-th term may still stop the sum
-    assert capped_sum(iter([mpf(1), mpf(0)]), mpf(2) ** -10, 2, "x") == 1
-
-
-def test_capped_sum_skips_zero_terms_before_least():
-    terms = [mpf(0), mpf(0), mpf(1), mpf(2) ** -20, mpf(5)]
-    assert capped_sum(iter(terms), mpf(2) ** -10, 10, "x", least=2) == 1 + mpf(2) ** -20
-    assert capped_sum(iter(terms), mpf(2) ** -10, 10, "x") == 0
-
-
-def test_capped_sum_returns_after_the_first_small_term():
-    terms = iter([mpf(3), mpf(-1), -mpf(2) ** -30, mpf(7)])
-    assert capped_sum(terms, mpf(2) ** -10, 10, "x", acc=mpf(1)) == 3 - mpf(2) ** -30
-    assert next(terms) == 7
-
-
-@pytest.mark.parametrize("term,small", [
-    (mpf(2) ** -12, True),            # a binary magnitude below tiny's
-    (mpf(2) ** -11, True),            # tiny's binary magnitude, below it
-    (-mpf(2) ** -11, True),
-    (mpf(3) / 2 ** 12, False),        # tiny itself
-    (mpf(7) / 2 ** 13, False),        # tiny's binary magnitude, above it
-    (mpf(2) ** -10, False),           # a binary magnitude above tiny's
-])
-def test_capped_sum_threshold_is_exact(term, small):
-    tiny = mpf(3) / 2 ** 12  # in [2^-11, 2^-10)
-    got = capped_sum(iter([term, mpf(1), mpf(0)]), tiny, 5, "x")
-    assert got == (term if small else term + 1)
-
-
 def _within_the_sum_bound(got, want, prec):
     # rounding 2^-prec |S_N| plus the tail 2^-(prec+2) |S_N|, with
     # |S_N| <= |S| / (1 - 2^-(prec+2)) < |S| (1 + 2^-prec)
@@ -357,3 +323,11 @@ def test_exact_real_reads_every_finite_real_exactly():
     for x in (float("nan"), float("-inf"), mpf("nan"), mpf("-inf"), complex(1, 0), mp.mpc(1, 1)):
         with pytest.raises(DomainError):
             exact_real(x)
+
+
+def test_off_poles_reads_through_exact_real():
+    assert off_poles(mpf(1) / 2, "x") == off_poles(0.5, "x") == F(1, 2)
+    assert off_poles(mpf(-7) / 4, "x") == F(-7, 4)
+    for x in (0, -3.0, mpf(-2), float("nan"), mpf("inf"), complex(1, 1)):
+        with pytest.raises(DomainError):
+            off_poles(x, "x")

@@ -22,9 +22,9 @@ def _bits(*values):
     return [v._mpf_ for v in values]
 
 
-# Each routine that sums a series (the Stirling tails through numcore.capped_sum,
-# the E-function sums through numcore.recurrence_sum), and the callers that
-# combine them.
+# Each routine that sums a series (the Stirling tails of gammalab, the
+# E-function sums through numcore.recurrence_sum, the U/V generating sums), and
+# the callers that combine them. Each sums exactly and rounds once.
 CALLS = {
     "euler_gamma": lambda: _bits(euler_gamma(200)),
     "psi": lambda: _bits(psi(F(-5, 3), 200)),
@@ -64,7 +64,13 @@ def _bessel_closed_forms(x):
     c = mp.log(abs(x)) / 2 + mp.euler
     if x > 0:
         i0, i1 = mpmath.besseli(0, 2 * r), mpmath.besseli(1, 2 * r)
-        k0, k1 = mpmath.besselk(0, 2 * r), mpmath.besselk(1, 2 * r)
+        # from x = 10^4 on, the K0 and K1 terms lie below 2^-577 of G and G'
+        # (e^-4r against the I terms), under every bound asserted here, and
+        # mpmath's besselk takes seconds there
+        if x >= 10**4:
+            k0 = k1 = 0
+        else:
+            k0, k1 = mpmath.besselk(0, 2 * r), mpmath.besselk(1, 2 * r)
         return {
             (bessel_f, 0): i0,
             (bessel_f, 1): i1 / r,
@@ -85,14 +91,30 @@ def _bessel_closed_forms(x):
 @pytest.mark.parametrize("x", [F(1), F(1, 2), F(3, 2), F(1, 1000), F(-3, 2),
                                F(10**4), F(-10**4)])
 def test_bessel_sums_match_closed_forms(x):
-    # the closed forms at prec + 64 bits: mpmath's besselk at 4 prec bits takes
-    # up to 90 s at x = 10^4
+    # the closed forms at prec + 64 bits
     for prec in (53, 256, 512):
         with workprec(prec + 64):
             want = _bessel_closed_forms(mpf(x.numerator) / x.denominator)
             for (fn, deriv), value in want.items():
                 got = fn(x, prec, deriv=deriv)
                 assert _rel(got, value) <= mpf(2) ** -prec, (fn, deriv, prec)
+
+
+@pytest.mark.parametrize("x", [F(1), F(7, 3), F(-3, 2), F(10**4)])
+def test_bessel_sums_satisfy_the_wronskian(x):
+    # x (F G' - F' G) + F^2 = 1, a check of G against F that needs no K0. The
+    # sums are taken 640 bits past prec, which covers the cancellation of
+    # F^2 ~ 2^577 at x = 10^4; each value is within 2^-wp relative, so the
+    # left side is within 4 (|x F G'| + |x F' G| + F^2) 2^-wp of 1
+    for prec in (53, 512):
+        wp = prec + 640
+        f, fd = bessel_f(x, wp), bessel_f(x, wp, deriv=1)
+        g, gd = bessel_g(x, wp), bessel_g(x, wp, deriv=1)
+        with workprec(2 * wp):
+            xv = mpf(x.numerator) / x.denominator
+            scale = abs(xv * f * gd) + abs(xv * fd * g) + f * f
+            assert 4 * scale * mpf(2) ** -wp <= mpf(2) ** -prec
+            assert abs(xv * (f * gd - fd * g) + f * f - 1) <= 4 * scale * mpf(2) ** -wp, prec
 
 
 def test_bessel_sums_are_relatively_accurate_near_a_zero():
