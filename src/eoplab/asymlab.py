@@ -7,9 +7,10 @@ Both implemented instances share the shape
 with exact rational tail coefficients t_n: the alpha-family E_alpha(-z) has
 front Gamma(alpha) z^(-alpha) and t_n = (-1)^n (1-alpha)_n; the logarithmic
 instance E(-z) has front -gamma - log z and t_n = (-1)^n n!. Evaluation
-truncates the tail at the smallest-term index N* = round|z| and is verified
-against the exact Taylor sum along the positive real axis. Throughout,
-alpha=None selects the logarithmic instance.
+truncates the tail at the smallest-term index N* = round|z|, sums it exactly
+at the exact z and rounds it once; only the front terms and e^(-z) are mpf. It
+is verified against the exact Taylor sum along the positive real axis.
+Throughout, alpha=None selects the logarithmic instance.
 """
 
 from __future__ import annotations
@@ -107,19 +108,20 @@ def eval_asym(a: AsymptoticSeries, z, N: int, prec: int = DEFAULT_PREC) -> mpf:
     if not 0 <= N <= a.order:
         raise DomainError(f"truncation {N} is outside 0..{a.order}, the available order")
     wp = prec + GUARD_BITS
+    z = _real_z(z)
+    c, d = (1 / z).as_integer_ratio()  # raises at z = 0
+    ts = [exact_real(t) for t in a.tail_coeffs[:N]]
+    D = math.lcm(*(t.denominator for t in ts))
+    g, dk = 0, 1  # Horner in 1/z = c/d: the tail sum is g / (D d^N) at the end
+    for t in reversed(ts):
+        g, dk = c * (t.numerator * (D // t.denominator) * dk + g), dk * d
     with workprec(wp):
-        zv = to_mpf(_real_z(z), wp)
+        zv = to_mpf(z, wp)
         acc = mpf(0)
         logz = mp.log(zv)
         for t in a.front_terms:
             acc += t.coefficient * zv ** to_mpf(-t.power, wp) * logz**t.log_power
-        tail = mpf(0)
-        zinv = 1 / zv
-        pw = zinv
-        for n in range(N):
-            tail += to_mpf(a.tail_coeffs[n], wp) * pw
-            pw *= zinv
-        acc -= mp.e ** (a.exp_rho * zv) * tail
+        acc -= mp.e ** (a.exp_rho * zv) * to_mpf(Fraction(g, D * dk), wp)
         return +acc
 
 

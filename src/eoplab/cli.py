@@ -1,13 +1,14 @@
 """Batch command-line front end emitting CSV/JSON artifacts plus run manifests.
 
-Exact sequences are emitted as ``n,numerator,denominator`` CSV rows; numeric
-tables as ``n,value`` with a fixed digit count. No field needs CSV quoting, so
-rows are plain lines. Integers are written in full past Python's int/str digit
-limit, and ``eop fit`` reads them back. JSON artifacts carry numeric values
-as decimal strings, never as binary floats. Every command writes a manifest
-recording the command, parameters, precision, and output files;
-``eop replay <manifest>`` re-runs the recorded command (it does not compare
-the new outputs with the recorded ones).
+Exact sequences are emitted as ``n,numerator,denominator`` CSV rows (for
+``intseq`` the pairs ``k,U_k,V_k``, whose V_1 = 0 ``eop fit`` refuses);
+numeric tables as ``n,value`` with a fixed digit count. No field needs CSV
+quoting, so rows are plain lines. Integers are written in full past Python's
+int/str digit limit, and ``eop fit`` reads them back. JSON artifacts carry
+numeric values as decimal strings, never as binary floats. Every command
+writes a manifest recording the command, parameters, precision, and output
+files; ``eop replay <manifest>`` re-runs the recorded command (it does not
+compare the new outputs with the recorded ones).
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 precision failure.
 """
@@ -83,15 +84,16 @@ def _exact_body(args, rows: list, estimates: dict) -> dict:
     only when the artifact is JSON (CSV writes the rows themselves)."""
     body = {"estimates": estimates}
     if args.format == "json":
-        body["values"] = [[n, *_ratio(v)] for n, v in rows]
+        body["values"] = [[n, _decimal_str(a), _decimal_str(b)] for n, a, b in rows]
     return body
 
 
 # A subcommand: args holds (flag, add_argument keywords) pairs, _DIGITS among
 # them for a command that prints numeric digits; compute(args) returns (body,
 # rows, footer), the JSON fields after the parameters, the CSV rows and its
-# footer; exact_rows says whether CSV rows are n,numerator,denominator (else
-# n,value). _run records the flags given as the parameters: each declared flag
+# footer; exact_rows says whether the CSV rows are n,numerator,denominator
+# triples, each built by its command (else n,value pairs), which _run writes
+# as given. _run records the flags given as the parameters: each declared flag
 # whose value is not None, an int as itself and anything else as str; --digits
 # and --format go into the manifest only.
 _Command = namedtuple("_Command", "name help args compute exact_rows")
@@ -111,7 +113,7 @@ def _sequence(args) -> tuple:
         estimates["rate_exponent"] = f"{run.rate_exponent:.6f}"
     if "exact_agreement" in run.metadata:
         estimates["exact_agreement"] = run.metadata["exact_agreement"]
-    rows = list(enumerate(run.values))
+    rows = [(n, v.numerator, v.denominator) for n, v in enumerate(run.values)]
     return _exact_body(args, rows, estimates), rows, estimates
 
 
@@ -122,19 +124,18 @@ def _pade(args) -> tuple:
     body, rows = {"estimates": {}}, []
     for name, poly in (("p", p), ("q", q)):
         body[f"{name}_coeffs"] = [_ratio(c) for c in poly.coeffs]
-        rows += [(f"{name}{i}", c) for i, c in enumerate(poly.coeffs)]
+        rows += [(f"{name}{i}", c.numerator, c.denominator) for i, c in enumerate(poly.coeffs)]
     if args.z is not None:
         pz, qz = p(args.z), q(args.z)
         body["estimates"] = {"p_at_z": "/".join(_ratio(pz)), "q_at_z": "/".join(_ratio(qz))}
-        rows += [("p(z)", pz), ("q(z)", qz)]
+        rows += [(k, v.numerator, v.denominator) for k, v in (("p(z)", pz), ("q(z)", qz))]
     return body, rows, None
 
 
 def _e_convergents(args) -> tuple:
     from . import constructions
 
-    rows = [(n, Fraction(*pair))
-            for n, pair in enumerate(constructions.e_convergents(args.n), 1)]
+    rows = [(n, *pair) for n, pair in enumerate(constructions.e_convergents(args.n), 1)]
     return _exact_body(args, rows, {}), rows, None
 
 
@@ -143,8 +144,8 @@ def _intseq(args) -> tuple:
 
     res = constructions.intseq(args.k, args.prec)
     consts = constructions.intseq_constants(args.prec)
-    rows = [(k, Fraction(res.U[k], res.V[k]) if res.V[k] else Fraction(res.U[k]))
-            for k in range(len(res.U))]
+    # each (U_k, V_k) is in lowest terms, as U_k V_(k+1) - U_(k+1) V_k = +-1
+    rows = [(k, *uv) for k, uv in enumerate(zip(res.U, res.V))]
     estimates = {
         "recurrence_disagreement": _digits(res.recurrence_disagreement, 8),
         **{key: _digits(getattr(consts, key), args.digits)
@@ -167,11 +168,10 @@ def _asym_check(args) -> tuple:
         raise _UsageError("--alpha is given with --which ealpha and only with it")
     direct = asymlab.direct_E_eval(args.z, prec, alpha)
     nstar = asymlab.optimal_truncation(args.z)
-    order = max(8, nstar + 8)
     if alpha is None:
-        series = asymlab.asym_E_log(order, prec)
+        series = asymlab.asym_E_log(nstar, prec)
     else:
-        series = asymlab.asym_E_alpha(alpha, order, prec)
+        series = asymlab.asym_E_alpha(alpha, nstar, prec)
     approx = asymlab.eval_asym(series, args.z, nstar, prec)
     with workprec(prec + GUARD_BITS):
         rel = abs((direct - approx) / direct)
@@ -291,8 +291,6 @@ def _run(command: _Command, args) -> None:
             _dump_json({"command": name, "params": params, "precision_bits": args.prec,
                         **body, "manifest": manifest}, fh)
         else:
-            if command.exact_rows:
-                rows = ((n, v.numerator, v.denominator) for n, v in rows)
             fh.write("n,numerator,denominator\n" if command.exact_rows else "n,value\n")
             fh.writelines(",".join(map(_decimal_str, row)) + "\n" for row in rows)
             fh.writelines(f"# {key},{val}\n" for key, val in (footer or {}).items())

@@ -23,10 +23,10 @@ Sequences are produced by independent routes that must agree exactly:
 The exact kernels work on integer numerators over one common denominator:
 the closed route and the Pade numerator are binomial transforms of integer
 sequences, and the recurrence route unrolls the recurrence derived from the
-generating ODE (``holonomic.unroll``). The closed and series routes return
-unreduced (numerator, denominator) pairs. The agreement gate reports the
-recurrence route, whose reduction is the cheapest (see ``_run_routes``), and
-checks the other two against it by divisibility; disagreeing routes raise
+generating ODE (``holonomic.unroll``). Every route returns unreduced
+(numerator, denominator) pairs. The agreement gate reports the recurrence
+route, whose reduction is the cheapest (see ``_run_routes``), and checks the
+other two against it by divisibility; disagreeing routes raise
 :class:`RouteDisagreement`. A run is returned as one immutable
 :class:`ApproximationRun` record.
 
@@ -215,11 +215,10 @@ _Family = namedtuple("_Family", "beta terms series recurrence")
 
 
 def _recurrence_route(family: _Family, N: int) -> list:
-    from .holonomic import HolonomicSequence, unroll
+    from .holonomic import unroll
 
     rec = family.recurrence()
-    seeds = _reduced(_closed(family.beta, family.terms, rec.order))
-    return unroll(HolonomicSequence(rec, seeds), N)
+    return unroll(rec, _closed(family.beta, family.terms, rec.order), N)
 
 
 _METHODS = {
@@ -254,13 +253,13 @@ def _run_routes(what: str, family: _Family, N: int, method: str, prec: int,
     """Run one route, or all of them under the exact-agreement gate, and
     estimate the limit.
 
-    A route returns unreduced (numerator, denominator) pairs (closed, series)
-    or reduced Fractions (recurrence), and only the reported route is reduced.
-    Under "all" that is the recurrence route: ``unroll`` builds its Fractions
-    anyway, from a running denominator within a few bits of the reduced one,
-    so its gcds cost less than either other route's. The other routes are
-    checked against it by divisibility, with no Fraction built: as gcd(u, v) = 1,
-    a pair a/b equals u/v iff v divides b and a = u (b // v)."""
+    Every route returns unreduced (numerator, denominator) pairs, and only
+    the reported route is reduced, in ``_reduced``. Under "all" that is the
+    recurrence route: ``unroll``'s running denominator stays within a few bits
+    of the reduced one, so its gcds cost less than either other route's. The
+    other routes are checked against it by divisibility, with no Fraction
+    built: as gcd(u, v) = 1, a pair a/b equals u/v iff v divides b and
+    a = u (b // v)."""
     if N < 1:
         raise DomainError("need N >= 1")
     if method == "all":
@@ -283,15 +282,14 @@ def _run_routes(what: str, family: _Family, N: int, method: str, prec: int,
 
 
 def _reduced(values: list) -> list:
-    return [Fraction(*v) if isinstance(v, tuple) else v for v in values]
+    return [Fraction(a, b) for a, b in values]
 
 
 def _agree(vals: list, route: list) -> bool:
     """The reduced vals and the route's values are equal term by term."""
     if len(route) != len(vals):
         return False
-    for x, v in zip(vals, route):
-        a, b = v if isinstance(v, tuple) else (v.numerator, v.denominator)
+    for x, (a, b) in zip(vals, route):
         q, r = divmod(b, x.denominator)
         if r or a != x.numerator * q:
             return False
@@ -323,8 +321,8 @@ def pade_exp(n: int) -> tuple[PolyQ, PolyQ]:
 
 def e_convergents(N: int) -> list:
     """[(|n! P_n(1)|, |n! Q_n(1)|) for n = 1..N]: convergent numerators and
-    denominators of e, unreduced, from u_{n+1} = (4n+2) u_n + u_{n-1} with
-    u_0 = (1, 1) and u_1 = (3, 1)."""
+    denominators of e, in lowest terms (both odd, with cross differences +-2),
+    from u_{n+1} = (4n+2) u_n + u_{n-1}, u_0 = (1, 1) and u_1 = (3, 1)."""
     if N < 1:
         raise DomainError("need n >= 1")
     prev, cur = (1, 1), (3, 1)

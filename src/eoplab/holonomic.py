@@ -14,7 +14,6 @@ exact test.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .numcore import DomainError, Frozen, LeadingCoefficientVanishes, PolyQ, poly_gcd
@@ -22,7 +21,6 @@ from .numcore import DomainError, Frozen, LeadingCoefficientVanishes, PolyQ, pol
 __all__ = [
     "DifferentialOperator",
     "LinearRecurrence",
-    "HolonomicSequence",
     "LeadingCoefficientVanishes",
     "ode_to_recurrence",
     "unroll",
@@ -80,22 +78,6 @@ class LinearRecurrence(Frozen):
         return LinearRecurrence(polys)
 
 
-class HolonomicSequence(Frozen):
-    """A recurrence plus its first ``order`` terms (``initial``, a tuple of
-    ``Fraction``), indexed from 0."""
-
-    __slots__ = _fields = ("recurrence", "initial")
-
-    def __init__(self, recurrence: LinearRecurrence, initial):
-        init = tuple(Fraction(c) for c in initial)
-        if len(init) != recurrence.order:
-            raise DomainError(
-                f"need exactly {recurrence.order} initial terms, got {len(init)}"
-            )
-        object.__setattr__(self, "recurrence", recurrence)
-        object.__setattr__(self, "initial", init)
-
-
 def ode_to_recurrence(op: DifferentialOperator) -> LinearRecurrence:
     """Translate an ODE into the normalized recurrence on Taylor coefficients.
 
@@ -122,21 +104,25 @@ def ode_to_recurrence(op: DifferentialOperator) -> LinearRecurrence:
     return LinearRecurrence(coeffs).normalized()
 
 
-def unroll(seq: HolonomicSequence, N: int) -> list[Fraction]:
-    """Exact terms P_0..P_{N-1}; raises if a leading coefficient vanishes.
+def unroll(rec: LinearRecurrence, seeds, N: int) -> list[tuple[int, int]]:
+    """Exact terms P_0..P_{N-1} from the first ``rec.order`` of them, each an
+    integer (numerator, denominator) pair; raises if a leading coefficient vanishes.
 
     The coefficients are cleared to integer polynomials once, and the window
-    is carried as integer numerators over one running denominator, so each
-    term is normalised once, at the end. Every eighth step the window drops
-    its common content, which keeps the integers near the reduced size.
+    is carried as integer numerators over one running denominator, so the
+    terms come back as unreduced pairs over it and no term is reduced here.
+    Every eighth step the window drops its common content, which keeps the
+    integers near the reduced size.
     """
-    r = seq.recurrence.order
-    polys = seq.recurrence.coeffs
+    r = rec.order
+    if len(seeds) != r:
+        raise DomainError(f"need exactly {r} initial terms, got {len(seeds)}")
+    polys = rec.coeffs
     clear = lcm(*(c.denominator for p in polys for c in p.coeffs))
     polys = [[int(c * clear) for c in reversed(p.coeffs)] for p in polys]
-    den = lcm(*(v.denominator for v in seq.initial))
-    window = [int(v * den) for v in seq.initial]
-    terms = []
+    den = lcm(*(b for _, b in seeds))
+    window = [a * (den // b) for a, b in seeds]
+    terms = list(seeds[:N])
     for n in range(N - r):
         *lower, lead = [_horner(p, n) for p in polys]
         if lead == 0:
@@ -149,7 +135,7 @@ def unroll(seq: HolonomicSequence, N: int) -> list[Fraction]:
             den //= g
             window = [w // g for w in window]
         terms.append((window[-1], den))
-    return list(seq.initial[:N]) + [Fraction(num, d) for num, d in terms]
+    return terms
 
 
 def _horner(coeffs: list[int], n: int) -> int:

@@ -7,8 +7,9 @@ inside an explicit ``workprec`` context; every public numeric routine takes a
 :func:`to_mpf` rounds an exact real once, to the nearest. Every truncated sum
 follows one rule: exact terms, a stop at a proven tail bound, one rounding
 (:func:`recurrence_sum` for the E-function series, gammalab's Stirling tails,
-the U/V generating sums). There is no interval arithmetic: the tests check
-against mpmath oracles and, through the ``double_run`` fixture, at twice the precision.
+the U/V generating sums; the asymptotic tail, cut at its smallest term). There
+is no interval arithmetic: the tests check against mpmath oracles and, through
+the ``double_run`` fixture, at twice the precision.
 
 Results of exact sequences that are needed only to some bits are computed in
 fixed point, on integers floor(v 2^W), with the exact rational path kept as

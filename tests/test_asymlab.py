@@ -118,6 +118,30 @@ def test_remainder_bounded_by_twice_next_term(which, alpha, z):
             assert err <= 2 * term, (N, err, term)
 
 
+@pytest.mark.parametrize("prec", [53, 256, 1024])
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_terminating_expansions_are_exact(alpha, prec):
+    # t_n = (-1)^n (1-alpha)_n vanishes from n = alpha on, so the truncated
+    # expansion is E_alpha(-z) itself for every N >= alpha; N = alpha uses the
+    # last nonzero term
+    series = asym_E_alpha(F(alpha), alpha + 2, prec)
+    for z in (F(1, 2), F(3), F(30)):
+        direct = direct_E_eval(z, prec, F(alpha))
+        for N in (alpha, alpha + 2):
+            got = eval_asym(series, z, N, prec)
+            with workprec(prec + 64):
+                assert abs(got - direct) <= abs(direct) * mpf(2) ** (4 - prec), (z, N)
+
+
+def test_eval_asym_reads_each_tail_coefficient_exactly():
+    # alpha = 1/2 gives dyadic coefficients, exact as floats and mpfs
+    a = asym_E_alpha(F(1, 2), 6, 128)
+    tails = tuple(to_mpf(t, 64) if n % 2 else float(t) for n, t in enumerate(a.tail_coeffs))
+    assert eval_asym(a._replace(tail_coeffs=tails), 9, 6, 128) == eval_asym(a, 9, 6, 128)
+    with pytest.raises(DomainError):
+        eval_asym(a._replace(tail_coeffs=(1, float("nan"))), 9, 2, 128)
+
+
 def test_direct_eval_small_argument_limit():
     v = direct_E_eval(F(1, 1000), 128)
     with workprec(160):

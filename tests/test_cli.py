@@ -61,7 +61,7 @@ GOLDEN = [
         "out/e_convergents.manifest.json": "54568bb2cfa4f9cc96ef696f3b2880774c37879977a1afbb7a4d6ae5561bc45f",
     }),
     _case("intseq-csv", "intseq --k 16 --prec 128 --out out", digests={
-        "out/intseq.csv": "3b12e3dc5034cb639f63099b6f26d8caacdacaff1dca834fecdb9ea635c9f146",
+        "out/intseq.csv": "4aed5244ab618409a1274339e865040aa0a48ac5ea58da2fd7e4dffed74fb55c",
         "out/intseq.manifest.json": "a09bf2e9964e22104d74eddc27f501da0a27b5afefcc0f71501154e7ef6a462c",
     }),
     _case("intseq-json", "intseq --k 16 --format json --digits 20 --out out", digests={
@@ -183,9 +183,7 @@ def _expected_rows(doc):
         return [exact, *([f"{k}{i}", *c] for k in "pq" for i, c in enumerate(doc[f"{k}_coeffs"])),
                 *at_z]
     if cmd == "intseq":
-        fracs = (Fraction(int(u), int(v) or 1) for u, v in zip(doc["U"], doc["V"]))
-        return [exact, *([str(k), str(f.numerator), str(f.denominator)]
-                         for k, f in enumerate(fracs))]
+        return [exact, *([str(k), u, v] for k, (u, v) in enumerate(zip(doc["U"], doc["V"])))]
     if cmd == "gamma_deriv":
         return [["n", "value"], *([str(k), v] for k, v in doc["values"])]
     return [["n", "value"], *sorted([k, str(v)] for k, v in est.items())]  # asym_check, fit
@@ -365,8 +363,20 @@ def test_intseq_prints_values_wider_than_the_int_str_digit_limit(workdir, capsys
                             for i, s in ((0, 1), (k, (-1) ** k))]
 
 
+def test_intseq_csv_rows_are_the_coprime_pairs(workdir):
+    # (U_k, V_k) = (0, 1), (1, 0), (1, 1), ... with U_k V_(k+1) - U_(k+1) V_k = +-1
+    assert main("intseq --k 40 --prec 64 --out out".split()) == EXIT_OK
+    rows, _ = _read_csv("out/intseq.csv")
+    pairs = [(int(u), int(v)) for k, u, v in rows[1:]]
+    assert [row[0] for row in rows[1:]] == [str(k) for k in range(41)]
+    assert rows[2] == ["1", "1", "0"]
+    assert all(abs(u * w - x * v) == 1 for (u, v), (x, w) in zip(pairs, pairs[1:]))
+    # the zero denominator of row 1 is not a sequence value: fit refuses the file
+    assert main("fit --input out/intseq.csv --out f".split()) == EXIT_USAGE
+
+
 def test_route_disagreement_exits_2(workdir, capsys, monkeypatch):
-    monkeypatch.setitem(constructions._METHODS, "series", lambda family, N: [0] * N)
+    monkeypatch.setitem(constructions._METHODS, "series", lambda family, N: [(0, 1)] * N)
     rc, err = _exit_code("gamma-approx --alpha=1/3 --n 20".split(), capsys)
     assert rc == EXIT_DOMAIN
     assert err == "domain error: method disagreement in gamma_seq\n"

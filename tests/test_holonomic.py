@@ -16,13 +16,12 @@ from eoplab.constructions import (
 )
 from eoplab.holonomic import (
     DifferentialOperator,
-    HolonomicSequence,
     LeadingCoefficientVanishes,
     LinearRecurrence,
     ode_to_recurrence,
     unroll,
 )
-from eoplab.numcore import PolyQ
+from eoplab.numcore import DomainError, PolyQ
 from eoplab.series import (
     TruncatedSeries,
     binomial_series,
@@ -112,45 +111,53 @@ def test_derived_gamma_recurrence_is_the_published_one_times_q_squared(alpha):
     assert derived.coeffs == tuple(scaled)
 
 
+def _unroll(rec, seeds, N):
+    """unroll from the seeds' (numerator, denominator) pairs, its terms reduced."""
+    return [F(a, b) for a, b in unroll(rec, [F(s).as_integer_ratio() for s in seeds], N)]
+
+
 def test_published_and_derived_recurrences_unroll_alike():
     # every gamma/euler sequence the golden CLI corpus pins, and the seed step
     # and both are the coefficients of the generating series
     for alpha, N in ((F(1, 3), 40), (F(-5, 3), 24), (F(1, 3), 20), (F(-5, 3), 20)):
         seeds = published_gamma_seeds(alpha)
-        want = unroll(HolonomicSequence(published_gamma_recurrence(alpha), seeds), N)
+        want = _unroll(published_gamma_recurrence(alpha), seeds, N)
         assert want == list(_gamma_series(alpha, N).coeffs)
-        assert unroll(HolonomicSequence(gamma_coefficient_recurrence(alpha), seeds), N) == want
+        assert _unroll(gamma_coefficient_recurrence(alpha), seeds, N) == want
     for N in (32, 40, 12):
-        want = unroll(HolonomicSequence(PUBLISHED_EULER_RECURRENCE, PUBLISHED_EULER_SEEDS), N)
+        want = _unroll(PUBLISHED_EULER_RECURRENCE, PUBLISHED_EULER_SEEDS, N)
         assert want == list(_euler_series(N).coeffs)
-        seq = HolonomicSequence(euler_coefficient_recurrence(), PUBLISHED_EULER_SEEDS)
-        assert unroll(seq, N) == want
+        assert _unroll(euler_coefficient_recurrence(), PUBLISHED_EULER_SEEDS, N) == want
 
 
 def test_unroll_euler_seed_step():
-    seq = HolonomicSequence(euler_coefficient_recurrence(), PUBLISHED_EULER_SEEDS)
-    vals = unroll(seq, 4)
+    vals = _unroll(euler_coefficient_recurrence(), PUBLISHED_EULER_SEEDS, 4)
     assert vals == [0, 0, F(1, 4), F(17, 36)]
 
 
 def test_unroll_gamma_seeds():
     alpha = F(1, 2)
-    seq = HolonomicSequence(gamma_coefficient_recurrence(alpha), published_gamma_seeds(alpha))
-    vals = unroll(seq, 2)
+    vals = _unroll(gamma_coefficient_recurrence(alpha), published_gamma_seeds(alpha), 2)
     assert vals == [2, F(7, 3)]
 
 
 def test_unroll_returns_initial_terms_unchanged():
-    seq = HolonomicSequence(euler_coefficient_recurrence(), [1, 2, 3])
-    assert unroll(seq, 3) == [1, 2, 3]
+    # the seed pairs come back as given, unreduced
+    seeds = [(1, 1), (2, 4), (-3, 6)]
+    assert unroll(euler_coefficient_recurrence(), seeds, 3) == seeds
+
+
+def test_unroll_needs_exactly_order_seeds():
+    for seeds in ([(1, 1), (2, 1)], [(1, 1)] * 4):
+        with pytest.raises(DomainError, match="need exactly 3 initial terms"):
+            unroll(euler_coefficient_recurrence(), seeds, 10)
 
 
 def test_unroll_reports_vanishing_leading_coefficient():
     # leading coefficient (n - 2) dies at n = 2
     rec = LinearRecurrence([PolyQ([1]), PolyQ([-2, 1])])
-    seq = HolonomicSequence(rec, [F(1)])
     with pytest.raises(LeadingCoefficientVanishes) as err:
-        unroll(seq, 10)
+        unroll(rec, [(1, 1)], 10)
     assert err.value.n == 2
 
 
@@ -183,15 +190,13 @@ def test_euler_generating_function_has_exact_defect_z():
 def test_round_trip_gamma(alpha):
     series = _gamma_series(alpha, 300)
     rec = ode_to_recurrence(gamma_generating_ode(alpha))
-    seq = HolonomicSequence(rec, series.coeffs[: rec.order])
-    assert unroll(seq, 300) == list(series.coeffs)
+    assert _unroll(rec, series.coeffs[: rec.order], 300) == list(series.coeffs)
 
 
 def test_round_trip_euler():
     series = _euler_series(300)
     rec = ode_to_recurrence(euler_generating_ode())
-    seq = HolonomicSequence(rec, series.coeffs[: rec.order])
-    assert unroll(seq, 300) == list(series.coeffs)
+    assert _unroll(rec, series.coeffs[: rec.order], 300) == list(series.coeffs)
 
 
 def test_normalization_idempotent():
@@ -259,9 +264,8 @@ def test_ode_to_recurrence_against_known_solutions():
         for op, coeff_fn in _known_solution_cases(rng):
             expected = coeff_fn(40)
             rec = ode_to_recurrence(op)
-            seq = HolonomicSequence(rec, expected[: rec.order])
             try:
-                got = unroll(seq, 40)
+                got = _unroll(rec, expected[: rec.order], 40)
             except LeadingCoefficientVanishes:
                 continue
             assert got == expected

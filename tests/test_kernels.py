@@ -37,7 +37,6 @@ from eoplab.constructions import (
 )
 from eoplab.holonomic import (
     DifferentialOperator,
-    HolonomicSequence,
     LeadingCoefficientVanishes,
     LinearRecurrence,
     ode_to_recurrence,
@@ -145,11 +144,11 @@ def oracle_euler_closed(N):
     return out
 
 
-def oracle_unroll(seq, N):
-    r = seq.recurrence.order
-    vals = list(seq.initial[:N])
-    lead = seq.recurrence.coeffs[-1]
-    lower = seq.recurrence.coeffs[:-1]
+def oracle_unroll(rec, initial, N):
+    r = rec.order
+    vals = [F(v) for v in initial[:N]]
+    lead = rec.coeffs[-1]
+    lower = rec.coeffs[:-1]
     for n in range(N - r):
         ln = lead(F(n))
         if ln == 0:
@@ -161,6 +160,11 @@ def oracle_unroll(seq, N):
                 acc += pj * vals[n + j]
         vals.append(-acc / ln)
     return vals
+
+
+def reduced_unroll(rec, initial, N):
+    """unroll from the (numerator, denominator) pairs of initial, its terms reduced."""
+    return [F(a, b) for a, b in unroll(rec, [F(v).as_integer_ratio() for v in initial], N)]
 
 
 def oracle_pade_exp(n):
@@ -257,13 +261,27 @@ def test_pade_exp_matches_fraction_loop(n):
 @example(F(-5, 3), 3)
 def test_unroll_matches_fraction_loop_on_gamma_recurrence(alpha, N):
     seeds = gamma_seq(alpha, 3, method="closed").values
-    seq = HolonomicSequence(gamma_coefficient_recurrence(alpha), seeds)
-    assert unroll(seq, N) == oracle_unroll(seq, N)
+    rec = gamma_coefficient_recurrence(alpha)
+    assert reduced_unroll(rec, seeds, N) == oracle_unroll(rec, seeds, N)
 
 
-def _outcome(fn, seq, N):
+@given(alphas(), st.integers(1, 60), st.integers(-10**6, 10**6).filter(bool))
+@example(F(1, 3), 60, 2**64 * 3**5)
+@example(F(-7, 11), 9, -1)
+def test_unroll_from_scaled_seed_pairs_reduces_to_the_same_terms(alpha, N, k):
+    # the closed seeds, and the same pairs with numerator and denominator
+    # multiplied by one common factor: the terms differ only in their form
+    rec = gamma_coefficient_recurrence(alpha)
+    pairs = [v.as_integer_ratio() for v in gamma_seq(alpha, 3, method="closed").values]
+    scaled = [(k * a, k * b) for a, b in pairs]
+    want = [F(a, b) for a, b in unroll(rec, pairs, N)]
+    assert [F(a, b) for a, b in unroll(rec, scaled, N)] == want
+    assert want == oracle_unroll(rec, [F(a, b) for a, b in pairs], N)
+
+
+def _outcome(fn, rec, initial, N):
     try:
-        return fn(seq, N)
+        return fn(rec, initial, N)
     except LeadingCoefficientVanishes as exc:
         return ("vanishes", exc.n)
 
@@ -278,8 +296,8 @@ polys = st.lists(small_rationals, max_size=3).map(PolyQ)
 )), st.integers(1, 40))
 def test_unroll_matches_fraction_loop_on_random_recurrences(case, N):
     lower, lead, initial = case
-    seq = HolonomicSequence(LinearRecurrence([*lower, lead]), initial)
-    assert _outcome(unroll, seq, N) == _outcome(oracle_unroll, seq, N)
+    rec = LinearRecurrence([*lower, lead])
+    assert _outcome(reduced_unroll, rec, initial, N) == _outcome(oracle_unroll, rec, initial, N)
 
 
 @given(st.integers(1, 3), st.integers(0, 30), polys.filter(lambda p: not p.is_zero()),
@@ -289,12 +307,12 @@ def test_both_unrolls_stop_at_the_same_vanishing_index(r, root, cofactor, data):
     lead = PolyQ([-root, 1]) * cofactor
     lower = data.draw(st.lists(polys, min_size=r, max_size=r))
     initial = data.draw(st.lists(small_rationals, min_size=r, max_size=r))
-    seq = HolonomicSequence(LinearRecurrence([*lower, lead]), initial)
+    rec = LinearRecurrence([*lower, lead])
     N = root + r + 1
     with pytest.raises(LeadingCoefficientVanishes) as new:
-        unroll(seq, N)
+        reduced_unroll(rec, initial, N)
     with pytest.raises(LeadingCoefficientVanishes) as old:
-        oracle_unroll(seq, N)
+        oracle_unroll(rec, initial, N)
     assert new.value.n == old.value.n <= root
 
 
@@ -827,18 +845,17 @@ def test_y_alpha_i_takes_one_linear_factor_per_step(alpha, monkeypatch):
 def oracle_agree(vals, route):
     """The gate as it compared a route with the reduced values before it
     tested divisibility: the same pair, or equal cross products."""
-    pairs = [v if isinstance(v, tuple) else (v.numerator, v.denominator) for v in route]
-    return len(pairs) == len(vals) and all(
+    return len(route) == len(vals) and all(
         (a, b) == (x.numerator, x.denominator) or a * x.denominator == x.numerator * b
-        for x, (a, b) in zip(vals, pairs))
+        for x, (a, b) in zip(vals, route))
 
 
 @st.composite
 def gate_cases(draw):
-    """(vals, route): reduced values and a route of pairs (Fractions now and
-    then) that are multiples of them, of either sign, except at up to two
-    places, where a pair is off by a little or anything, zero numerators and
-    denominators included; sometimes a term short."""
+    """(vals, route): reduced values and a route of pairs that are multiples
+    of them, of either sign, except at up to two places, where a pair is off
+    by a little or anything, zero numerators and denominators included;
+    sometimes a term short."""
     vals = draw(st.lists(st.builds(F, st.integers(-60, 60), st.integers(1, 60)), max_size=8))
     off = draw(st.sets(st.integers(0, 7), max_size=2))
     route = []
@@ -852,7 +869,7 @@ def gate_cases(draw):
             b = draw(st.sampled_from([b + 1, b - 1, 2 * b, b * x.denominator + 1]))
         elif kind == "any":
             a, b = draw(st.integers(-99, 99)), draw(st.integers(-99, 99))
-        route.append(F(a, b) if b and draw(st.booleans()) else (a, b))
+        route.append((a, b))
     if route and draw(st.integers(0, 3)) == 0:
         route.pop(draw(st.integers(0, len(route) - 1)))
     return vals, route

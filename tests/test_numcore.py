@@ -103,8 +103,7 @@ def test_poly_gcd_and_content():
 
 def _value_pairs():
     """(a, b, c): a and b the same value built along two routes, c another."""
-    from eoplab.holonomic import (DifferentialOperator, HolonomicSequence,
-                                  LinearRecurrence, ode_to_recurrence)
+    from eoplab.holonomic import DifferentialOperator, LinearRecurrence, ode_to_recurrence
     from eoplab.series import TruncatedSeries, exp_series
 
     rec = LinearRecurrence([PolyQ([-1]), PolyQ([1, 1])])  # (n+1) P_{n+1} = P_n
@@ -118,13 +117,11 @@ def _value_pairs():
                                  DifferentialOperator([[1], [1]])),
         "LinearRecurrence": (rec, ode_to_recurrence(DifferentialOperator([[1], [-1]])),
                              LinearRecurrence([[-1], [2, 1]])),
-        "HolonomicSequence": (HolonomicSequence(rec, [1]), HolonomicSequence(rec, [F(3, 3)]),
-                              HolonomicSequence(rec, [2])),
     }
 
 
 @pytest.mark.parametrize("name", ["PolyQ", "TruncatedSeries", "DifferentialOperator",
-                                  "LinearRecurrence", "HolonomicSequence"])
+                                  "LinearRecurrence"])
 def test_value_classes_compare_by_value_and_are_immutable(name):
     a, b, c = _value_pairs()[name]
     assert a is not b and a == b and hash(a) == hash(b) and not a != b
