@@ -9,10 +9,10 @@ Sequences are produced by independent routes that must agree exactly:
   P_n = sum_k (-1)^k binom(n+beta-1, n-k) f_k (``_closed``), the family's
   order-3 recurrence seeded with the first three closed terms, and the
   family's series. The series expression and the generating ODE stay per
-  family: for Euler the generic binomial_series(1, N) * euler_substitution(F)
-  took 11.8 ms at N = 200 on a 2-vCPU host, against 2.4 ms for
-  log(1-z)/(1-z) - partial_sums(E(-z/(1-z))), and the ODEs are typed in until
-  an operator algebra can derive them;
+  family: Euler's, log(1-z)/(1-z) - partial_sums(E(-z/(1-z))), is built from
+  ``series.e_log_series`` and ``log_over_one_minus_z``, which perfbench's
+  tracer wraps by name (a generic form costs 10-25% more), and the ODEs
+  are typed in until an operator algebra can derive them;
 * diagonal rational approximants to exp and the convergents of e;
 * the integer pair (U_k, V_k) attached to the Bessel-type ratio F(1)/F'(1),
   with the recurrence A_{k+1} = k A_k + A_{k-1}, whose minimal solution
@@ -22,7 +22,8 @@ Sequences are produced by independent routes that must agree exactly:
 
 The exact kernels work on integer numerators over one common denominator:
 the closed route and the Pade numerator are binomial transforms of integer
-sequences, and the recurrence route unrolls the recurrence derived from the
+sequences (``numcore.binomial_transform``, which ``series.euler_substitution``
+shares), and the recurrence route unrolls the recurrence derived from the
 generating ODE (``holonomic.unroll``). Every route returns unreduced
 (numerator, denominator) pairs. The agreement gate reports the recurrence
 route, whose reduction is the cheapest (see ``_run_routes``), and checks the
@@ -48,7 +49,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, mul
+from operator import mul
 
 from mpmath import mp, mpf, workprec
 
@@ -61,6 +62,7 @@ from .numcore import (
     PrecisionError,
     Rational,
     RouteDisagreement,
+    binomial_transform,
     decay_exponent,
     exact_real,
     least_squares_line,
@@ -157,15 +159,6 @@ def euler_coefficient_recurrence() -> LinearRecurrence:
     return ode_to_recurrence(euler_generating_ode())
 
 
-def _binomial_transform(a: list) -> list:
-    """[sum_k binom(n, k) a_k for n < len(a)], by repeated sums of neighbours."""
-    out = []
-    while a:
-        out.append(a[0])
-        a = list(map(add, a, a[1:]))
-    return out
-
-
 def _closed(beta: Fraction, terms, N: int) -> list:
     """[P_n for n < N] as unreduced (numerator, denominator) pairs, P_n the sum
     over k of (-1)^k binom(n+beta-1, n-k) u_k / (v_k k!), (u_k, v_k) = terms(N)[k]."""
@@ -180,13 +173,8 @@ def _closed(beta: Fraction, terms, N: int) -> list:
     for k in range(N - 2, -1, -1):
         tail[k] = tail[k + 1] * (s + k * q)
     a = [(-1) ** k * q**k * u * (tail[k] // v) for k, (u, v) in enumerate(pairs)]
-    out = []
-    scale = 1  # q^n n!
-    for n, t in enumerate(_binomial_transform(a)):
-        if n:
-            scale *= q * n
-        out.append((t, scale * tail[n]))
-    return out
+    scale = accumulate((q * n for n in range(1, N)), mul, initial=1)  # q^n n!
+    return [(sn, fn * tn) for sn, fn, tn in zip(binomial_transform(a), scale, tail)]
 
 
 def _gamma_series(alpha: Fraction, N: int) -> list:
@@ -315,7 +303,7 @@ def pade_exp(n: int) -> tuple[PolyQ, PolyQ]:
     signed = [(-1) ** (n - k) * math.comb(2 * n - k, n) for k in range(n + 1)]
     facts = [math.factorial(k) for k in range(n + 1)]
     q = [Fraction(c, f) for c, f in zip(signed, facts)]
-    p = [Fraction(c, f) for c, f in zip(_binomial_transform(signed), facts)]
+    p = [Fraction(c, f) for c, f in zip(binomial_transform(signed), facts)]
     return PolyQ(p), PolyQ(q)
 
 

@@ -29,7 +29,8 @@ integer past it and :func:`_parse_int` reads one back (the product's fields
 and the CLI's CSV integers), each only after ``str`` or ``int`` has refused.
 :func:`small_cauchy` is the schoolbook loop for short vectors of ``Fraction``
 or ``mpf`` entries (polynomial and Taylor-jet products). :func:`binary_split`
-adds or multiplies many small rationals as a balanced tree.
+adds or multiplies many small rationals as a balanced tree, and
+:func:`binomial_transform` is the one kernel of the substitution z -> -z/(1-z).
 
 :func:`off_poles` is the one pole test (Gamma and the E_alpha family have
 their poles at the nonpositive integers), :func:`exact_real` the one exact
@@ -43,6 +44,7 @@ import functools
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm, log
 import threading
 
@@ -246,6 +248,16 @@ def small_cauchy(a, b, n: int) -> list:
         for k, bj in enumerate(b[:n - i], i):
             out[k] += ai * bj
     return out
+
+
+def binomial_transform(a: list) -> list:
+    """[sum_k binom(n, k) a_k for n < len(a)], the coefficients of A(w)/(1-z) for
+    A(w) = sum_k a_k w^k, w = z/(1-z). By Horner in w: acc <- (a_k + z acc)/(1-z) is
+    one prefix-sum pass, and after j steps only j terms can reach z^(len(a)-1)."""
+    acc = []
+    for c in reversed(a):
+        acc = list(accumulate(acc, initial=c))
+    return acc
 
 
 def least_squares_line(xs: list, ys: list) -> tuple:

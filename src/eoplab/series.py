@@ -12,7 +12,8 @@ reduced ``Fraction`` coefficients, is built on first use. The constructors
 build the numerators by integer recurrences, ``+`` and ``-`` scale to one lcm,
 and a product multiplies the numerator vectors with :func:`numcore.int_cauchy`:
 one Kronecker-substituted ``Decimal`` product, subquadratic through libmpdec's
-number-theoretic transform for long vectors.
+number-theoretic transform for long vectors. :func:`euler_substitution` is a
+first difference of :func:`numcore.binomial_transform`, the closed routes' kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 from itertools import accumulate
 from operator import mul, sub
 
-from .numcore import DomainError, Frozen, Rational, int_cauchy, off_poles
+from .numcore import DomainError, Frozen, Rational, binomial_transform, int_cauchy, off_poles
 
 __all__ = [
     "TruncatedSeries",
@@ -124,22 +125,12 @@ def partial_sums(f: TruncatedSeries) -> TruncatedSeries:
 def euler_substitution(f: TruncatedSeries) -> TruncatedSeries:
     """Compose f with -z/(1-z), the substitution behind both sequence constructions.
 
-    By Horner over the numerators of f, with one prefix-sum pass per step.
-    Guaranteed order f.order.
+    Coefficient n >= 1 is sum_k (-1)^k binom(n-1, k-1) f_k: entry n minus entry
+    n - 1 of the binomial transform of the (-1)^k f_k. Guaranteed order f.order.
     """
-    acc = []  # prefix sums of the numerators so far, times sign
-    sign = 1
-    for c in reversed(f.nums):
-        # acc * (-z/(1-z)) + c shifts the numerators up and sums them: on their
-        # prefix sums that is one more prefix-sum pass, from c; the sign flips.
-        # After j steps f.order - j shifts remain, so only the first j sums can
-        # land among the f.order coefficients kept: acc grows by one per step
-        sign = -sign
-        acc = list(accumulate(acc, initial=sign * c))
-    if sign < 0:
-        acc = [-x for x in acc]
+    s = binomial_transform([-c if k & 1 else c for k, c in enumerate(f.nums)])
     # an involution with integer coefficients keeps gcd(den, *nums) = 1
-    return _raw(acc[:1] + list(map(sub, acc[1:], acc)), f.den)
+    return _raw(s[:1] + list(map(sub, s[1:], s)), f.den)
 
 
 def binomial_series(beta: Rational, order: int) -> TruncatedSeries:

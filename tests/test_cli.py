@@ -36,6 +36,16 @@ GOLDEN = [
         "out/gamma_approx.json": "3fbb4ffdc0d69f90e22579455fd9433568d8fce1ad1dd7b3a991e4316cc1bbfc",
         "out/gamma_approx.manifest.json": "7b74b0d5f88b8d76289457b654d493ecfa24ed949395fce3fcc9c3670b66573e",
     }),
+    _case("gamma-closed-csv", "gamma-approx --alpha=-7/11 --n 64 --method closed --out out",
+          digests={
+        "out/gamma_approx.csv": "83c0f88301bb8355b500717ccfeffe5cdeb3edad497e383bef7ca37bd3aba875",
+        "out/gamma_approx.manifest.json": "07207fddbe91a76e15753decd4d048672ad41a03f7f9003b381e56f78d648898",
+    }),
+    _case("gamma-series-csv", "gamma-approx --alpha=5/12 --n 64 --method series --out out",
+          digests={
+        "out/gamma_approx.csv": "36243bdb650476e7bf2560a43485042f30874fa9d1a457c260424be1ea091a82",
+        "out/gamma_approx.manifest.json": "2353059be09596bdec2428b45d0f170468110655708f4b44709e3b28d3de85a2",
+    }),
     _case("euler-csv", "euler-approx --n 32 --out out", digests={
         "out/euler_approx.csv": "80d27e4770f2b32431a2cbddc2ef3e7d428c892b4d84687cd557898525b01467",
         "out/euler_approx.manifest.json": "713668d24680f1506bfa345ddf6b0a1924e610d580e7df5e3a20558133d9d05e",
@@ -47,6 +57,10 @@ GOLDEN = [
     _case("pade-csv", "pade --n 6 --z=-1/2 --out out", digests={
         "out/pade.csv": "7099272f72d2c36d33b9f1facbe372725eb92b1ca22922ae80c5a0a155061379",
         "out/pade.manifest.json": "107a7b471a05e5842e2465a393dcf030a4e78d1ee688a14e6d0838a701f9281e",
+    }),
+    _case("pade-long-csv", "pade --n 40 --z=7/3 --out out", digests={
+        "out/pade.csv": "c8debd971b98ef8e246d7dc9332819ef82981c38b4cd4b790750b867d6d71223",
+        "out/pade.manifest.json": "b999c595efaa2dac28e1bf254820cb83b1e32182fba8bc1a646c1784a4377c8b",
     }),
     _case("pade-json", "pade --n 4 --format json --out out", digests={
         "out/pade.json": "a24239ba2b23bf8c35d6b0d40642e9fbe54cea7d43d460263990b901881b48a0",

@@ -45,7 +45,7 @@ from eoplab.holonomic import (
 from eoplab import gammalab
 from eoplab.gammalab import _add_ratios, _inverse_power_sum, y_alpha_i
 from eoplab.numcore import (GUARD_BITS, DomainError, PolyQ, PrecisionError, RouteDisagreement,
-                            _decimal_str, _parse_int, binary_split,
+                            _decimal_str, _parse_int, binary_split, binomial_transform,
                             decay_exponent, int_cauchy,
                             least_squares_line, poly_gcd, small_cauchy, to_mpf, weighted_mean)
 from eoplab.series import (
@@ -75,6 +75,16 @@ def oracle_int_cauchy(a, b, n):
     return out
 
 
+def neighbour_sum_transform(a):
+    """[sum_k binom(n, k) a_k for n < len(a)] by N passes of neighbour sums,
+    the loop the closed routes ran before ``numcore.binomial_transform``."""
+    out = []
+    while a:
+        out.append(a[0])
+        a = list(map(operator.add, a, a[1:]))
+    return out
+
+
 def old_gamma_closed(alpha, N):
     """The gamma closed route before the one engine, with its unreduced pairs."""
     p, q = alpha.numerator, alpha.denominator
@@ -85,7 +95,7 @@ def old_gamma_closed(alpha, N):
     a = [(-1) ** k * q ** (k + 1) * (tail[k] // lin[k]) for k in range(N)]
     out = []
     scale = 1  # q^n n!
-    for n, s in enumerate(constructions._binomial_transform(a)):
+    for n, s in enumerate(neighbour_sum_transform(a)):
         if n:
             scale *= q * n
         out.append((s, scale * tail[n]))
@@ -102,7 +112,7 @@ def old_euler_closed(N):
         fact *= k
         a.append((-1) ** k * (fact - 1) * (lcm // k) * (top // fact))
     M = lcm * top
-    return [(s, M) for s in constructions._binomial_transform(a)]
+    return [(s, M) for s in neighbour_sum_transform(a)]
 
 
 def engine_closed(run, N):
@@ -244,6 +254,23 @@ def test_closed_is_the_binomial_sum_for_any_beta_and_terms(beta, pairs):
                 * F(u, v * math.factorial(k)) for k, (u, v) in enumerate(pairs[:n + 1]))
             for n in range(N)]
     assert [F(a, b) for a, b in got] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.lists(st.integers(-10**30, 10**30),
+                                                     min_size=n, max_size=n)))
+@example([])
+@example([7])
+@example([0] * 5)
+@example([-(10**30), 10**30, -1, 0, 1])
+def test_binomial_transform_is_the_binomial_sum_and_inverts(a):
+    s = binomial_transform(a)
+    assert s == [sum(math.comb(n, k) * a[k] for k in range(n + 1)) for n in range(len(a))]
+    assert s == neighbour_sum_transform(a)
+    assert all(type(x) is int for x in s)
+    # the inverse transform is the alternating binomial sum
+    assert [sum((-1) ** (n - k) * math.comb(n, k) * s[k] for k in range(n + 1))
+            for n in range(len(s))] == a
 
 
 @given(st.integers(0, 80))
