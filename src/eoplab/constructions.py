@@ -8,11 +8,16 @@ Sequences are produced by independent routes that must agree exactly:
   k! f_k = (k! - 1)/k. One route table serves both: the closed sum
   P_n = sum_k (-1)^k binom(n+beta-1, n-k) f_k (``_closed``), the family's
   order-3 recurrence seeded with the first three closed terms, and the
-  family's series. The series expression and the generating ODE stay per
-  family: Euler's, log(1-z)/(1-z) - partial_sums(E(-z/(1-z))), is built from
+  family's series. The series route and the generating ODE stay per family.
+  Gamma's is ``series.laguerre_sums``: the E-operator (D-1)(theta+alpha)
+  taken through the substitution makes (theta+alpha)[(1-z)P] the Laguerre
+  generating function, so P_n = sum_{k<=n} L_k^(alpha)(1)/(k+alpha), with no
+  series product and nothing shared with the closed route. Euler's,
+  log(1-z)/(1-z) - partial_sums(E(-z/(1-z))), is built from
   ``series.e_log_series`` and ``log_over_one_minus_z``, which perfbench's
-  tracer wraps by name (a generic form costs 10-25% more), and the ODEs
-  are typed in until an operator algebra can derive them;
+  tracer wraps by name (a generic form costs 10-25% more); ``laguerre_sums``
+  at alpha = 0 gives the same sequence negated. The ODEs are typed in until
+  an operator algebra can derive them;
 * diagonal rational approximants to exp and the convergents of e;
 * the integer pair (U_k, V_k) attached to the Bessel-type ratio F(1)/F'(1),
   with the recurrence A_{k+1} = k A_k + A_{k-1}, whose minimal solution
@@ -23,8 +28,9 @@ Sequences are produced by independent routes that must agree exactly:
 The exact kernels work on integer numerators over one common denominator:
 the closed route and the Pade numerator are binomial transforms of integer
 sequences (``numcore.binomial_transform``, which ``series.euler_substitution``
-shares), and the recurrence route unrolls the recurrence derived from the
-generating ODE (``holonomic.unroll``). Every route returns unreduced
+shares), the gamma series route runs the Laguerre three-term recurrence, and
+the recurrence route unrolls the recurrence derived from the generating ODE
+(``holonomic.unroll``). Every route returns unreduced
 (numerator, denominator) pairs. The agreement gate reports the recurrence
 route, whose reduction is the cheapest (see ``_run_routes``), and checks the
 other two against it by divisibility; disagreeing routes raise
@@ -178,11 +184,9 @@ def _closed(beta: Fraction, terms, N: int) -> list:
 
 
 def _gamma_series(alpha: Fraction, N: int) -> list:
-    from .series import binomial_series, e_alpha_series, euler_substitution
+    from .series import laguerre_sums
 
-    inner = euler_substitution(e_alpha_series(alpha, N))
-    prod = binomial_series(alpha + 1, N) * inner
-    return [(c, prod.den) for c in prod.nums]
+    return laguerre_sums(alpha.numerator, alpha.denominator, N)
 
 
 def _euler_terms(N: int) -> list:

@@ -18,9 +18,9 @@ around the mean, which rounds it when both ends round alike, and
 :func:`decay_exponent` takes the log of each fixed-point difference that keeps
 64 bits.
 
-:func:`int_cauchy` is the exact product kernel for long integer coefficient
-vectors: it packs each vector into one exact ``Decimal``, a sum of shifted
-fields with no digit string and no borrows (Kronecker substitution), and
+:func:`int_cauchy`, ``TruncatedSeries.__mul__``'s exact kernel (no sequence
+route multiplies series), packs each integer vector into one ``Decimal`` of
+shifted fields, no digit string and no borrows (Kronecker substitution), and
 multiplies the two in a private exact context. That context also joins the
 halves in :func:`_to_decimal`, the divide-and-conquer conversion behind those
 fields and behind :func:`_decimal_str`, the writer of wide CLI integers. Python's

@@ -12,8 +12,11 @@ reduced ``Fraction`` coefficients, is built on first use. The constructors
 build the numerators by integer recurrences, ``+`` and ``-`` scale to one lcm,
 and a product multiplies the numerator vectors with :func:`numcore.int_cauchy`:
 one Kronecker-substituted ``Decimal`` product, subquadratic through libmpdec's
-number-theoretic transform for long vectors. :func:`euler_substitution` is a
-first difference of :func:`numcore.binomial_transform`, the closed routes' kernel.
+number-theoretic transform for long vectors. No sequence route multiplies
+series: ``int_cauchy`` is only ``__mul__``'s kernel. The gamma series route is
+:func:`laguerre_sums`, the partial sums of L_k^(alpha)(1)/(k+alpha) by a
+three-term integer recurrence. :func:`euler_substitution` is a first
+difference of :func:`numcore.binomial_transform`, the closed routes' kernel.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "partial_sums",
     "euler_substitution",
     "binomial_series",
+    "laguerre_sums",
     "log_over_one_minus_z",
     "exp_series",
     "e_alpha_series",
@@ -151,6 +155,33 @@ def binomial_series(beta: Rational, order: int) -> TruncatedSeries:
     for m in range(top):
         nums.append(nums[-1] * (s + m * q) // ((m + 1) * q))
     return _raw(nums[:order], nums[0])
+
+
+def laguerre_sums(p: int, q: int, order: int) -> list:
+    """[sum_{k<=n} L_k^(a)(1)/(k+a) for n < order] as unreduced (numerator,
+    denominator) pairs, a = p/q in lowest terms (q > 0) off the poles -1, -2, ...;
+    with p = 0 the term k = 0 is left out, and the sums are minus Euler's sequence.
+
+    This is the gamma series route: E_a is annihilated by (D-1)(theta+a), so
+    through z -> -z/(1-z) and the factor (1-z)^(-a-1), (theta+a)[(1-z)P] is the
+    Laguerre generating function (1-z)^(-a-1) exp(-z/(1-z)) = sum_n L_n^(a)(1) z^n
+    (Szego (5.1.9)), and P_n is the partial sum, with no series product.
+    Over D = q^(N-1) (N-1)!, l_k = D L_k^(a)(1) is an integer, as k! q^k L_k =
+    sum_j binom(k, j) (-q)^j prod_{j<i<=k} (p+iq); so l_0 = D, l_1 = pD/q and
+    q(k+1) l_{k+1} = (2kq+p) l_k - (kq+p) l_{k-1} (Szego (5.1.10) at x = 1)
+    divide exactly. Entry k is l_k q (L/(kq+p)) over D L, L = lcm_k |kq+p|
+    over the nonzero factors.
+    """
+    lin = [k * q + p for k in range(order)]
+    top = max(order - 1, 0)
+    d = q**top * math.factorial(top)
+    ell = [d, d // q * p]  # l_1 is exact when it is used, for order > 1
+    for k in range(1, order - 1):
+        ell.append(((lin[k] + k * q) * ell[k] - lin[k] * ell[k - 1]) // ((k + 1) * q))
+    lcm = math.lcm(*filter(None, lin))
+    den = d * lcm
+    return [(s, den) for s in accumulate(q * c * (lcm // m) if m else 0
+                                         for c, m in zip(ell, lin))]
 
 
 def log_over_one_minus_z(order: int) -> TruncatedSeries:

@@ -46,6 +46,11 @@ GOLDEN = [
         "out/gamma_approx.csv": "36243bdb650476e7bf2560a43485042f30874fa9d1a457c260424be1ea091a82",
         "out/gamma_approx.manifest.json": "2353059be09596bdec2428b45d0f170468110655708f4b44709e3b28d3de85a2",
     }),
+    _case("gamma-series-long-csv", "gamma-approx --alpha=-29/12 --n 200 --method series "
+          "--out out", digests={
+        "out/gamma_approx.csv": "da907924df06c068ba333134ecf35ae757ecb62a5934b42f5881e0ad201ddabb",
+        "out/gamma_approx.manifest.json": "a3293f17ac3c2eac830aa6d2f953f7b4d07cd4a4ae2cccd5a01740d7cef4faba",
+    }),
     _case("euler-csv", "euler-approx --n 32 --out out", digests={
         "out/euler_approx.csv": "80d27e4770f2b32431a2cbddc2ef3e7d428c892b4d84687cd557898525b01467",
         "out/euler_approx.manifest.json": "713668d24680f1506bfa345ddf6b0a1924e610d580e7df5e3a20558133d9d05e",

@@ -57,6 +57,7 @@ from eoplab.series import (
     e_log_series,
     euler_substitution,
     exp_series,
+    laguerre_sums,
     log_over_one_minus_z,
     partial_sums,
 )
@@ -220,6 +221,33 @@ def test_euler_closed_matches_fraction_loop(N):
     assert pairs == old_euler_closed(N)  # the same unreduced pairs
     assert all(type(a) is int and type(b) is int for a, b in pairs)
     assert [F(a, b) for a, b in pairs] == oracle_euler_closed(N)
+
+
+def old_gamma_series(alpha, N):
+    """The gamma series route before ``series.laguerre_sums``: the ring product
+    (1-z)^(-alpha-1) E_alpha(-z/(1-z)), with its unreduced pairs."""
+    inner = euler_substitution(e_alpha_series(alpha, N))
+    prod = binomial_series(alpha + 1, N) * inner
+    return [(c, prod.den) for c in prod.nums]
+
+
+@given(alphas(), st.integers(1, 64))
+@example(F(1, 3), 1)
+@example(F(-7, 11), 2)
+@example(F(-5, 3), 3)
+@example(F(-29, 12), 200)
+def test_gamma_series_matches_the_ring_product_and_the_closed_route(alpha, N):
+    pairs = constructions._gamma_series(alpha, N)
+    assert all(type(a) is int and type(b) is int for a, b in pairs)
+    vals = [F(a, b) for a, b in old_gamma_series(alpha, N)]
+    assert _agree(vals, pairs)
+    assert _agree(vals, engine_closed(functools.partial(gamma_seq, alpha), N))
+
+
+def test_euler_sequence_is_minus_the_laguerre_sums_at_alpha_zero():
+    # beta = 1: P_n = -sum_{k=1}^{n} L_k^(0)(1)/k, the gamma series kernel at p = 0
+    N = 200
+    assert _agree(euler_seq(N, "closed").values, [(-a, b) for a, b in laguerre_sums(0, 1, N)])
 
 
 @st.composite

@@ -13,6 +13,7 @@ from eoplab.series import (
     e_log_series,
     euler_substitution,
     exp_series,
+    laguerre_sums,
     log_over_one_minus_z,
     partial_sums,
 )
@@ -115,6 +116,18 @@ def test_binomial_series_multiplicativity():
         b2 = F(rng.randint(-8, 8), rng.randint(1, 5))
         lhs = binomial_series(b1, 30) * binomial_series(b2, 30)
         assert lhs == binomial_series(b1 + b2, 30)
+
+
+@pytest.mark.parametrize("alpha", [F(1, 3), F(-29, 12), F(11, 12), F(-5, 2)])
+def test_laguerre_sums_step_by_the_laguerre_values(alpha):
+    # (n + alpha) times step n of the partial sums is L_n^(alpha)(1)
+    import sympy
+
+    sums = [F(a, b) for a, b in laguerre_sums(alpha.numerator, alpha.denominator, 41)]
+    steps = [(n + alpha) * (s - t) for n, (s, t) in enumerate(zip(sums, [0, *sums]))]
+    a = sympy.Rational(alpha.numerator, alpha.denominator)
+    want = [sympy.assoc_laguerre(n, a, 1) for n in range(41)]
+    assert steps == [F(int(w.p), int(w.q)) for w in want]
 
 
 def test_log_over_one_minus_z():
