@@ -6,18 +6,13 @@ Sequences are produced by independent routes that must agree exactly:
   P_n = [z^n] (1-z)^(-beta) F(-z/(1-z)) with F = sum_k f_k x^k: gamma has
   beta = alpha + 1 and k! f_k = 1/(k+alpha), Euler beta = 1 and
   k! f_k = (k! - 1)/k. One route table serves both: the closed sum
-  P_n = sum_k (-1)^k binom(n+beta-1, n-k) f_k (``_closed``), the family's
-  order-3 recurrence seeded with the first three closed terms, and the
-  family's series. The series route and the generating ODE stay per family.
-  Gamma's is ``series.laguerre_sums``: the E-operator (D-1)(theta+alpha)
-  taken through the substitution makes (theta+alpha)[(1-z)P] the Laguerre
-  generating function, so P_n = sum_{k<=n} L_k^(alpha)(1)/(k+alpha), with no
-  series product and nothing shared with the closed route. Euler's,
-  log(1-z)/(1-z) - partial_sums(E(-z/(1-z))), is built from
-  ``series.e_log_series`` and ``log_over_one_minus_z``, which perfbench's
-  tracer wraps by name (a generic form costs 10-25% more); ``laguerre_sums``
-  at alpha = 0 gives the same sequence negated. The ODEs are typed in until
-  an operator algebra can derive them;
+  P_n = sum_k (-1)^k binom(n+beta-1, n-k) f_k (``_closed``), the order-3
+  recurrence of gamma's generating ODE (Euler's is that ODE at alpha = 0)
+  seeded with the first three closed terms, and the partial sums
+  P_n = sum_{k<=n} L_k^(alpha)(1)/(k+alpha) of ``series.laguerre_sums``
+  (Euler's sequence is that sum at alpha = 0, negated), which share nothing
+  with the closed route. The ODE is typed in until an operator algebra can
+  derive it;
 * diagonal rational approximants to exp and the convergents of e;
 * the integer pair (U_k, V_k) attached to the Bessel-type ratio F(1)/F'(1),
   with the recurrence A_{k+1} = k A_k + A_{k-1}, whose minimal solution
@@ -25,17 +20,15 @@ Sequences are produced by independent routes that must agree exactly:
   checked against the forward run. Every value of F, G and their derivatives,
   A_k included, is summed exactly by ``numcore.recurrence_sum`` and rounded once.
 
-The exact kernels work on integer numerators over one common denominator:
-the closed route and the Pade numerator are binomial transforms of integer
-sequences (``numcore.binomial_transform``, which ``series.euler_substitution``
-shares), the gamma series route runs the Laguerre three-term recurrence, and
-the recurrence route unrolls the recurrence derived from the generating ODE
-(``holonomic.unroll``). Every route returns unreduced
-(numerator, denominator) pairs. The agreement gate reports the recurrence
-route, whose reduction is the cheapest (see ``_run_routes``), and checks the
-other two against it by divisibility; disagreeing routes raise
-:class:`RouteDisagreement`. A run is returned as one immutable
-:class:`ApproximationRun` record.
+The kernels work on integers: the closed route and the Pade numerator are
+binomial transforms (``numcore.binomial_transform``), the series route runs
+the Laguerre recurrence, and the recurrence route ``holonomic.unroll``. With
+beta = s/q and k! f_k = u_k/v_k, D_n = q^n n! lcm_{k<=n} |v_k| is a multiple
+of every reduced denominator R_n. The series route returns the integers
+D_n P_n, the closed route (s_n, m_n) with P_n = s_n/(D_n m_n), the recurrence
+route unreduced pairs. R_n must divide D_n under every method, and the gate
+needs no big division (``_run_routes``); disagreeing routes raise
+:class:`RouteDisagreement`. A run is one immutable :class:`ApproximationRun`.
 
 Limit and growth-model estimation work on the exact rational data: the limit
 uses a smooth-window weighted tail mean, which handles the sqrt(n)-phase
@@ -90,7 +83,6 @@ __all__ = [
     "GrowthFit",
     "gamma_generating_ode",
     "gamma_coefficient_recurrence",
-    "euler_generating_ode",
     "euler_coefficient_recurrence",
     "gamma_seq",
     "euler_seq",
@@ -147,40 +139,31 @@ def gamma_coefficient_recurrence(alpha: Rational) -> LinearRecurrence:
     return ode_to_recurrence(gamma_generating_ode(alpha))
 
 
-def euler_generating_ode() -> DifferentialOperator:
-    """Annihilator of log(1-z)/(1-z) - (1-z)^(-1) E(-z/(1-z))."""
-    from .holonomic import DifferentialOperator
-
-    return DifferentialOperator(
-        [PolyQ([-1, 2, -2]), PolyQ([1, -5, 8, -4]), PolyQ([0, 1, -3, 3, -1])]
-    )
-
-
 @functools.cache
 def euler_coefficient_recurrence() -> LinearRecurrence:
     """(n+3)^2 P_{n+3} - (3n^2+14n+17) P_{n+2} + (n+2)(3n+5) P_{n+1} - (n+1)(n+2) P_n = 0,
-    derived from :func:`euler_generating_ode` once per process."""
-    from .holonomic import ode_to_recurrence
-
-    return ode_to_recurrence(euler_generating_ode())
+    gamma's at alpha = 0, once per process: log(1-z)/(1-z) - (1-z)^(-1) E(-z/(1-z))
+    satisfies that ODE up to the polynomial z, which no step from P_0..P_2 reads."""
+    return gamma_coefficient_recurrence(0)
 
 
 def _closed(beta: Fraction, terms, N: int) -> list:
-    """[P_n for n < N] as unreduced (numerator, denominator) pairs, P_n the sum
-    over k of (-1)^k binom(n+beta-1, n-k) u_k / (v_k k!), (u_k, v_k) = terms(N)[k]."""
+    """[(s_n, m_n) for n < N], P_n = s_n/(D_n m_n) (``_denominators``) the sum over
+    k of (-1)^k binom(n+beta-1, n-k) u_k / (v_k k!), (u_k, v_k) = terms(N)[k]."""
     # With beta = s/q and c_n = prod_{j<n} (s+jq) (nonzero unless beta is an
     # integer <= 0), binom(n+beta-1, n-k) = (c_n/c_k) / (q^(n-k) (n-k)!), so
-    # P_n = c_n/(q^n n!) sum_k binom(n,k) E_k, E_k = (-1)^k q^k u_k / (c_k v_k),
-    # and every E_k is an integer a_k over c_{N-1} lcm_k v_k. With c_n
-    # cancelled first, P_n = s_n / (q^n n! (c_{N-1}/c_n) lcm), s_n the transform.
+    # D_n P_n = sum_k binom(n,k) (-1)^k q^k (c_n/c_k) u_k (L_n/v_k). Times the
+    # cofactor m_n = (c_{N-1}/c_n) (L_{N-1}/L_n), term k no longer depends on n:
+    # it is a_k = (-1)^k q^k u_k m_k (L_k/v_k), and s_n is the transform.
     s, q = beta.numerator, beta.denominator
     pairs = terms(N)
-    tail = [math.lcm(*(v for _, v in pairs))] * N  # tail[k] = lcm c_{N-1} / c_k
-    for k in range(N - 2, -1, -1):
-        tail[k] = tail[k + 1] * (s + k * q)
-    a = [(-1) ** k * q**k * u * (tail[k] // v) for k, (u, v) in enumerate(pairs)]
-    scale = accumulate((q * n for n in range(1, N)), mul, initial=1)  # q^n n!
-    return [(sn, fn * tn) for sn, fn, tn in zip(binomial_transform(a), scale, tail)]
+    lcm = list(accumulate((abs(v) for _, v in pairs), math.lcm))  # L_n = lcm_{k<=n} |v_k|
+    m = [1] * N  # a suffix product
+    for n in range(N - 2, -1, -1):
+        m[n] = m[n + 1] * (s + n * q) * (lcm[n + 1] // lcm[n])
+    a = [(-1) ** k * q**k * u * mk * (L // v)
+         for k, ((u, v), mk, L) in enumerate(zip(pairs, m, lcm))]
+    return list(zip(binomial_transform(a), m))
 
 
 def _gamma_series(alpha: Fraction, N: int) -> list:
@@ -195,22 +178,27 @@ def _euler_terms(N: int) -> list:
 
 
 def _euler_series(N: int) -> list:
-    from .series import e_log_series, euler_substitution, log_over_one_minus_z, partial_sums
+    from .series import laguerre_sums
 
-    inner = partial_sums(euler_substitution(e_log_series(N)))
-    total = log_over_one_minus_z(N) - inner
-    return [(c, total.den) for c in total.nums]
+    return [-s for s in laguerre_sums(0, 1, N)]
 
 
 # beta, terms(N) = [(u_k, v_k) for k < N] with k! f_k = u_k/v_k, and its own routes
 _Family = namedtuple("_Family", "beta terms series recurrence")
 
 
+def _denominators(family: _Family, N: int) -> list:
+    """[D_n = q^n n! lcm_{k<=n} |v_k| for n < N], beta = s/q."""
+    scale = accumulate((family.beta.denominator * n for n in range(1, N)), mul, initial=1)
+    return list(map(mul, scale, accumulate((abs(v) for _, v in family.terms(N)), math.lcm)))
+
+
 def _recurrence_route(family: _Family, N: int) -> list:
     from .holonomic import unroll
 
     rec = family.recurrence()
-    return unroll(rec, _closed(family.beta, family.terms, rec.order), N)
+    seeds = _closed(family.beta, family.terms, rec.order)
+    return unroll(rec, list(map(_PAIR["closed"], seeds, _denominators(family, rec.order))), N)
 
 
 _METHODS = {
@@ -218,6 +206,9 @@ _METHODS = {
     "recurrence": _recurrence_route,
     "series": lambda family, N: family.series(N),
 }
+# a route's value n and D_n as a (numerator, denominator) pair
+_PAIR = {"closed": lambda v, d: (v[0], d * v[1]), "recurrence": lambda v, d: v,
+         "series": lambda v, d: (v, d)}
 
 
 def gamma_seq(
@@ -245,23 +236,26 @@ def _run_routes(what: str, family: _Family, N: int, method: str, prec: int,
     """Run one route, or all of them under the exact-agreement gate, and
     estimate the limit.
 
-    Every route returns unreduced (numerator, denominator) pairs, and only
-    the reported route is reduced, in ``_reduced``. Under "all" that is the
-    recurrence route: ``unroll``'s running denominator stays within a few bits
-    of the reduced one, so its gcds cost less than either other route's. The
-    other routes are checked against it by divisibility, with no Fraction
-    built: as gcd(u, v) = 1, a pair a/b equals u/v iff v divides b and
-    a = u (b // v)."""
+    Only the reported route is reduced, in ``_reduced``, and each reduced
+    denominator R_n must divide D_n. Under "all" that is the recurrence route,
+    whose running denominator stays within a few bits of R_n. The other two
+    are checked against it at the scale D_n with no big division: with X_n/R_n
+    the reduced value and e_n = D_n/R_n (about 0.9n bits for gamma), D_n P_n
+    from the series route (Euler's is gamma's kernel at alpha = 0, negated)
+    must be X_n e_n, and the closed route's s_n must be X_n e_n m_n."""
     if N < 1:
         raise DomainError("need N >= 1")
+    D = _denominators(family, N)
     if method == "all":
-        results = {name: fn(family, N) for name, fn in _METHODS.items()}
-        vals = _reduced(results.pop("recurrence"))
-        if not all(_agree(vals, r) for r in results.values()):
+        routes = {name: fn(family, N) for name, fn in _METHODS.items()}
+        vals = _reduced(routes["recurrence"])
+        if not _gate(vals, D, routes["closed"], routes["series"]):
             raise RouteDisagreement(f"method disagreement in {what}")
         meta = {"methods": sorted(_METHODS), "exact_agreement": True}
     elif method in _METHODS:
-        vals = _reduced(_METHODS[method](family, N))
+        vals = _reduced(map(_PAIR[method], _METHODS[method](family, N), D))
+        if any(d % x.denominator for x, d in zip(vals, D)):
+            raise RouteDisagreement(f"a denominator of {what} does not divide D_n")
         meta = {"methods": [method]}
     else:
         raise DomainError(f"unknown method {method!r}")
@@ -273,17 +267,18 @@ def _run_routes(what: str, family: _Family, N: int, method: str, prec: int,
     return ApproximationRun(vals, est.limit, est.rate_exponent, meta)
 
 
-def _reduced(values: list) -> list:
+def _reduced(values) -> list:
     return [Fraction(a, b) for a, b in values]
 
 
-def _agree(vals: list, route: list) -> bool:
-    """The reduced vals and the route's values are equal term by term."""
-    if len(route) != len(vals):
+def _gate(vals: list, D: list, closed: list, series: list) -> bool:
+    """Each reduced value divides D_n and equals the closed and series routes'."""
+    if not len(vals) == len(closed) == len(series):
         return False
-    for x, (a, b) in zip(vals, route):
-        q, r = divmod(b, x.denominator)
-        if r or a != x.numerator * q:
+    for x, d, (s, m), S in zip(vals, D, closed, series):
+        e, r = divmod(d, x.denominator)
+        xe = x.numerator * e
+        if r or S != xe or s != xe * m:
             return False
     return True
 

@@ -12,11 +12,11 @@ reduced ``Fraction`` coefficients, is built on first use. The constructors
 build the numerators by integer recurrences, ``+`` and ``-`` scale to one lcm,
 and a product multiplies the numerator vectors with :func:`numcore.int_cauchy`:
 one Kronecker-substituted ``Decimal`` product, subquadratic through libmpdec's
-number-theoretic transform for long vectors. No sequence route multiplies
-series: ``int_cauchy`` is only ``__mul__``'s kernel. The gamma series route is
-:func:`laguerre_sums`, the partial sums of L_k^(alpha)(1)/(k+alpha) by a
-three-term integer recurrence. :func:`euler_substitution` is a first
-difference of :func:`numcore.binomial_transform`, the closed routes' kernel.
+number-theoretic transform for long vectors. :func:`euler_substitution` is a
+first difference of :func:`numcore.binomial_transform`. No sequence route uses
+the ring, which stays here because the benchmark's tracer resolves it by name:
+both series routes are :func:`laguerre_sums`, integer partial sums of
+L_k^(alpha)(1)/(k+alpha) (Euler's at alpha = 0, negated).
 """
 
 from __future__ import annotations
@@ -158,30 +158,29 @@ def binomial_series(beta: Rational, order: int) -> TruncatedSeries:
 
 
 def laguerre_sums(p: int, q: int, order: int) -> list:
-    """[sum_{k<=n} L_k^(a)(1)/(k+a) for n < order] as unreduced (numerator,
-    denominator) pairs, a = p/q in lowest terms (q > 0) off the poles -1, -2, ...;
-    with p = 0 the term k = 0 is left out, and the sums are minus Euler's sequence.
+    """[D_n sum_{k<=n} L_k^(a)(1)/(k+a) for n < order], integers, a = p/q in
+    lowest terms (q > 0) off the poles -1, -2, ..., D_n = q^n n! L_n and
+    L_n = lcm_{k<=n} |kq+p| over the nonzero factors; with p = 0 the term k = 0
+    is left out, and the sums are minus D_n times Euler's sequence.
 
-    This is the gamma series route: E_a is annihilated by (D-1)(theta+a), so
-    through z -> -z/(1-z) and the factor (1-z)^(-a-1), (theta+a)[(1-z)P] is the
-    Laguerre generating function (1-z)^(-a-1) exp(-z/(1-z)) = sum_n L_n^(a)(1) z^n
-    (Szego (5.1.9)), and P_n is the partial sum, with no series product.
-    Over D = q^(N-1) (N-1)!, l_k = D L_k^(a)(1) is an integer, as k! q^k L_k =
-    sum_j binom(k, j) (-q)^j prod_{j<i<=k} (p+iq); so l_0 = D, l_1 = pD/q and
-    q(k+1) l_{k+1} = (2kq+p) l_k - (kq+p) l_{k-1} (Szego (5.1.10) at x = 1)
-    divide exactly. Entry k is l_k q (L/(kq+p)) over D L, L = lcm_k |kq+p|
-    over the nonzero factors.
+    E_a is annihilated by (D-1)(theta+a), so through z -> -z/(1-z) and the
+    factor (1-z)^(-a-1), (theta+a)[(1-z)P] is the Laguerre generating function
+    (1-z)^(-a-1) exp(-z/(1-z)) = sum_n L_n^(a)(1) z^n (Szego (5.1.9)), and P_n
+    is the partial sum. l_k = q^k k! L_k^(a)(1) = sum_j binom(k, j) (-q)^j
+    prod_{j<i<=k} (p+iq) is an integer, with l_0 = 1, l_1 = p and
+    l_{k+1} = (2kq+p) l_k - (kq+p) q k l_{k-1} (Szego (5.1.10) at x = 1), and
+    S_n = D_n P_n = S_{n-1} (D_n/D_{n-1}) + q l_n (L_n/(nq+p)): no division.
     """
     lin = [k * q + p for k in range(order)]
-    top = max(order - 1, 0)
-    d = q**top * math.factorial(top)
-    ell = [d, d // q * p]  # l_1 is exact when it is used, for order > 1
+    lam = [1, p]
     for k in range(1, order - 1):
-        ell.append(((lin[k] + k * q) * ell[k] - lin[k] * ell[k - 1]) // ((k + 1) * q))
-    lcm = math.lcm(*filter(None, lin))
-    den = d * lcm
-    return [(s, den) for s in accumulate(q * c * (lcm // m) if m else 0
-                                         for c, m in zip(ell, lin))]
+        lam.append((lin[k] + k * q) * lam[k] - lin[k] * q * k * lam[k - 1])
+    lcm = list(accumulate((m or 1 for m in lin), math.lcm, initial=1))  # lcm[n+1] = L_n
+    sums, s = [], 0
+    for n, m in enumerate(lin):
+        s = s * q * n * (lcm[n + 1] // lcm[n]) + (q * lam[n] * (lcm[n + 1] // m) if m else 0)
+        sums.append(s)
+    return sums
 
 
 def log_over_one_minus_z(order: int) -> TruncatedSeries:

@@ -395,10 +395,29 @@ def test_intseq_csv_rows_are_the_coprime_pairs(workdir):
 
 
 def test_route_disagreement_exits_2(workdir, capsys, monkeypatch):
-    monkeypatch.setitem(constructions._METHODS, "series", lambda family, N: [(0, 1)] * N)
+    # the series route's D_n P_n, all zero
+    monkeypatch.setitem(constructions._METHODS, "series", lambda family, N: [0] * N)
     rc, err = _exit_code("gamma-approx --alpha=1/3 --n 20".split(), capsys)
     assert rc == EXIT_DOMAIN
     assert err == "domain error: method disagreement in gamma_seq\n"
+    assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("cmd", ["gamma-approx --alpha=1/3", "euler-approx"])
+def test_a_single_route_beyond_the_explicit_denominator_exits_2(workdir, capsys, monkeypatch, cmd):
+    # term 7's denominator gains a prime that divides no D_n
+    route = constructions._METHODS["recurrence"]
+
+    def broken(family, N):
+        pairs = route(family, N)
+        pairs[7] = (pairs[7][0], pairs[7][1] * (2**61 - 1))
+        return pairs
+
+    monkeypatch.setitem(constructions._METHODS, "recurrence", broken)
+    rc, err = _exit_code(f"{cmd} --n 20 --method recurrence".split(), capsys)
+    assert rc == EXIT_DOMAIN
+    assert err.startswith("domain error: a denominator of ")
+    assert err.endswith(" does not divide D_n\n")
     assert list(workdir.iterdir()) == []
 
 

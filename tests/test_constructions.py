@@ -1,7 +1,9 @@
+import functools
 import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
 from eoplab import constructions
@@ -77,21 +79,20 @@ def test_triple_agreement_small():
     assert run.metadata["exact_agreement"]
 
 
-def _pairs(route, *args):
-    return [v if isinstance(v, tuple) else (v.numerator, v.denominator)
-            for v in route(*args)]
-
-
 def _scaled(route):
-    """The route with each value as an unreduced pair (2 num, 2 den)."""
-    return lambda *args: [(2 * a, 2 * b) for a, b in _pairs(route, *args)]
+    """The route with each pair as an equal pair (2 s, 2 m) or (2 num, 2 den);
+    the series route's integers D_n P_n have no other form over D_n, and are
+    unreduced already."""
+    return lambda *args: [(2 * v[0], 2 * v[1]) if isinstance(v, tuple) else v
+                          for v in route(*args)]
 
 
 def _off_by_one(route, at):
     """The route with numerator `at` one too large."""
     def broken(*args):
-        vals = _pairs(route, *args)
-        vals[at] = (vals[at][0] + 1, vals[at][1])
+        vals = route(*args)
+        v = vals[at]
+        vals[at] = (v[0] + 1, v[1]) if isinstance(v, tuple) else v + 1
         return vals
     return broken
 
@@ -148,14 +149,13 @@ def _fractions_built(monkeypatch, fn, *args):
 
 
 def test_all_builds_the_fractions_of_the_recurrence_route_alone(monkeypatch):
-    # the closed and series routes and the gate build no Fraction per term: at
-    # N < 16 no limit is estimated, the series constructors read alpha and
-    # alpha + 1 as Fractions, and everything else is the recurrence route's
+    # the closed and series routes and the gate build no Fraction: at N < 16
+    # no limit is estimated, and everything else is the recurrence route's
     euler_seq(12)  # the Euler recurrence is derived once per process
     for run in (lambda m: gamma_seq(F(-5, 7), 12, method=m), lambda m: euler_seq(12, method=m)):
         _, alone = _fractions_built(monkeypatch, run, "recurrence")
         _, gated = _fractions_built(monkeypatch, run, "all")
-        assert alone <= gated <= alone + 3
+        assert gated == alone
 
 
 def test_gate_rejects_a_route_of_another_length(monkeypatch):
@@ -165,6 +165,60 @@ def test_gate_rejects_a_route_of_another_length(monkeypatch):
         gamma_seq(F(1, 3), 20)
     with pytest.raises(RouteDisagreement):
         euler_seq(20)
+
+
+def _explicit_denominators(q, v, N):
+    """[q^n n! lcm_{k<=n} |v(k)| for n < N]."""
+    return [q**n * math.factorial(n) * math.lcm(*map(v, range(n + 1))) for n in range(N)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda q: st.builds(F, st.integers(-3 * q, q - 1).filter(lambda p: p % q), st.just(q))),
+    st.integers(1, 60))
+@example(F(1, 3), 60)
+@example(F(-29, 12), 60)
+def test_explicit_denominator_clears_every_term_under_every_method(alpha, N):
+    # D_n = q^n n! lcm_{k<=n} |kq+p| (gamma) and n! lcm(1, ..., n) (Euler)
+    # make D_n P_n an integer whichever route reports P_n
+    p, q = alpha.numerator, alpha.denominator
+    cases = ((functools.partial(gamma_seq, alpha),
+              _explicit_denominators(q, lambda k: k * q + p, N)),
+             (euler_seq, _explicit_denominators(1, lambda k: k or 1, N)))
+    for run, D in cases:
+        for method in ("closed", "series", "recurrence", "all"):
+            values = run(N, method=method).values
+            assert len(values) == N
+            assert all((d * v).denominator == 1 for d, v in zip(D, values)), method
+
+
+# a prime above every factor of D_n at these sizes
+BIG_PRIME = 2**61 - 1
+
+
+def _gains_a_prime(route, at):
+    """The route with the denominator (recurrence) or cofactor (closed) of
+    term `at` multiplied by BIG_PRIME."""
+    def broken(*args):
+        vals = route(*args)
+        a, b = vals[at]
+        assert a % BIG_PRIME
+        vals[at] = (a, b * BIG_PRIME)
+        return vals
+    return broken
+
+
+@pytest.mark.parametrize("name", ["closed", "recurrence"])
+@pytest.mark.parametrize("at", [0, 13, 19])
+def test_a_denominator_beyond_the_bound_is_rejected(monkeypatch, name, at):
+    monkeypatch.setitem(constructions._METHODS, name,
+                        _gains_a_prime(constructions._METHODS[name], at))
+    for method in (name, "all"):
+        with pytest.raises(RouteDisagreement):
+            gamma_seq(F(1, 3), 20, method=method)
+    if at:  # P_0 = 0 for Euler's constant
+        with pytest.raises(RouteDisagreement):
+            euler_seq(20, method=name)
 
 
 def test_pade_small_cases():

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from eoplab.constructions import (
     euler_coefficient_recurrence,
-    euler_generating_ode,
     gamma_coefficient_recurrence,
     gamma_generating_ode,
 )
@@ -59,6 +58,11 @@ PUBLISHED_EULER_RECURRENCE = LinearRecurrence(
 )
 PUBLISHED_EULER_SEEDS = (0, 0, F(1, 4))
 
+# The Euler generating ODE as published, for log(1-z)/(1-z) - (1-z)^(-1) E(-z/(1-z))
+PUBLISHED_EULER_ODE = DifferentialOperator(
+    [PolyQ([-1, 2, -2]), PolyQ([1, -5, 8, -4]), PolyQ([0, 1, -3, 3, -1])]
+)
+
 
 def _gamma_series(alpha, order):
     return binomial_series(alpha + 1, order) * euler_substitution(e_alpha_series(alpha, order))
@@ -91,8 +95,13 @@ def test_exp_operator_gives_first_order_recurrence():
     assert rec == LinearRecurrence([PolyQ([-1]), PolyQ([1, 1])])
 
 
+def test_euler_ode_is_the_gamma_ode_at_alpha_zero():
+    assert gamma_generating_ode(0) == PUBLISHED_EULER_ODE
+    assert gamma_generating_ode(F(1, 3)) != PUBLISHED_EULER_ODE
+
+
 def test_euler_ode_translates_to_published_recurrence():
-    got = ode_to_recurrence(euler_generating_ode())
+    got = ode_to_recurrence(PUBLISHED_EULER_ODE)
     assert got == PUBLISHED_EULER_RECURRENCE.normalized()
     assert euler_coefficient_recurrence() == got
 
@@ -177,7 +186,7 @@ def test_euler_generating_function_has_exact_defect_z():
     # The log-regularized generating function does not satisfy the homogeneous
     # equation: applying the operator leaves exactly the polynomial z (the
     # recurrence is untouched since it only encodes coefficients >= z^2).
-    op = euler_generating_ode()
+    op = gamma_generating_ode(0)
     f = _euler_series(40)
     assert not _annihilates(op, f)
     defect = _apply(op, f)
@@ -195,7 +204,7 @@ def test_round_trip_gamma(alpha):
 
 def test_round_trip_euler():
     series = _euler_series(300)
-    rec = ode_to_recurrence(euler_generating_ode())
+    rec = ode_to_recurrence(gamma_generating_ode(0))
     assert _unroll(rec, series.coeffs[: rec.order], 300) == list(series.coeffs)
 
 
@@ -302,7 +311,7 @@ def _sympy_recurrences(op):
 
 
 def test_euler_recurrence_matches_sympy_holonomic():
-    assert _sympy_recurrences(euler_generating_ode()) == {0: euler_coefficient_recurrence()}
+    assert _sympy_recurrences(PUBLISHED_EULER_ODE) == {0: euler_coefficient_recurrence()}
 
 
 @pytest.mark.parametrize("alpha", [F(1, 3), F(1, 2), F(-4, 7), F(3, 5)])

@@ -22,8 +22,8 @@ from eoplab.asymlab import asym_E_alpha
 from eoplab.cli import _digits
 from eoplab import constructions
 from eoplab.constructions import (
-    _agree,
     _closed,
+    _gate,
     bessel_f,
     _win_weight,
     e_convergents,
@@ -116,14 +116,29 @@ def old_euler_closed(N):
     return [(s, M) for s in neighbour_sum_transform(a)]
 
 
+def explicit_denominators(beta, pairs):
+    """[q^n n! lcm_{k<=n} |v_k| for n < len(pairs)], beta = s/q, pairs (u_k, v_k)."""
+    q = F(beta).denominator
+    return [q**n * math.factorial(n) * math.lcm(*(v for _, v in pairs[:n + 1]))
+            for n in range(len(pairs))]
+
+
 def engine_closed(run, N):
-    """The closed route's pairs from the family record that ``run`` builds."""
+    """The closed route's (s_n, m_n) pairs from the family record that ``run``
+    builds, and D_n from that record's beta and terms."""
     families = []
     with pytest.MonkeyPatch.context() as m:
         m.setitem(constructions._METHODS, "closed",
                   lambda family, n: families.append(family) or [(1, 1)] * n)
         run(1, method="closed")
-    return _closed(families[0].beta, families[0].terms, N)
+    family = families[0]
+    return _closed(family.beta, family.terms, N), explicit_denominators(family.beta,
+                                                                        family.terms(N))
+
+
+def over_d(pairs, D):
+    """The closed route's (s_n, m_n) as (numerator, denominator) pairs."""
+    return [(s, d * m) for (s, m), d in zip(pairs, D)]
 
 
 def oracle_gamma_closed(alpha, N):
@@ -206,10 +221,10 @@ small_rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
 @example(F(-7, 11), 2)
 @example(F(-5, 3), 3)
 def test_gamma_closed_matches_fraction_loop(alpha, N):
-    pairs = engine_closed(functools.partial(gamma_seq, alpha), N)
-    assert pairs == old_gamma_closed(alpha, N)  # the same unreduced pairs
-    assert all(type(a) is int and type(b) is int for a, b in pairs)
-    assert [F(a, b) for a, b in pairs] == oracle_gamma_closed(alpha, N)
+    pairs, D = engine_closed(functools.partial(gamma_seq, alpha), N)
+    assert all(type(s) is int and type(m) is int for s, m in pairs)
+    assert over_d(pairs, D) == old_gamma_closed(alpha, N)  # the same unreduced pairs
+    assert [F(a, b) for a, b in over_d(pairs, D)] == oracle_gamma_closed(alpha, N)
 
 
 @given(lengths)
@@ -217,10 +232,10 @@ def test_gamma_closed_matches_fraction_loop(alpha, N):
 @example(2)
 @example(3)
 def test_euler_closed_matches_fraction_loop(N):
-    pairs = engine_closed(euler_seq, N)
-    assert pairs == old_euler_closed(N)  # the same unreduced pairs
-    assert all(type(a) is int and type(b) is int for a, b in pairs)
-    assert [F(a, b) for a, b in pairs] == oracle_euler_closed(N)
+    pairs, D = engine_closed(euler_seq, N)
+    assert all(type(s) is int and type(m) is int for s, m in pairs)
+    assert over_d(pairs, D) == old_euler_closed(N)  # the same unreduced pairs
+    assert [F(a, b) for a, b in over_d(pairs, D)] == oracle_euler_closed(N)
 
 
 def old_gamma_series(alpha, N):
@@ -237,17 +252,29 @@ def old_gamma_series(alpha, N):
 @example(F(-5, 3), 3)
 @example(F(-29, 12), 200)
 def test_gamma_series_matches_the_ring_product_and_the_closed_route(alpha, N):
-    pairs = constructions._gamma_series(alpha, N)
-    assert all(type(a) is int and type(b) is int for a, b in pairs)
+    sums = constructions._gamma_series(alpha, N)  # D_n P_n
+    assert all(type(s) is int for s in sums) and len(sums) == N
     vals = [F(a, b) for a, b in old_gamma_series(alpha, N)]
-    assert _agree(vals, pairs)
-    assert _agree(vals, engine_closed(functools.partial(gamma_seq, alpha), N))
+    pairs, D = engine_closed(functools.partial(gamma_seq, alpha), N)
+    assert [F(s, d) for s, d in zip(sums, D)] == vals
+    assert [F(a, b) for a, b in over_d(pairs, D)] == vals
+
+
+def old_euler_series(N):
+    """The Euler series route before ``series.laguerre_sums``: the ring form
+    log(1-z)/(1-z) - partial_sums(E(-z/(1-z))), with its unreduced pairs."""
+    total = log_over_one_minus_z(N) - partial_sums(euler_substitution(e_log_series(N)))
+    return [(c, total.den) for c in total.nums]
 
 
 def test_euler_sequence_is_minus_the_laguerre_sums_at_alpha_zero():
-    # beta = 1: P_n = -sum_{k=1}^{n} L_k^(0)(1)/k, the gamma series kernel at p = 0
+    # beta = 1: P_n = -sum_{k=1}^{n} L_k^(0)(1)/k, the gamma series kernel at p = 0,
+    # over Euler's D_n = n! lcm(1, ..., n)
     N = 200
-    assert _agree(euler_seq(N, "closed").values, [(-a, b) for a, b in laguerre_sums(0, 1, N)])
+    vals = [F(a, b) for a, b in old_euler_series(N)]
+    D = [math.factorial(n) * math.lcm(*range(1, n + 1)) for n in range(N)]
+    assert [F(-s, d) for s, d in zip(laguerre_sums(0, 1, N), D)] == vals
+    assert euler_seq(N, "series").values == euler_seq(N, "closed").values == vals
 
 
 @st.composite
@@ -277,11 +304,11 @@ term_pairs = st.lists(st.tuples(st.integers(-99, 99), st.integers(-99, 99).filte
 def test_closed_is_the_binomial_sum_for_any_beta_and_terms(beta, pairs):
     N = len(pairs)
     got = _closed(beta, lambda n: pairs[:n], N)
-    assert all(type(a) is int and type(b) is int for a, b in got)
+    assert all(type(s) is int and type(m) is int for s, m in got)
     want = [sum((-1) ** k * generalized_binomial(n + beta - 1, n - k)
                 * F(u, v * math.factorial(k)) for k, (u, v) in enumerate(pairs[:n + 1]))
             for n in range(N)]
-    assert [F(a, b) for a, b in got] == want
+    assert [F(a, b) for a, b in over_d(got, explicit_denominators(beta, pairs))] == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -897,51 +924,60 @@ def test_y_alpha_i_takes_one_linear_factor_per_step(alpha, monkeypatch):
     assert len(calls) <= N + abs(math.floor(alpha)) + 2
 
 
-def oracle_agree(vals, route):
-    """The gate as it compared a route with the reduced values before it
-    tested divisibility: the same pair, or equal cross products."""
-    return len(route) == len(vals) and all(
-        (a, b) == (x.numerator, x.denominator) or a * x.denominator == x.numerator * b
-        for x, (a, b) in zip(vals, route))
+def oracle_gate(vals, D, closed, series):
+    """The gate as equal cross products: each reduced value divides D_n and
+    equals S_n / D_n (series) and s_n / (D_n m_n) (closed)."""
+    return len(vals) == len(closed) == len(series) and all(
+        d % x.denominator == 0 and S * x.denominator == x.numerator * d
+        and s * x.denominator == x.numerator * d * m
+        for x, d, (s, m), S in zip(vals, D, closed, series))
 
 
 @st.composite
 def gate_cases(draw):
-    """(vals, route): reduced values and a route of pairs that are multiples
-    of them, of either sign, except at up to two places, where a pair is off
-    by a little or anything, zero numerators and denominators included;
-    sometimes a term short."""
+    """(vals, D, closed, series): reduced values, D_n a multiple of each
+    reduced denominator (of either sign), and routes that equal them at that
+    scale, except at up to two places, where a numerator is off by a little, a
+    cofactor is doubled, D_n is no multiple, or anything goes, zeros included;
+    sometimes a route is a term short."""
     vals = draw(st.lists(st.builds(F, st.integers(-60, 60), st.integers(1, 60)), max_size=8))
     off = draw(st.sets(st.integers(0, 7), max_size=2))
-    route = []
+    D, closed, series = [], [], []
     for i, x in enumerate(vals):
-        k = draw(st.integers(-5, 5).filter(bool))
-        a, b = k * x.numerator, k * x.denominator
-        kind = draw(st.sampled_from(["numerator", "denominator", "any"])) if i in off else ""
+        d = draw(st.integers(-5, 5).filter(bool)) * x.denominator
+        m = draw(st.integers(-9, 9))
+        S = x.numerator * (d // x.denominator)
+        s = S * m
+        kind = draw(st.sampled_from(["numerator", "cofactor", "D", "any"])) if i in off else ""
         if kind == "numerator":
-            a += draw(st.integers(-2, 2))
-        elif kind == "denominator":
-            b = draw(st.sampled_from([b + 1, b - 1, 2 * b, b * x.denominator + 1]))
+            S, s = S + draw(st.integers(-2, 2)), s + draw(st.integers(-2, 2))
+        elif kind == "cofactor":
+            m *= 2
+        elif kind == "D":
+            d = draw(st.sampled_from([d + 1, d - 1, d * x.denominator + 1]))
         elif kind == "any":
-            a, b = draw(st.integers(-99, 99)), draw(st.integers(-99, 99))
-        route.append((a, b))
-    if route and draw(st.integers(0, 3)) == 0:
-        route.pop(draw(st.integers(0, len(route) - 1)))
-    return vals, route
+            d, m, S, s = (draw(st.integers(-99, 99)) for _ in range(4))
+        D.append(d)
+        closed.append((s, m))
+        series.append(S)
+    for route in (closed, series):
+        if route and draw(st.integers(0, 5)) == 0:
+            route.pop(draw(st.integers(0, len(route) - 1)))
+    return vals, D, closed, series
 
 
 @settings(max_examples=300)
 @given(gate_cases())
-@example(([], []))
-@example(([F(3, 4)], [(-6, -8)]))
-@example(([F(3, 4)], [(3, 8)]))
-@example(([F(0)], [(0, 7)]))
-@example(([F(0)], [(0, 0)]))
-@example(([F(-1, 2)], [(1, -2)]))
-@example(([F(5, 6)], [(10, 18)]))
+@example(([], [], [], []))
+@example(([F(3, 4)], [8], [(6, 1)], [6]))
+@example(([F(3, 4)], [8], [(6, 2)], [6]))
+@example(([F(3, 4)], [6], [(0, 0)], [0]))
+@example(([F(0)], [0], [(0, 0)], [0]))
+@example(([F(0)], [7], [(0, 3)], [0]))
+@example(([F(-1, 2)], [-4], [(6, -3)], [2]))
+@example(([F(5, 6)], [18], [(15, 1)], [15]))
 def test_gate_matches_the_cross_products(case):
-    vals, route = case
-    assert _agree(vals, route) == oracle_agree(vals, route)
+    assert _gate(*case) == oracle_gate(*case)
 
 
 def _falling(shift, length):
@@ -1006,21 +1042,29 @@ def test_gamma_recurrence_matches_the_polyq_derivation(alpha):
     assert gamma_coefficient_recurrence(alpha) == oracle_ode_to_recurrence(op)
 
 
+def _mutated(value, mutation):
+    """A closed (s_n, m_n) or series D_n P_n value with its numerator one too
+    large, or its cofactor doubled (the series value, which has none, doubled)."""
+    if isinstance(value, tuple):
+        s, m = value
+        return (s + 1, m) if mutation == "numerator" else (s, 2 * m)
+    return value + 1 if mutation == "numerator" else 2 * value
+
+
 @settings(max_examples=30)
-@given(alphas(), st.sampled_from(["closed", "series"]), st.sampled_from(["numerator", "denominator"]),
+@given(alphas(), st.sampled_from(["closed", "series"]), st.sampled_from(["numerator", "cofactor"]),
        st.integers(16, 60), st.data())
 def test_gate_rejects_a_mutated_route(alpha, name, mutation, N, data):
     route = constructions._METHODS[name]
     at = data.draw(st.integers(0, N - 1))
 
     def mutated(family, N):
-        pairs = route(family, N)
-        a, b = pairs[at]
-        pairs[at] = (a + 1, b) if mutation == "numerator" else (a, 2 * b)
-        return pairs
+        values = route(family, N)
+        values[at] = _mutated(values[at], mutation)
+        return values
 
     gamma = functools.partial(gamma_seq, alpha)
-    assert gamma(N, method=name).values[at] != 0  # doubling the denominator changes it
+    assert gamma(N, method=name).values[at] != 0  # doubling changes it
     # P_0 = P_1 = 0 for Euler's constant, where only the numerator mutation shows
     runs = [gamma] + [euler_seq] * (mutation == "numerator" or at > 1)
     with pytest.MonkeyPatch.context() as m:

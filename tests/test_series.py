@@ -123,7 +123,12 @@ def test_laguerre_sums_step_by_the_laguerre_values(alpha):
     # (n + alpha) times step n of the partial sums is L_n^(alpha)(1)
     import sympy
 
-    sums = [F(a, b) for a, b in laguerre_sums(alpha.numerator, alpha.denominator, 41)]
+    p, q = alpha.numerator, alpha.denominator
+    got = laguerre_sums(p, q, 41)
+    assert all(type(s) is int for s in got)
+    # over D_n = q^n n! lcm_{k<=n} |kq+p|
+    sums = [F(s, q**n * math.factorial(n) * math.lcm(*(k * q + p for k in range(n + 1))))
+            for n, s in enumerate(got)]
     steps = [(n + alpha) * (s - t) for n, (s, t) in enumerate(zip(sums, [0, *sums]))]
     a = sympy.Rational(alpha.numerator, alpha.denominator)
     want = [sympy.assoc_laguerre(n, a, 1) for n in range(41)]
