@@ -1,9 +1,11 @@
 """Exact-arithmetic laboratory for E-function approximation sequences,
 Gamma-derivative calculus, and divergent asymptotic expansions.
 
-Only the ``numcore`` names are re-exported here, so that importing the package
-(as every ``eop`` command does) loads no other layer; import the rest from
-their modules, e.g. ``from eoplab.series import TruncatedSeries``."""
+Only ``numcore`` names are imported here, so that importing the package (as
+every ``eop`` command does) loads no other layer. ``PolyQ`` lives in
+``kernels``, which only the sequence layers load, and is imported on first
+access (PEP 562). Import the rest from their modules, e.g.
+``from eoplab.series import TruncatedSeries``."""
 
 __version__ = "0.1.0"
 
@@ -11,9 +13,16 @@ from .numcore import (  # noqa: F401
     DEFAULT_PREC,
     DomainError,
     LeadingCoefficientVanishes,
-    PolyQ,
     PrecisionError,
     Rational,
     bernoulli,
     to_mpf,
 )
+
+
+def __getattr__(name):
+    if name == "PolyQ":
+        from .kernels import PolyQ
+
+        return PolyQ
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

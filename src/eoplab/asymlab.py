@@ -28,7 +28,6 @@ from .numcore import (
     GUARD_BITS,
     DomainError,
     Rational,
-    decay_exponent,
     exact_real,
     off_poles,
     recurrence_sum,
@@ -161,11 +160,13 @@ def transfer_rate_check(
 ) -> RateCheckReport:
     """Compare the empirical decay exponent of |P_n - limit| with a prediction.
 
-    The empirical exponent is :func:`numcore.decay_exponent`, the fit that
+    The empirical exponent is :func:`kernels.decay_exponent`, the fit that
     ``limit_estimate`` makes, over the window (default [max(16, N/10), N)), with
     the limit taken from a trusted oracle rather than from the run itself: an
     exact rational, or an mpf read as its exact binary value.
     """
+    from .kernels import decay_exponent  # here, so that asym-check does not load it
+
     values = run.values if hasattr(run, "values") else run
     N = len(values)
     if N < 200:

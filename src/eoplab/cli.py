@@ -24,26 +24,27 @@ from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
-from mpmath import mp, workprec
+from mpmath import workprec
 
 from . import __version__
 from .numcore import (DEFAULT_PREC, GUARD_BITS, DomainError, LeadingCoefficientVanishes,
-                      PrecisionError, RouteDisagreement, _decimal_str, _parse_int, to_mpf)
+                      PrecisionError, RouteDisagreement, UsageError, _decimal_str, _digits,
+                      to_mpf)
 
-# Each command imports the module it runs (constructions, asymlab or gammalab)
-# when it runs, so a job does not pay for importing the others; constructions
-# imports the series and holonomic layers only inside the sequence routes, so
-# only gamma-approx and euler-approx load them. The records are namedtuples
-# and plain classes, so that no job loads inspect, ast, dis or tokenize.
+# A job compiles and imports only what its command runs. main builds the
+# sub-parser of the one command it is given. Each command imports the module
+# it runs (constructions, asymlab or gammalab) when it runs; the commands
+# with exact rows from the sequence layers are in exactrows, which the
+# command table names without importing (as pip's command registry does);
+# and constructions imports the kernels, series and holonomic layers only
+# inside the routines that use them, so that intseq loads none of them. The
+# records are namedtuples and plain classes, so that no job loads inspect,
+# ast, dis or tokenize.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_PRECISION = 3
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
-        raise _UsageError(message)
+        raise UsageError(message)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -64,28 +65,7 @@ def _parse_rational(text: str) -> Fraction:
             return Fraction(*map(int, parts))
     except (ValueError, ZeroDivisionError):
         pass
-    raise _UsageError(f"expected an exact rational like 3 or -1/2, got {text!r}")
-
-
-def _digits(value, d: int) -> str:
-    # mp.nstr converts the whole mantissa, which can pass the int/str digit
-    # limit, so first round to the int((d + 3) log2 10) + 10 bits it reads,
-    # plus 32 guard bits (the digits change only within 2^-32 of a tie)
-    with workprec(int((d + 3) * 3.3219280948873626) + 42):
-        return mp.nstr(+value, d, strip_zeros=False)
-
-
-def _ratio(v: Fraction) -> list:
-    return [_decimal_str(v.numerator), _decimal_str(v.denominator)]
-
-
-def _exact_body(args, rows: list, estimates: dict) -> dict:
-    """The JSON fields of an exact sequence; the values, as decimal strings,
-    only when the artifact is JSON (CSV writes the rows themselves)."""
-    body = {"estimates": estimates}
-    if args.format == "json":
-        body["values"] = [[n, _decimal_str(a), _decimal_str(b)] for n, a, b in rows]
-    return body
+    raise UsageError(f"expected an exact rational like 3 or -1/2, got {text!r}")
 
 
 # A subcommand: args holds (flag, add_argument keywords) pairs, _DIGITS among
@@ -99,44 +79,13 @@ def _exact_body(args, rows: list, estimates: dict) -> dict:
 _Command = namedtuple("_Command", "name help args compute exact_rows")
 
 
-def _sequence(args) -> tuple:
-    from . import constructions
+def _exact_rows(name: str):
+    """The command function ``name`` of exactrows, imported when it runs."""
+    def compute(args) -> tuple:
+        from . import exactrows
 
-    if args.cmd == "gamma-approx":
-        run = constructions.gamma_seq(args.alpha, args.n, args.method, args.prec)
-    else:
-        run = constructions.euler_seq(args.n, args.method, args.prec)
-    estimates = {}
-    if run.limit is not None:
-        estimates["limit_estimate"] = _digits(run.limit, args.digits)
-    if run.rate_exponent is not None:
-        estimates["rate_exponent"] = f"{run.rate_exponent:.6f}"
-    if "exact_agreement" in run.metadata:
-        estimates["exact_agreement"] = run.metadata["exact_agreement"]
-    rows = [(n, v.numerator, v.denominator) for n, v in enumerate(run.values)]
-    return _exact_body(args, rows, estimates), rows, estimates
-
-
-def _pade(args) -> tuple:
-    from . import constructions
-
-    p, q = constructions.pade_exp(args.n)
-    body, rows = {"estimates": {}}, []
-    for name, poly in (("p", p), ("q", q)):
-        body[f"{name}_coeffs"] = [_ratio(c) for c in poly.coeffs]
-        rows += [(f"{name}{i}", c.numerator, c.denominator) for i, c in enumerate(poly.coeffs)]
-    if args.z is not None:
-        pz, qz = p(args.z), q(args.z)
-        body["estimates"] = {"p_at_z": "/".join(_ratio(pz)), "q_at_z": "/".join(_ratio(qz))}
-        rows += [(k, v.numerator, v.denominator) for k, v in (("p(z)", pz), ("q(z)", qz))]
-    return body, rows, None
-
-
-def _e_convergents(args) -> tuple:
-    from . import constructions
-
-    rows = [(n, *pair) for n, pair in enumerate(constructions.e_convergents(args.n), 1)]
-    return _exact_body(args, rows, {}), rows, None
+        return getattr(exactrows, name)(args)
+    return compute
 
 
 def _intseq(args) -> tuple:
@@ -165,7 +114,7 @@ def _asym_check(args) -> tuple:
 
     prec, alpha = args.prec, args.alpha
     if (args.which == "ealpha") != (alpha is not None):
-        raise _UsageError("--alpha is given with --which ealpha and only with it")
+        raise UsageError("--alpha is given with --which ealpha and only with it")
     direct = asymlab.direct_E_eval(args.z, prec, alpha)
     nstar = asymlab.optimal_truncation(args.z)
     if alpha is None:
@@ -194,35 +143,6 @@ def _gamma_deriv(args) -> tuple:
     return {"values": rows, "estimates": {}}, rows, None
 
 
-def _fit(args) -> tuple:
-    import csv
-
-    from . import constructions
-
-    try:
-        with args.input.open(newline="", encoding="utf-8") as fh:
-            # skip the "# key,value" footer lines that sequence CSVs end with
-            reader = csv.DictReader((ln for ln in fh if not ln.startswith("#")), restval="")
-            if not {"numerator", "denominator"} <= set(reader.fieldnames or ()):
-                raise _UsageError("fit input needs an n,numerator,denominator CSV")
-            values = [Fraction(_parse_int(row["numerator"]), _parse_int(row["denominator"]))
-                      for row in reader]
-    # no file, a directory, non-UTF-8 bytes, a bad field, a zero denominator, a short row
-    except (OSError, csv.Error, ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"cannot read {args.input} as an n,numerator,denominator CSV: "
-                          f"{type(exc).__name__}: {exc}")
-    fit = constructions.fit_growth(values)
-    estimates = {
-        "q": f"{fit.q:.10g}",
-        "u": f"{fit.u:.10g}",
-        "v": fit.v,
-        "sub_geometric": fit.sub_geometric,
-        "factorial_order": fit.factorial_order,
-        "oscillatory": fit.oscillatory,
-    }
-    return {"values": [], "estimates": estimates}, list(estimates.items()), None
-
-
 _METHOD = ("--method",
            dict(choices=("closed", "recurrence", "series", "all"), default="all"))
 _N = ("--n", dict(type=int, required=True))
@@ -231,14 +151,14 @@ _DIGITS = ("--digits", dict(type=int, default=30))
 COMMANDS = (
     _Command("gamma-approx", "sequence converging to Gamma(alpha)",
              (("--alpha", dict(type=_parse_rational, required=True)), _N, _METHOD, _DIGITS),
-             _sequence, True),
+             _exact_rows("sequence"), True),
     _Command("euler-approx", "sequence converging to Euler's constant",
-             (_N, _METHOD, _DIGITS), _sequence, True),
+             (_N, _METHOD, _DIGITS), _exact_rows("sequence"), True),
     _Command("pade", "diagonal rational approximant to exp",
              (_N, ("--z", dict(type=_parse_rational, default=None))),
-             _pade, True),
+             _exact_rows("pade"), True),
     _Command("e-convergents", "continued-fraction convergents of e",
-             (_N,), _e_convergents, True),
+             (_N,), _exact_rows("e_convergents"), True),
     _Command("intseq", "integer pair for the Bessel-type ratio",
              (("--k", dict(type=int, required=True)), _DIGITS), _intseq, True),
     _Command("asym-check", "asymptotic expansion vs direct summation",
@@ -252,8 +172,11 @@ COMMANDS = (
               ("--order", dict(type=int, required=True)), _DIGITS),
              _gamma_deriv, False),
     _Command("fit", "growth-model fit of an exact CSV sequence",
-             (("--input", dict(type=Path, required=True)),), _fit, False),
+             (("--input", dict(type=Path, required=True)),), _exact_rows("fit"), False),
 )
+_BY_NAME = {command.name: command for command in COMMANDS}
+# each sub-parser's name and its line in the full parser's help
+_HELP = {**{command.name: command.help for command in COMMANDS}, "replay": "re-run a manifest"}
 
 
 def _dump_json(obj, fh) -> None:
@@ -267,7 +190,7 @@ def _create(path: Path, newline=None):
         path.parent.mkdir(parents=True, exist_ok=True)
         return path.open("w", newline=newline, encoding="utf-8")
     except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc}")
+        raise UsageError(f"cannot write {path}: {exc}")
 
 
 def _run(command: _Command, args) -> None:
@@ -306,11 +229,11 @@ def _read_manifest(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             man = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
-        raise _UsageError(f"cannot read manifest {path}: {exc}")
+        raise UsageError(f"cannot read manifest {path}: {exc}")
     if not (isinstance(man, dict) and isinstance(man.get("command"), str)
             and isinstance(man.get("params"), dict) and "precision_bits" in man):
-        raise _UsageError(f"{path} is not an eop manifest: it needs the keys "
-                          "command, params and precision_bits")
+        raise UsageError(f"{path} is not an eop manifest: it needs the keys "
+                         "command, params and precision_bits")
     return man
 
 
@@ -324,39 +247,61 @@ def _cmd_replay(args) -> int:
     return main(argv)
 
 
+def _add_arguments(parser: _Parser, name: str) -> _Parser:
+    """The sub-parser of command ``name``, or of replay, given its arguments."""
+    if name == "replay":
+        parser.add_argument("manifest")
+        parser.add_argument("--out", default=None)
+        return parser
+    command = _BY_NAME[name]
+    for flag, kwargs in command.args:
+        parser.add_argument(flag, **kwargs)
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--prec", type=int, default=DEFAULT_PREC,
+                        help=f"precision in bits, at least 1 (default {DEFAULT_PREC})")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.set_defaults(command=command)
+    return parser
+
+
 @functools.cache
 def _build_parser() -> _Parser:
-    """The parser, built once per process: parse_args keeps no state in it."""
+    """The full parser, built once per process: parse_args keeps no state in it.
+    main needs it only for --help, --version, and a missing or unknown command."""
     parser = _Parser(prog="eop", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for command in COMMANDS:
-        p = sub.add_parser(command.name, help=command.help)
-        for flag, kwargs in command.args:
-            p.add_argument(flag, **kwargs)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--prec", type=int, default=DEFAULT_PREC,
-                       help=f"precision in bits, at least 1 (default {DEFAULT_PREC})")
-        p.add_argument("--out", default=".", help="output directory")
-        p.set_defaults(command=command)
-    r = sub.add_parser("replay", help="re-run a manifest")
-    r.add_argument("manifest")
-    r.add_argument("--out", default=None)
+    for name, help_line in _HELP.items():
+        _add_arguments(sub.add_parser(name, help=help_line), name)
     return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> _Parser:
+    """The sub-parser of one command alone, as the full parser builds it."""
+    return _add_arguments(_Parser(prog=f"eop {name}"), name)
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """argv parsed as the full parser parses it, through the sub-parser of
+    its command alone when it begins with one."""
+    if argv and argv[0] in _HELP:
+        return _command_parser(argv[0]).parse_args(argv[1:], argparse.Namespace(cmd=argv[0]))
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: list | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         if args.cmd == "replay":
             return _cmd_replay(args)
         if args.prec < 1:
-            raise _UsageError(f"precision must be at least 1 bit, got {args.prec}")
+            raise UsageError(f"precision must be at least 1 bit, got {args.prec}")
         if "digits" in args and args.digits < 1:
-            raise _UsageError(f"--digits must be at least 1, got {args.digits}")
+            raise UsageError(f"--digits must be at least 1, got {args.digits}")
         _run(args.command, args)
         return EXIT_OK
-    except _UsageError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DomainError, LeadingCoefficientVanishes, RouteDisagreement) as exc:

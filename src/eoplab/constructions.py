@@ -21,7 +21,7 @@ Sequences are produced by independent routes that must agree exactly:
   A_k included, is summed exactly by ``numcore.recurrence_sum`` and rounded once.
 
 The kernels work on integers: the closed route and the Pade numerator are
-binomial transforms (``numcore.binomial_transform``), the series route runs
+binomial transforms (``kernels.binomial_transform``), the series route runs
 the Laguerre recurrence, and the recurrence route ``holonomic.unroll``. With
 beta = s/q and k! f_k = u_k/v_k, D_n = q^n n! lcm_{k<=n} |v_k| is a multiple
 of every reduced denominator R_n. The series route returns the integers
@@ -37,7 +37,7 @@ convergence it is one Aitken Delta^2 step on the last three values instead (or
 the last value, where the tail is not geometric). The mean is formed in fixed
 point and printed as the exact mean rounded once; the exact rational sum runs
 only when the fixed-point bracket cannot settle that rounding. The decay
-exponent of |P_n - limit| is :func:`numcore.decay_exponent`, the fit that
+exponent of |P_n - limit| is :func:`kernels.decay_exponent`, the fit that
 ``asymlab.transfer_rate_check`` makes against a trusted limit.
 """
 
@@ -53,28 +53,23 @@ from operator import mul
 from mpmath import mp, mpf, workprec
 
 from .numcore import (
-    Bracket,
     DEFAULT_PREC,
     GUARD_BITS,
     DomainError,
-    PolyQ,
     PrecisionError,
     Rational,
     RouteDisagreement,
-    binomial_transform,
-    decay_exponent,
     exact_real,
-    least_squares_line,
     off_poles,
     recurrence_sum,
     to_mpf,
-    weighted_mean,
 )
 
 # The series and holonomic layers are imported inside the functions that run
-# them, so that intseq, pade, e-convergents and fit load neither. A
-# function-local import reads the module attribute when it runs, so a wrapper
-# installed there (the benchmark's tracer) is still called.
+# them, so that intseq, pade, e-convergents and fit load neither; the kernels
+# module likewise, so that intseq does not load it. A function-local import
+# reads the module attribute when it runs, so a wrapper installed there (the
+# benchmark's tracer) is still called.
 
 __all__ = [
     "RouteDisagreement",
@@ -123,6 +118,7 @@ estimates (None for fewer than 16 values), and the run's metadata."""
 def gamma_generating_ode(alpha: Rational) -> DifferentialOperator:
     """Annihilator of (1-z)^(-alpha-1) E_alpha(-z/(1-z)), alpha instantiated."""
     from .holonomic import DifferentialOperator
+    from .kernels import PolyQ
 
     a = Fraction(alpha)
     p2 = PolyQ([0, 1, -3, 3, -1])
@@ -150,6 +146,8 @@ def euler_coefficient_recurrence() -> LinearRecurrence:
 def _closed(beta: Fraction, terms, N: int) -> list:
     """[(s_n, m_n) for n < N], P_n = s_n/(D_n m_n) (``_denominators``) the sum over
     k of (-1)^k binom(n+beta-1, n-k) u_k / (v_k k!), (u_k, v_k) = terms(N)[k]."""
+    from .kernels import binomial_transform
+
     # With beta = s/q and c_n = prod_{j<n} (s+jq) (nonzero unless beta is an
     # integer <= 0), binom(n+beta-1, n-k) = (c_n/c_k) / (q^(n-k) (n-k)!), so
     # D_n P_n = sum_k binom(n,k) (-1)^k q^k (c_n/c_k) u_k (L_n/v_k). Times the
@@ -206,9 +204,18 @@ _METHODS = {
     "recurrence": _recurrence_route,
     "series": lambda family, N: family.series(N),
 }
+
+
+def _closed_pair(v: tuple, d: int) -> tuple:
+    """(s_n/m_n, D_n): D_n P_n is an integer, so m_n divides s_n exactly. A term
+    that it does not divide is wrong, and keeps its pair (s_n, D_n m_n), whose
+    reduced denominator does not divide D_n."""
+    q, r = divmod(*v)
+    return (v[0], d * v[1]) if r else (q, d)
+
+
 # a route's value n and D_n as a (numerator, denominator) pair
-_PAIR = {"closed": lambda v, d: (v[0], d * v[1]), "recurrence": lambda v, d: v,
-         "series": lambda v, d: (v, d)}
+_PAIR = {"closed": _closed_pair, "recurrence": lambda v, d: v, "series": lambda v, d: (v, d)}
 
 
 def gamma_seq(
@@ -296,6 +303,8 @@ def pade_exp(n: int) -> tuple[PolyQ, PolyQ]:
     by construction. The reflection P(z) = Q(-z) is a tested property, not
     the definition.
     """
+    from .kernels import PolyQ, binomial_transform
+
     if n < 0:
         raise DomainError("need n >= 0")
     # k! q_k = (-1)^(n-k) binom(2n-k, n), and j! p_j = sum_k binom(j,k) k! q_k
@@ -438,7 +447,9 @@ def intseq_generating_check(z, prec: int = DEFAULT_PREC) -> dict:
         sum_k V_k z^k / k! =  c F(1-z) + d G(1-z) + d log(1-z) F(1-z).
 
     (The U-side signs are opposite to the V-side ones; both checks use the
-    plain, unsigned integer sequences.)
+    plain, unsigned integer sequences.) The exact U/V sums take about
+    (wp + 4) ln 2 / (1 - |z|) terms, wp = prec + 48, so the cost grows without
+    bound as |z| -> 1.
     """
     z = exact_real(z)
     wp = prec + 48
@@ -491,14 +502,16 @@ def limit_estimate(values: list, prec: int = DEFAULT_PREC) -> LimitEstimate:
     equal, or grow within (0, 1) (it then falls short of the limit rather than
     past it); otherwise the limit is the last value. Any other sequence gets a
     smooth-window weighted mean of its last three quarters, formed only then,
-    in fixed point (:func:`numcore.weighted_mean`): its printed value is the
+    in fixed point (:func:`kernels.weighted_mean`): its printed value is the
     exact mean rounded once to ``prec`` bits, taken from the fixed-point
     bracket when both ends round alike and from the exact rational sum when
-    they do not. The rate exponent is :func:`numcore.decay_exponent` against
+    they do not. The rate exponent is :func:`kernels.decay_exponent` against
     that limit over [max(16, N/10), N) (a narrower window is too noisy for
     sequences whose error carries a sqrt(n)-phase oscillation), or None for a
     constant sequence (method "constant").
     """
+    from .kernels import Bracket, decay_exponent, weighted_mean
+
     vals = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
     N = len(vals)
     if N < 16:
@@ -556,6 +569,8 @@ def fit_growth(values: list) -> GrowthFit:
     ratios tending to zero are flagged sub-geometric and refit against
     n!-normalized values; each refit adds one to factorial_order.
     """
+    from .kernels import least_squares_line
+
     vals = [Fraction(v) for v in values]
     N = len(vals)
     if N < 32:

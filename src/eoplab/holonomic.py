@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .numcore import DomainError, Frozen, LeadingCoefficientVanishes, PolyQ, poly_gcd
+from .kernels import Frozen, PolyQ, poly_gcd
+from .numcore import DomainError, LeadingCoefficientVanishes
 
 __all__ = [
     "DifferentialOperator",

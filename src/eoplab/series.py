@@ -10,10 +10,10 @@ in canonical form: den > 0 and gcd(den, *nums) = 1, so den is the lcm of the
 reduced coefficient denominators and ``==`` is value equality. ``coeffs``, the
 reduced ``Fraction`` coefficients, is built on first use. The constructors
 build the numerators by integer recurrences, ``+`` and ``-`` scale to one lcm,
-and a product multiplies the numerator vectors with :func:`numcore.int_cauchy`:
+and a product multiplies the numerator vectors with :func:`kernels.int_cauchy`:
 one Kronecker-substituted ``Decimal`` product, subquadratic through libmpdec's
 number-theoretic transform for long vectors. :func:`euler_substitution` is a
-first difference of :func:`numcore.binomial_transform`. No sequence route uses
+first difference of :func:`kernels.binomial_transform`. No sequence route uses
 the ring, which stays here because the benchmark's tracer resolves it by name:
 both series routes are :func:`laguerre_sums`, integer partial sums of
 L_k^(alpha)(1)/(k+alpha) (Euler's at alpha = 0, negated).
@@ -27,7 +27,8 @@ from functools import cached_property
 from itertools import accumulate
 from operator import mul, sub
 
-from .numcore import DomainError, Frozen, Rational, binomial_transform, int_cauchy, off_poles
+from .kernels import Frozen, binomial_transform, int_cauchy
+from .numcore import DomainError, Rational, off_poles
 
 __all__ = [
     "TruncatedSeries",

@@ -1,5 +1,6 @@
 """The `eop` command line: a golden artifact corpus, the exit codes, round trips."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -13,10 +14,10 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from eoplab import cli, constructions, holonomic, numcore
+from eoplab import cli, constructions, exactrows, holonomic, numcore
 from eoplab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from eoplab.holonomic import LinearRecurrence
-from eoplab.numcore import PolyQ
+from eoplab.kernels import PolyQ
 
 
 def _case(case_id, *argvs, digests=None):
@@ -440,7 +441,8 @@ def test_csv_sequences_build_no_json_values(workdir, monkeypatch):
     def refuse(v):
         raise AssertionError("JSON values built for a CSV artifact")
 
-    monkeypatch.setattr(cli, "_ratio", refuse)
+    monkeypatch.setattr(exactrows, "_ratio", refuse)
+    monkeypatch.setattr(exactrows, "_decimal_str", refuse)
     for argv in ("gamma-approx --alpha=1/3 --n 20", "euler-approx --n 20",
                  "e-convergents --n 5"):
         assert main(argv.split()) == EXIT_OK
@@ -457,9 +459,21 @@ def test_importing_the_cli_leaves_the_command_modules_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_the_package_imports_polyq_on_first_access():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, eoplab; print('eoplab.kernels' in sys.modules); "
+            "from eoplab import PolyQ; from eoplab.kernels import PolyQ as P; print(PolyQ is P)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
+
+
 # Prints the eoplab modules loaded by "import eoplab.cli", then main's exit
-# code on the command line given and the eoplab modules that main added, then
-# which of the modules that no numeric command needs are loaded.
+# code on the command line given, the eoplab modules that main added and
+# whether it built the full parser, then which of the modules that no numeric
+# command needs are loaded.
 FOOTPRINT = """
 import sys
 import eoplab.cli
@@ -468,12 +482,15 @@ def ours():
 loaded = ours()
 print(sorted(loaded))
 rc = eoplab.cli.main(sys.argv[1:])
-print(rc, sorted(ours() - loaded))
-print(sorted(m for m in ("csv", "dataclasses", "eoplab.holonomic", "eoplab.series", "inspect")
+print(rc, sorted(ours() - loaded), eoplab.cli._build_parser.cache_info().currsize)
+print(sorted(m for m in ("csv", "dataclasses", "eoplab.exactrows", "eoplab.holonomic",
+                         "eoplab.kernels", "eoplab.series", "inspect")
              if m in sys.modules))
 """
 
-_SEQUENCE_MODULES = ["eoplab.constructions", "eoplab.holonomic", "eoplab.series"]
+# the modules that no numeric command (gamma-deriv, asym-check, intseq) loads
+_EXACT_ONLY = ("eoplab.exactrows", "eoplab.holonomic", "eoplab.kernels", "eoplab.series")
+_SEQUENCE_MODULES = ["eoplab.constructions", *_EXACT_ONLY]
 
 
 @pytest.mark.parametrize("argv,added", [
@@ -483,9 +500,10 @@ _SEQUENCE_MODULES = ["eoplab.constructions", "eoplab.holonomic", "eoplab.series"
     ("intseq --k 20 --prec 128", ["eoplab.constructions"]),
     ("gamma-approx --alpha=1/3 --n 20", _SEQUENCE_MODULES),
     ("euler-approx --n 20", _SEQUENCE_MODULES),
-    ("pade --n 6 --z=1/2", ["eoplab.constructions"]),
-    ("e-convergents --n 12", ["eoplab.constructions"]),
-    ("fit --input e_convergents.csv", ["eoplab.constructions"]),
+    ("pade --n 6 --z=1/2", ["eoplab.constructions", "eoplab.exactrows", "eoplab.kernels"]),
+    ("e-convergents --n 12", ["eoplab.constructions", "eoplab.exactrows"]),
+    ("fit --input e_convergents.csv",
+     ["eoplab.constructions", "eoplab.exactrows", "eoplab.kernels"]),
 ])
 def test_each_command_imports_only_the_modules_it_runs(tmp_path, argv, added):
     # only fit reads CSV, so only fit loads csv
@@ -498,10 +516,11 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, argv, added):
                          cwd=tmp_path, capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
     assert lines[0] == str(["eoplab", "eoplab.cli", "eoplab.numcore"])
-    needed = [m for m in added if m in ("eoplab.holonomic", "eoplab.series")]
+    needed = [m for m in added if m in _EXACT_ONLY]
     if argv.startswith("fit"):
         needed.insert(0, "csv")
-    assert lines[-2:] == [f"{EXIT_OK} {added}", str(needed)]
+    # a command line that names its command builds that sub-parser alone
+    assert lines[-2:] == [f"{EXIT_OK} {added} 0", str(needed)]
 
 
 def test_leading_coefficient_vanishes_is_one_class():
@@ -526,6 +545,73 @@ def test_the_parser_is_built_once_and_keeps_no_state(workdir, capsys, bad, case_
     assert list(workdir.iterdir()) == []
     argvs, digests = _golden(case_id)
     test_golden_artifacts(workdir, capsys, argvs, digests)
+
+
+def _full_sub_parsers() -> dict:
+    """The sub-parsers of the full parser, by command name."""
+    return next(action.choices for action in cli._build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def test_each_lazy_sub_parser_is_the_full_parsers():
+    full = _full_sub_parsers()
+    assert list(full) == [*(c.name for c in cli.COMMANDS), "replay"]
+    for name, parser in full.items():
+        lazy = cli._command_parser(name)
+        assert lazy is not parser and lazy is cli._command_parser(name)
+        assert lazy.format_help() == parser.format_help(), name
+        assert lazy.format_usage() == parser.format_usage(), name
+
+
+@pytest.mark.parametrize("argv", [
+    "gamma-approx --alpha=-5/3 --n 12 --method closed --digits 12 --format json",
+    "euler-approx --n 12 --prec 64 --out o",
+    "pade --n 4 --z -1/2",
+    "e-convergents --n 6",
+    "intseq --k 8",
+    "asym-check --which ealpha --alpha=1/3 --z 12",
+    "gamma-deriv --s -5/3 --order 2",
+    "fit --input seq.csv",
+    "replay m.manifest.json --out o",
+])
+def test_the_lazy_parse_reads_what_the_full_parser_reads(argv):
+    assert vars(cli._parse(argv.split())) == vars(cli._build_parser().parse_args(argv.split()))
+
+
+@pytest.mark.parametrize("argv", [
+    "gamma-approx --alpha=1/3 --n 5 --frob 1",  # a bad flag
+    "gamma-approx --n 5",  # a missing required flag
+    "gamma-approx --alpha=0.5 --n 5",  # a bad rational
+    "euler-approx --n 5 --method fast",
+    "pade --n 4 --z=1/0",
+    "e-convergents --n x",
+    "intseq --k 5 extra",
+    "asym-check --which elog",
+    "gamma-deriv --s=1/x --order 1",
+    "gamma-deriv --s=1/3 --order 1 --version",
+    "fit",
+    "replay",
+    "replay m.json --bogus",
+])
+def test_a_bad_command_line_fails_alike_either_way(workdir, capsys, argv):
+    with pytest.raises(numcore.UsageError) as exc:
+        cli._build_parser().parse_args(argv.split())
+    assert _exit_code(argv.split(), capsys) == (EXIT_USAGE, f"usage error: {exc.value}\n")
+    assert list(workdir.iterdir()) == []
+
+
+def test_the_full_parser_answers_no_command_help_version_and_an_unknown_one(capsys):
+    names = ", ".join(repr(name) for name in _full_sub_parsers())
+    assert _exit_code([], capsys) == (
+        EXIT_USAGE, "usage error: the following arguments are required: cmd\n")
+    assert _exit_code(["frobnicate"], capsys) == (
+        EXIT_USAGE, f"usage error: argument cmd: invalid choice: 'frobnicate' "
+                    f"(choose from {names})\n")
+    for flag, text in (("--help", cli._build_parser().format_help()), ("--version", "0.1.0\n")):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == text
 
 
 def test_vanishing_leading_coefficient_exits_2(workdir, capsys, monkeypatch):

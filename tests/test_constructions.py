@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
 from eoplab import constructions
-from eoplab.numcore import DomainError, PolyQ, RouteDisagreement, decay_exponent, to_mpf
+from eoplab.kernels import PolyQ, decay_exponent
+from eoplab.numcore import DomainError, RouteDisagreement, to_mpf
 from eoplab.asymlab import transfer_rate_check
 from eoplab.constructions import (
     _win_weight,

@@ -10,16 +10,13 @@ from mpmath import mp, mpf, workprec
 
 from eoplab import gammalab
 from eoplab.numcore import DomainError, to_mpf
+from eoplab.gammajets import lambda_log_poly, lambda_ts, recip_gamma_jet, y_alpha_i
 from eoplab.gammalab import (
     euler_gamma,
     gamma_deriv,
     gamma_value,
-    lambda_log_poly,
-    lambda_ts,
     polygamma,
     psi,
-    recip_gamma_jet,
-    y_alpha_i,
 )
 
 PREC = 256

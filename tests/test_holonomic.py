@@ -20,7 +20,8 @@ from eoplab.holonomic import (
     ode_to_recurrence,
     unroll,
 )
-from eoplab.numcore import DomainError, PolyQ
+from eoplab.kernels import PolyQ
+from eoplab.numcore import DomainError
 from eoplab.series import (
     TruncatedSeries,
     binomial_series,

@@ -42,12 +42,13 @@ from eoplab.holonomic import (
     ode_to_recurrence,
     unroll,
 )
-from eoplab import gammalab
-from eoplab.gammalab import _add_ratios, _inverse_power_sum, y_alpha_i
-from eoplab.numcore import (GUARD_BITS, DomainError, PolyQ, PrecisionError, RouteDisagreement,
-                            _decimal_str, _parse_int, binary_split, binomial_transform,
-                            decay_exponent, int_cauchy,
-                            least_squares_line, poly_gcd, small_cauchy, to_mpf, weighted_mean)
+from eoplab import gammajets
+from eoplab.gammajets import y_alpha_i
+from eoplab.gammalab import _add_ratios, _inverse_power_sum
+from eoplab.kernels import (PolyQ, binomial_transform, decay_exponent, int_cauchy,
+                            least_squares_line, poly_gcd, weighted_mean)
+from eoplab.numcore import (GUARD_BITS, DomainError, PrecisionError, RouteDisagreement,
+                            _decimal_str, _parse_int, binary_split, small_cauchy, to_mpf)
 from eoplab.series import (
     TruncatedSeries,
     _canonical,
@@ -918,7 +919,7 @@ def test_y_alpha_i_takes_one_linear_factor_per_step(alpha, monkeypatch):
         calls.append(n)
         return small_cauchy(a, b, n)
 
-    monkeypatch.setattr(gammalab, "small_cauchy", counted)
+    monkeypatch.setattr(gammajets, "small_cauchy", counted)
     N = 40
     y_alpha_i(alpha, 3, N)
     assert len(calls) <= N + abs(math.floor(alpha)) + 2

@@ -9,15 +9,13 @@ from mpmath import mp, mpf, workprec
 
 from eoplab import numcore
 from eoplab.constructions import bessel_f, bessel_g
+from eoplab.kernels import PolyQ, least_squares_line, poly_gcd
 from eoplab.numcore import (
     DomainError,
-    PolyQ,
     PrecisionError,
     bernoulli,
     exact_real,
-    least_squares_line,
     off_poles,
-    poly_gcd,
     recurrence_sum,
     to_mpf,
 )
