@@ -24,11 +24,11 @@ The kernels work on integers: the closed route and the Pade numerator are
 binomial transforms (``kernels.binomial_transform``), the series route runs
 the Laguerre recurrence, and the recurrence route ``holonomic.unroll``. With
 beta = s/q and k! f_k = u_k/v_k, D_n = q^n n! lcm_{k<=n} |v_k| is a multiple
-of every reduced denominator R_n. The series route returns the integers
-D_n P_n, the closed route (s_n, m_n) with P_n = s_n/(D_n m_n), the recurrence
-route unreduced pairs. R_n must divide D_n under every method, and the gate
-needs no big division (``_run_routes``); disagreeing routes raise
-:class:`RouteDisagreement`. A run is one immutable :class:`ApproximationRun`.
+of every reduced denominator R_n, and every route works at that one scale:
+the series and recurrence routes return the integers D_n P_n, the closed
+route (s_n, m_n) with s_n = m_n D_n P_n. R_n must divide D_n under every
+method, and the gate needs no division (``_run_routes``); disagreeing routes
+raise :class:`RouteDisagreement`. A run is one immutable :class:`ApproximationRun`.
 
 Limit and growth-model estimation work on the exact rational data: the limit
 uses a smooth-window weighted tail mean, which handles the sqrt(n)-phase
@@ -186,36 +186,35 @@ _Family = namedtuple("_Family", "beta terms series recurrence")
 
 
 def _denominators(family: _Family, N: int) -> list:
-    """[D_n = q^n n! lcm_{k<=n} |v_k| for n < N], beta = s/q."""
-    scale = accumulate((family.beta.denominator * n for n in range(1, N)), mul, initial=1)
-    return list(map(mul, scale, accumulate((abs(v) for _, v in family.terms(N)), math.lcm)))
+    """[D_n = q^n n! lcm_{k<=n} |v_k| for n < N], beta = s/q: one running product
+    of the small ratios D_n/D_{n-1} = q n L_n/L_{n-1}, L_n = lcm_{k<=n} |v_k|."""
+    L = list(accumulate((abs(v) for _, v in family.terms(N)), math.lcm, initial=1))
+    q = family.beta.denominator
+    return list(accumulate((max(q * n, 1) * (L[n + 1] // L[n]) for n in range(N)), mul))
 
 
-def _recurrence_route(family: _Family, N: int) -> list:
+def _quotient(pair: tuple) -> int:
+    """The closed route's D_n P_n = s_n/m_n; a remainder means R_n does not divide D_n."""
+    t, r = divmod(*pair)
+    if r:
+        raise RouteDisagreement("s_n is no multiple of m_n")
+    return t
+
+
+def _recurrence_route(family: _Family, D: list) -> list:
     from .holonomic import unroll
 
     rec = family.recurrence()
     seeds = _closed(family.beta, family.terms, rec.order)
-    return unroll(rec, list(map(_PAIR["closed"], seeds, _denominators(family, rec.order))), N)
+    return unroll(rec, list(map(_quotient, seeds)), D)
 
 
+# each route for n < len(D), D = _denominators(family, N)
 _METHODS = {
-    "closed": lambda family, N: _closed(family.beta, family.terms, N),
+    "closed": lambda family, D: _closed(family.beta, family.terms, len(D)),
     "recurrence": _recurrence_route,
-    "series": lambda family, N: family.series(N),
+    "series": lambda family, D: family.series(len(D)),
 }
-
-
-def _closed_pair(v: tuple, d: int) -> tuple:
-    """(s_n/m_n, D_n): D_n P_n is an integer, so m_n divides s_n exactly. A term
-    that it does not divide is wrong, and keeps its pair (s_n, D_n m_n), whose
-    reduced denominator does not divide D_n."""
-    q, r = divmod(*v)
-    return (v[0], d * v[1]) if r else (q, d)
-
-
-# a route's value n and D_n as a (numerator, denominator) pair
-_PAIR = {"closed": _closed_pair, "recurrence": lambda v, d: v, "series": lambda v, d: (v, d)}
 
 
 def gamma_seq(
@@ -241,31 +240,29 @@ def euler_seq(N: int, method: str = "all", prec: int = DEFAULT_PREC) -> Approxim
 def _run_routes(what: str, family: _Family, N: int, method: str, prec: int,
                 extra: dict) -> ApproximationRun:
     """Run one route, or all of them under the exact-agreement gate, and
-    estimate the limit.
-
-    Only the reported route is reduced, in ``_reduced``, and each reduced
-    denominator R_n must divide D_n. Under "all" that is the recurrence route,
-    whose running denominator stays within a few bits of R_n. The other two
-    are checked against it at the scale D_n with no big division: with X_n/R_n
-    the reduced value and e_n = D_n/R_n (about 0.9n bits for gamma), D_n P_n
-    from the series route (Euler's is gamma's kernel at alpha = 0, negated)
-    must be X_n e_n, and the closed route's s_n must be X_n e_n m_n."""
+    estimate the limit. Alone, a route reports the integers T_n = D_n P_n (the
+    closed route s_n // m_n), and a term that is no integer raises. Under "all"
+    the recurrence route's T_n must be the series route's S_n (Euler's is
+    gamma's kernel at alpha = 0, negated) and each closed s_n must be S_n m_n,
+    with no division. The one reduction is Fraction(T_n, D_n), in ``_reduced``."""
     if N < 1:
         raise DomainError("need N >= 1")
-    D = _denominators(family, N)
-    if method == "all":
-        routes = {name: fn(family, N) for name, fn in _METHODS.items()}
-        vals = _reduced(routes["recurrence"])
-        if not _gate(vals, D, routes["closed"], routes["series"]):
-            raise RouteDisagreement(f"method disagreement in {what}")
-        meta = {"methods": sorted(_METHODS), "exact_agreement": True}
-    elif method in _METHODS:
-        vals = _reduced(map(_PAIR[method], _METHODS[method](family, N), D))
-        if any(d % x.denominator for x, d in zip(vals, D)):
-            raise RouteDisagreement(f"a denominator of {what} does not divide D_n")
-        meta = {"methods": [method]}
-    else:
+    if method != "all" and method not in _METHODS:
         raise DomainError(f"unknown method {method!r}")
+    names = sorted(_METHODS) if method == "all" else [method]
+    D = _denominators(family, N)
+    try:
+        routes = {name: _METHODS[name](family, D) for name in names}
+        if method == "closed":
+            routes["closed"] = list(map(_quotient, routes["closed"]))
+    except RouteDisagreement:
+        raise RouteDisagreement(f"a denominator of {what} does not divide D_n") from None
+    meta = {"methods": names}
+    if method == "all":
+        if not _gate(routes["recurrence"], routes["closed"], routes["series"]):
+            raise RouteDisagreement(f"method disagreement in {what}")
+        meta["exact_agreement"] = True
+    vals = _reduced(routes["series" if method == "all" else method], D)
     meta.update({"N": N, "precision_bits": prec, **extra})
     if len(vals) < 16:
         return ApproximationRun(vals, None, None, meta)
@@ -274,20 +271,13 @@ def _run_routes(what: str, family: _Family, N: int, method: str, prec: int,
     return ApproximationRun(vals, est.limit, est.rate_exponent, meta)
 
 
-def _reduced(values) -> list:
-    return [Fraction(a, b) for a, b in values]
+def _reduced(T: list, D: list) -> list:
+    return list(map(Fraction, T, D))
 
 
-def _gate(vals: list, D: list, closed: list, series: list) -> bool:
-    """Each reduced value divides D_n and equals the closed and series routes'."""
-    if not len(vals) == len(closed) == len(series):
-        return False
-    for x, d, (s, m), S in zip(vals, D, closed, series):
-        e, r = divmod(d, x.denominator)
-        xe = x.numerator * e
-        if r or S != xe or s != xe * m:
-            return False
-    return True
+def _gate(T: list, closed: list, S: list) -> bool:
+    """Recurrence and series give the same D_n P_n, and each closed s_n is it times m_n."""
+    return T == S and len(closed) == len(S) and all(s == x * m for (s, m), x in zip(closed, S))
 
 
 # ---------------------------------------------------------------------------
@@ -448,16 +438,20 @@ def intseq_generating_check(z, prec: int = DEFAULT_PREC) -> dict:
 
     (The U-side signs are opposite to the V-side ones; both checks use the
     plain, unsigned integer sequences.) The exact U/V sums take about
-    (wp + 4) ln 2 / (1 - |z|) terms, wp = prec + 48, so the cost grows without
-    bound as |z| -> 1.
+    K = (wp + 4) ln 2 / (-ln |z|) terms, wp = prec + 48 (K ~ 310 at |z| = 1/2,
+    prec = 256), at a cost quadratic in K: about 1 s at K = 4096. Past that
+    cap, as |z| -> 1 or at a large prec, the check raises DomainError.
     """
     z = exact_real(z)
+    if not abs(z) < 1:
+        raise DomainError("the identity check needs |z| < 1")
     wp = prec + 48
+    decay = math.log(z.denominator) - math.log(abs(z.numerator)) if z else math.inf  # -ln|z|
+    if (wp + 4) * math.log(2) > 4096 * decay:
+        raise DomainError(f"the identity check at z={z} needs more than 4096 terms")
     consts = intseq_constants(wp)
     with workprec(wp):
         zv = to_mpf(z, wp)
-        if not abs(zv) < 1:
-            raise DomainError("the identity check needs |z| < 1")
         sU, sV = _egf_sums(z, wp)
         Fz = bessel_f(1 - z, wp)  # at 1 - z exactly
         Gz = bessel_g(1 - z, wp)

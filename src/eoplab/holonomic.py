@@ -10,14 +10,18 @@ Recurrences are kept in a normalized form (lowest shift 0, coefficients a
 primitive integer vector with no common polynomial factor, leading coefficient
 with positive leading term) so that equality of recurrences is a well-defined
 exact test.
+
+``unroll`` runs a recurrence in integers only: given a chain D_0 | D_1 | ...
+of multiples of the terms' denominators, it returns T_n = D_n P_n, and its one
+exact division per term checks that D_n is such a multiple.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 
 from .kernels import Frozen, PolyQ, poly_gcd
-from .numcore import DomainError, LeadingCoefficientVanishes
+from .numcore import DomainError, LeadingCoefficientVanishes, RouteDisagreement
 
 __all__ = [
     "DifferentialOperator",
@@ -105,37 +109,39 @@ def ode_to_recurrence(op: DifferentialOperator) -> LinearRecurrence:
     return LinearRecurrence(coeffs).normalized()
 
 
-def unroll(rec: LinearRecurrence, seeds, N: int) -> list[tuple[int, int]]:
-    """Exact terms P_0..P_{N-1} from the first ``rec.order`` of them, each an
-    integer (numerator, denominator) pair; raises if a leading coefficient vanishes.
+def unroll(rec: LinearRecurrence, seeds, D) -> list[int]:
+    """The integers T_n = D_n P_n for n < len(D), from the first ``rec.order``
+    of them, over a chain D_0 | D_1 | ... of multiples of P_n's denominators.
 
-    The coefficients are cleared to integer polynomials once, and the window
-    is carried as integer numerators over one running denominator, so the
-    terms come back as unreduced pairs over it and no term is reduced here.
-    Every eighth step the window drops its common content, which keeps the
-    integers near the reduced size.
+    With the coefficients cleared to integer polynomials once, each step is
+    T_{n+r} = -sum_j c_j(n) (D_{n+r}/D_{n+j}) T_{n+j} / c_r(n), one exact
+    division by the leading coefficient: a remainder means that D_{n+r} P_{n+r}
+    is no integer, and raises :class:`RouteDisagreement`. A D that is not a
+    chain raises DomainError; a vanishing leading coefficient
+    LeadingCoefficientVanishes.
     """
     r = rec.order
     if len(seeds) != r:
         raise DomainError(f"need exactly {r} initial terms, got {len(seeds)}")
+    steps = [divmod(b, a) if a else (0, 0) for a, b in zip(D, D[1:])]
+    if any(rem or not k for k, rem in steps):
+        raise DomainError("D is not a chain of nonzero integers")
+    ratios = [0, *(k for k, _ in steps)]  # ratios[n] = D_n/D_{n-1}
     polys = rec.coeffs
     clear = lcm(*(c.denominator for p in polys for c in p.coeffs))
     polys = [[int(c * clear) for c in reversed(p.coeffs)] for p in polys]
-    den = lcm(*(b for _, b in seeds))
-    window = [a * (den // b) for a, b in seeds]
-    terms = list(seeds[:N])
-    for n in range(N - r):
+    terms = list(seeds[:len(D)])
+    for n in range(len(D) - r):
         *lower, lead = [_horner(p, n) for p in polys]
         if lead == 0:
             raise LeadingCoefficientVanishes(n)
-        new = -sum(c * w for c, w in zip(lower, window) if c)
-        den *= lead
-        window = [w * lead for w in window[1:]] + [new]
-        if n % 8 == 7:
-            g = gcd(den, *window)
-            den //= g
-            window = [w // g for w in window]
-        terms.append((window[-1], den))
+        acc = 0  # sum_j c_j(n) T_{n+j} D_{n+r}/D_{n+j}, one ratio at a time
+        for j, c in enumerate(lower):
+            acc = (acc + c * terms[n + j]) * ratios[n + j + 1]
+        t, rem = divmod(-acc, lead)
+        if rem:
+            raise RouteDisagreement(f"D_n P_n is no integer at n={n + r}")
+        terms.append(t)
     return terms
 
 

@@ -397,7 +397,7 @@ def test_intseq_csv_rows_are_the_coprime_pairs(workdir):
 
 def test_route_disagreement_exits_2(workdir, capsys, monkeypatch):
     # the series route's D_n P_n, all zero
-    monkeypatch.setitem(constructions._METHODS, "series", lambda family, N: [0] * N)
+    monkeypatch.setitem(constructions._METHODS, "series", lambda family, D: [0] * len(D))
     rc, err = _exit_code("gamma-approx --alpha=1/3 --n 20".split(), capsys)
     assert rc == EXIT_DOMAIN
     assert err == "domain error: method disagreement in gamma_seq\n"
@@ -406,15 +406,16 @@ def test_route_disagreement_exits_2(workdir, capsys, monkeypatch):
 
 @pytest.mark.parametrize("cmd", ["gamma-approx --alpha=1/3", "euler-approx"])
 def test_a_single_route_beyond_the_explicit_denominator_exits_2(workdir, capsys, monkeypatch, cmd):
-    # term 7's denominator gains a prime that divides no D_n
-    route = constructions._METHODS["recurrence"]
+    # D_n/2 from the first n past the seeds where 2 divides D_n/D_(n-1): still
+    # a chain, but one that a later term's reduced denominator does not divide
+    real = constructions._denominators
 
-    def broken(family, N):
-        pairs = route(family, N)
-        pairs[7] = (pairs[7][0], pairs[7][1] * (2**61 - 1))
-        return pairs
+    def short(family, N):
+        D = real(family, N)
+        n0 = next(n for n in range(3, N) if D[n] // D[n - 1] % 2 == 0)
+        return D[:n0] + [d // 2 for d in D[n0:]]
 
-    monkeypatch.setitem(constructions._METHODS, "recurrence", broken)
+    monkeypatch.setattr(constructions, "_denominators", short)
     rc, err = _exit_code(f"{cmd} --n 20 --method recurrence".split(), capsys)
     assert rc == EXIT_DOMAIN
     assert err.startswith("domain error: a denominator of ")

@@ -1,12 +1,13 @@
 import functools
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
-from eoplab import constructions
+from eoplab import constructions, holonomic
 from eoplab.kernels import PolyQ, decay_exponent
 from eoplab.numcore import DomainError, RouteDisagreement, to_mpf
 from eoplab.asymlab import transfer_rate_check
@@ -81,9 +82,9 @@ def test_triple_agreement_small():
 
 
 def _scaled(route):
-    """The route with each pair as an equal pair (2 s, 2 m) or (2 num, 2 den);
-    the series route's integers D_n P_n have no other form over D_n, and are
-    unreduced already."""
+    """The route with each closed pair as the equal pair (2 s_n, 2 m_n); the
+    series and recurrence routes' integers D_n P_n have no other form over D_n,
+    and come back unchanged."""
     return lambda *args: [(2 * v[0], 2 * v[1]) if isinstance(v, tuple) else v
                           for v in route(*args)]
 
@@ -161,7 +162,7 @@ def test_all_builds_the_fractions_of_the_recurrence_route_alone(monkeypatch):
 
 def test_gate_rejects_a_route_of_another_length(monkeypatch):
     series = constructions._METHODS["series"]
-    monkeypatch.setitem(constructions._METHODS, "series", lambda family, N: series(family, N)[:-1])
+    monkeypatch.setitem(constructions._METHODS, "series", lambda family, D: series(family, D)[:-1])
     with pytest.raises(RouteDisagreement):
         gamma_seq(F(1, 3), 20)
     with pytest.raises(RouteDisagreement):
@@ -198,8 +199,7 @@ BIG_PRIME = 2**61 - 1
 
 
 def _gains_a_prime(route, at):
-    """The route with the denominator (recurrence) or cofactor (closed) of
-    term `at` multiplied by BIG_PRIME."""
+    """The closed route with the cofactor of term `at` multiplied by BIG_PRIME."""
     def broken(*args):
         vals = route(*args)
         a, b = vals[at]
@@ -209,17 +209,77 @@ def _gains_a_prime(route, at):
     return broken
 
 
+def _primes(r):
+    return [p for p in range(2, r + 1) if r % p == 0 and all(p % k for k in range(2, p))]
+
+
+def _lacking(D, values, start):
+    """The chain D with D_n/p for every n >= n0, at the first n0 >= start and
+    prime p dividing D_n0/D_(n0-1) such that a reduced denominator of values
+    needs all of D_n's powers of p: still a chain, but too short for a term.
+    n0 is past the order-3 recurrence's seeds D_n P_n, which unroll takes as
+    given."""
+    for n0 in range(max(start, 3), len(D)):
+        for p in _primes(D[n0] // D[n0 - 1]):
+            bad = D[:n0] + [d // p for d in D[n0:]]
+            if any(d % v.denominator for d, v in zip(bad, values)):
+                return bad
+    raise AssertionError("no prime to drop")
+
+
+def _unroll_lacking(m, values, start):
+    """Let unroll run over the chain _lacking(D, values, start)."""
+    real = holonomic.unroll
+    m.setattr(holonomic, "unroll", lambda rec, seeds, D: real(rec, seeds, _lacking(D, values, start)))
+
+
 @pytest.mark.parametrize("name", ["closed", "recurrence"])
 @pytest.mark.parametrize("at", [0, 13, 19])
 def test_a_denominator_beyond_the_bound_is_rejected(monkeypatch, name, at):
-    monkeypatch.setitem(constructions._METHODS, name,
-                        _gains_a_prime(constructions._METHODS[name], at))
-    for method in (name, "all"):
-        with pytest.raises(RouteDisagreement):
-            gamma_seq(F(1, 3), 20, method=method)
-    if at:  # P_0 = 0 for Euler's constant
-        with pytest.raises(RouteDisagreement):
-            euler_seq(20, method=name)
+    # closed: the cofactor of term `at` gains BIG_PRIME; recurrence: from about
+    # term `at` on, the chain that unroll runs over lacks a prime that a term
+    # needs, so that some D_n P_n is no integer
+    runs = [functools.partial(gamma_seq, F(1, 3))] + [euler_seq] * bool(at)  # Euler's P_0 = 0
+    for run in runs:
+        with monkeypatch.context() as m:
+            if name == "closed":
+                m.setitem(constructions._METHODS, name,
+                          _gains_a_prime(constructions._METHODS[name], at))
+            else:
+                _unroll_lacking(m, run(20, method="closed").values, at)
+            for method in (name, "all"):
+                with pytest.raises(RouteDisagreement):
+                    run(20, method=method)
+
+
+@pytest.mark.parametrize("alpha", [F(1, 3), F(-29, 12), F(5, 11), None])
+def test_a_chain_that_lacks_a_needed_prime_is_rejected(monkeypatch, alpha):
+    # D'_n = D_n/p from the first n past the seeds where p divides D_n/D_(n-1),
+    # for a prime p that some R_n needs: unroll's exact division leaves a remainder
+    run = euler_seq if alpha is None else functools.partial(gamma_seq, alpha)
+    values = run(40, method="closed").values
+    real = constructions._denominators
+    monkeypatch.setattr(constructions, "_denominators",
+                        lambda family, N: _lacking(real(family, N), values, 1))
+    for method in ("recurrence", "all"):
+        with pytest.raises(RouteDisagreement, match="does not divide D_n"):
+            run(40, method=method)
+
+
+@pytest.mark.parametrize("at", [0, 1, 7, 38])
+def test_a_denominator_list_that_is_no_chain_is_a_domain_error(monkeypatch, at):
+    # D_at times BIG_PRIME: D_at no longer divides D_(at+1)
+    real = constructions._denominators
+
+    def broken(family, N):
+        D = real(family, N)
+        D[at] *= BIG_PRIME
+        return D
+
+    monkeypatch.setattr(constructions, "_denominators", broken)
+    for method in ("recurrence", "all"):
+        with pytest.raises(DomainError, match="not a chain"):
+            gamma_seq(F(1, 3), 40, method=method)
 
 
 def test_pade_small_cases():
@@ -327,6 +387,17 @@ def test_generating_identities_at_half():
     with workprec(320):
         assert res["U"] < mpf(10) ** -20
         assert res["V"] < mpf(10) ** -20
+
+
+def test_generating_check_refuses_a_sum_past_its_term_cap():
+    # K ~ (53 + 52) ln 2 / 2^-12, about 298 000 terms, is refused before any
+    # sum; K ~ 700 at z = 9/10 runs
+    for z in (1 - F(1, 2**12), F(1, 2**12) - 1):
+        start = time.process_time()
+        with pytest.raises(DomainError, match="more than 4096 terms"):
+            intseq_generating_check(z, 53)
+        assert time.process_time() - start < 0.1
+    assert all(v < mpf(2) ** -53 for v in intseq_generating_check(F(9, 10), 53).values())
 
 
 def test_generating_sums_are_exact_partial_sums_within_their_bound():

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -21,7 +22,7 @@ from eoplab.holonomic import (
     unroll,
 )
 from eoplab.kernels import PolyQ
-from eoplab.numcore import DomainError
+from eoplab.numcore import DomainError, RouteDisagreement
 from eoplab.series import (
     TruncatedSeries,
     binomial_series,
@@ -121,9 +122,22 @@ def test_derived_gamma_recurrence_is_the_published_one_times_q_squared(alpha):
     assert derived.coeffs == tuple(scaled)
 
 
+def _chain(rec, seeds, N):
+    """The generic chain for any recurrence: the lcm of the seeds' denominators,
+    then times each leading coefficient (cleared to integers, 1 where it
+    vanishes), so that every step's division is exact."""
+    clear = math.lcm(*(c.denominator for p in rec.coeffs for c in p.coeffs))
+    D = [math.lcm(*(F(s).denominator for s in seeds))] * rec.order
+    for n in range(N - rec.order):
+        D.append(D[-1] * (abs(rec.coeffs[-1](F(n)) * clear) or 1))
+    return [int(d) for d in D[:N]]
+
+
 def _unroll(rec, seeds, N):
-    """unroll from the seeds' (numerator, denominator) pairs, its terms reduced."""
-    return [F(a, b) for a, b in unroll(rec, [F(s).as_integer_ratio() for s in seeds], N)]
+    """unroll over the generic chain, its integers D_n P_n reduced to P_n."""
+    D = _chain(rec, seeds, max(N, rec.order))
+    T = unroll(rec, [int(F(s) * D[0]) for s in seeds], D[:N])
+    return [F(t, d) for t, d in zip(T, D)]
 
 
 def test_published_and_derived_recurrences_unroll_alike():
@@ -152,23 +166,39 @@ def test_unroll_gamma_seeds():
 
 
 def test_unroll_returns_initial_terms_unchanged():
-    # the seed pairs come back as given, unreduced
-    seeds = [(1, 1), (2, 4), (-3, 6)]
-    assert unroll(euler_coefficient_recurrence(), seeds, 3) == seeds
+    # the seed integers come back as given, over any chain
+    seeds = [1, 2, -3]
+    assert unroll(euler_coefficient_recurrence(), seeds, [1, 2, 6]) == seeds
+    assert unroll(euler_coefficient_recurrence(), seeds, [5, 5]) == seeds[:2]
 
 
 def test_unroll_needs_exactly_order_seeds():
-    for seeds in ([(1, 1), (2, 1)], [(1, 1)] * 4):
+    for seeds in ([1, 2], [1] * 4):
         with pytest.raises(DomainError, match="need exactly 3 initial terms"):
-            unroll(euler_coefficient_recurrence(), seeds, 10)
+            unroll(euler_coefficient_recurrence(), seeds, [1] * 10)
 
 
 def test_unroll_reports_vanishing_leading_coefficient():
     # leading coefficient (n - 2) dies at n = 2
     rec = LinearRecurrence([PolyQ([1]), PolyQ([-2, 1])])
     with pytest.raises(LeadingCoefficientVanishes) as err:
-        unroll(rec, [(1, 1)], 10)
+        unroll(rec, [1], _chain(rec, [1], 10))
     assert err.value.n == 2
+
+
+@pytest.mark.parametrize("D", [[1, 2, 3, 6], [2, 4, 0, 0], [0, 0, 1, 1], [1, 1, 1, -2, 2, 5]])
+def test_unroll_refuses_a_denominator_list_that_is_no_chain(D):
+    with pytest.raises(DomainError, match="not a chain"):
+        unroll(euler_coefficient_recurrence(), [0, 0, 1], D)
+
+
+def test_unroll_rejects_a_term_that_is_no_integer_over_its_denominator():
+    # P_3 = 17/36 for Euler's constant: 36 | D_3 holds over [1, 1, 4, 36],
+    # fails over [1, 1, 4, 12]
+    rec = euler_coefficient_recurrence()
+    assert unroll(rec, [0, 0, 1], [1, 1, 4, 36]) == [0, 0, 1, 17]
+    with pytest.raises(RouteDisagreement, match="n=3"):
+        unroll(rec, [0, 0, 1], [1, 1, 4, 12])
 
 
 def test_check_series_satisfies_exp():

@@ -130,7 +130,7 @@ def engine_closed(run, N):
     families = []
     with pytest.MonkeyPatch.context() as m:
         m.setitem(constructions._METHODS, "closed",
-                  lambda family, n: families.append(family) or [(1, 1)] * n)
+                  lambda family, D: families.append(family) or [(1, 1)] * len(D))
         run(1, method="closed")
     family = families[0]
     return _closed(family.beta, family.terms, N), explicit_denominators(family.beta,
@@ -189,9 +189,22 @@ def oracle_unroll(rec, initial, N):
     return vals
 
 
-def reduced_unroll(rec, initial, N):
-    """unroll from the (numerator, denominator) pairs of initial, its terms reduced."""
-    return [F(a, b) for a, b in unroll(rec, [F(v).as_integer_ratio() for v in initial], N)]
+def generic_chain(rec, initial, N):
+    """A chain over which any recurrence unrolls in integers: the lcm of the
+    initial denominators, then times each leading coefficient (cleared to
+    integers, 1 where it vanishes), so that every step's division is exact."""
+    clear = math.lcm(*(c.denominator for p in rec.coeffs for c in p.coeffs))
+    D = [math.lcm(*(F(v).denominator for v in initial))] * rec.order
+    for n in range(N - rec.order):
+        D.append(D[-1] * (abs(rec.coeffs[-1](F(n)) * clear) or 1))
+    return [int(d) for d in D[:N]]
+
+
+def reduced_unroll(rec, initial, N, scale=1):
+    """unroll over scale times the generic chain, its integers D_n P_n reduced."""
+    D = [scale * d for d in generic_chain(rec, initial, max(N, rec.order))]
+    T = unroll(rec, [int(F(v) * D[0]) for v in initial], D[:N])
+    return [F(t, d) for t, d in zip(T, D)]
 
 
 def oracle_pade_exp(n):
@@ -352,14 +365,13 @@ def test_unroll_matches_fraction_loop_on_gamma_recurrence(alpha, N):
 @example(F(1, 3), 60, 2**64 * 3**5)
 @example(F(-7, 11), 9, -1)
 def test_unroll_from_scaled_seed_pairs_reduces_to_the_same_terms(alpha, N, k):
-    # the closed seeds, and the same pairs with numerator and denominator
-    # multiplied by one common factor: the terms differ only in their form
+    # over the chain D and over k D the integers differ by the factor k, and
+    # the terms P_n they give are the same
     rec = gamma_coefficient_recurrence(alpha)
-    pairs = [v.as_integer_ratio() for v in gamma_seq(alpha, 3, method="closed").values]
-    scaled = [(k * a, k * b) for a, b in pairs]
-    want = [F(a, b) for a, b in unroll(rec, pairs, N)]
-    assert [F(a, b) for a, b in unroll(rec, scaled, N)] == want
-    assert want == oracle_unroll(rec, [F(a, b) for a, b in pairs], N)
+    seeds = gamma_seq(alpha, 3, method="closed").values
+    want = reduced_unroll(rec, seeds, N)
+    assert reduced_unroll(rec, seeds, N, scale=k) == want
+    assert want == oracle_unroll(rec, seeds, N)
 
 
 def _outcome(fn, rec, initial, N):
@@ -925,60 +937,59 @@ def test_y_alpha_i_takes_one_linear_factor_per_step(alpha, monkeypatch):
     assert len(calls) <= N + abs(math.floor(alpha)) + 2
 
 
-def oracle_gate(vals, D, closed, series):
-    """The gate as equal cross products: each reduced value divides D_n and
-    equals S_n / D_n (series) and s_n / (D_n m_n) (closed)."""
-    return len(vals) == len(closed) == len(series) and all(
-        d % x.denominator == 0 and S * x.denominator == x.numerator * d
-        and s * x.denominator == x.numerator * d * m
-        for x, d, (s, m), S in zip(vals, D, closed, series))
+def oracle_gate(D, T, closed, series):
+    """The gate as equal cross products: at the scale D_n the values T_n/D_n
+    (recurrence), S_n/D_n (series) and s_n/(D_n m_n) (closed) are equal."""
+    return len(T) == len(closed) == len(series) and all(
+        t * d == S * d and s * d == t * d * m for d, t, (s, m), S in zip(D, T, closed, series))
 
 
 @st.composite
 def gate_cases(draw):
-    """(vals, D, closed, series): reduced values, D_n a multiple of each
-    reduced denominator (of either sign), and routes that equal them at that
+    """(D, T, closed, series): D_n a nonzero multiple (of either sign) of each
+    reduced value's denominator, and routes that equal the values at that
     scale, except at up to two places, where a numerator is off by a little, a
-    cofactor is doubled, D_n is no multiple, or anything goes, zeros included;
-    sometimes a route is a term short."""
+    cofactor is doubled, or anything goes, zeros included; sometimes a route is
+    a term short."""
     vals = draw(st.lists(st.builds(F, st.integers(-60, 60), st.integers(1, 60)), max_size=8))
     off = draw(st.sets(st.integers(0, 7), max_size=2))
-    D, closed, series = [], [], []
+    D, T, closed, series = [], [], [], []
     for i, x in enumerate(vals):
         d = draw(st.integers(-5, 5).filter(bool)) * x.denominator
         m = draw(st.integers(-9, 9))
-        S = x.numerator * (d // x.denominator)
+        t = S = x.numerator * (d // x.denominator)
         s = S * m
-        kind = draw(st.sampled_from(["numerator", "cofactor", "D", "any"])) if i in off else ""
+        kind = draw(st.sampled_from(["numerator", "cofactor", "any"])) if i in off else ""
         if kind == "numerator":
-            S, s = S + draw(st.integers(-2, 2)), s + draw(st.integers(-2, 2))
+            t, S, s = (v + draw(st.integers(-2, 2)) for v in (t, S, s))
         elif kind == "cofactor":
             m *= 2
-        elif kind == "D":
-            d = draw(st.sampled_from([d + 1, d - 1, d * x.denominator + 1]))
         elif kind == "any":
-            d, m, S, s = (draw(st.integers(-99, 99)) for _ in range(4))
+            t, m, S, s = (draw(st.integers(-99, 99)) for _ in range(4))
         D.append(d)
+        T.append(t)
         closed.append((s, m))
         series.append(S)
-    for route in (closed, series):
+    for route in (T, closed, series):
         if route and draw(st.integers(0, 5)) == 0:
             route.pop(draw(st.integers(0, len(route) - 1)))
-    return vals, D, closed, series
+    return D, T, closed, series
 
 
 @settings(max_examples=300)
 @given(gate_cases())
 @example(([], [], [], []))
-@example(([F(3, 4)], [8], [(6, 1)], [6]))
-@example(([F(3, 4)], [8], [(6, 2)], [6]))
-@example(([F(3, 4)], [6], [(0, 0)], [0]))
-@example(([F(0)], [0], [(0, 0)], [0]))
-@example(([F(0)], [7], [(0, 3)], [0]))
-@example(([F(-1, 2)], [-4], [(6, -3)], [2]))
-@example(([F(5, 6)], [18], [(15, 1)], [15]))
+@example(([8], [6], [(6, 1)], [6]))
+@example(([8], [6], [(6, 2)], [6]))
+@example(([8], [6], [(12, 2)], [6]))
+@example(([6], [0], [(0, 0)], [0]))
+@example(([7], [0], [(0, 3)], [0]))
+@example(([-4], [2], [(6, -3)], [2]))
+@example(([-4], [2], [(-6, -3)], [3]))
+@example(([18], [15], [(15, 1)], [15]))
+@example(([1, 1], [1, 1], [(1, 1)], [1, 1]))
 def test_gate_matches_the_cross_products(case):
-    assert _gate(*case) == oracle_gate(*case)
+    assert _gate(*case[1:]) == oracle_gate(*case)
 
 
 def _falling(shift, length):
@@ -1059,8 +1070,8 @@ def test_gate_rejects_a_mutated_route(alpha, name, mutation, N, data):
     route = constructions._METHODS[name]
     at = data.draw(st.integers(0, N - 1))
 
-    def mutated(family, N):
-        values = route(family, N)
+    def mutated(family, D):
+        values = route(family, D)
         values[at] = _mutated(values[at], mutation)
         return values
 
