@@ -209,7 +209,6 @@ def _recurrence_route(family: _Family, D: list) -> list:
     return unroll(rec, list(map(_quotient, seeds)), D)
 
 
-# each route for n < len(D), D = _denominators(family, N)
 _METHODS = {
     "closed": lambda family, D: _closed(family.beta, family.terms, len(D)),
     "recurrence": _recurrence_route,

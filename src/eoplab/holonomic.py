@@ -11,9 +11,8 @@ primitive integer vector with no common polynomial factor, leading coefficient
 with positive leading term) so that equality of recurrences is a well-defined
 exact test.
 
-``unroll`` runs a recurrence in integers only: given a chain D_0 | D_1 | ...
-of multiples of the terms' denominators, it returns T_n = D_n P_n, and its one
-exact division per term checks that D_n is such a multiple.
+``unroll`` runs a recurrence in integers: over a chain D_0 | D_1 | ... of
+multiples of the terms' denominators it returns T_n = D_n P_n, checked exactly.
 """
 
 from __future__ import annotations
