@@ -24,11 +24,10 @@ The kernels work on integers: the closed route and the Pade numerator are
 binomial transforms (``kernels.binomial_transform``), the series route runs
 the Laguerre recurrence, and the recurrence route ``holonomic.unroll``. With
 beta = s/q and k! f_k = u_k/v_k, D_n = q^n n! lcm_{k<=n} |v_k| is a multiple
-of every reduced denominator R_n, and every route works at that one scale:
-the series and recurrence routes return the integers D_n P_n, the closed
-route (s_n, m_n) with s_n = m_n D_n P_n. R_n must divide D_n under every
-method, and the gate needs no division (``_run_routes``); disagreeing routes
-raise :class:`RouteDisagreement`. A run is one immutable :class:`ApproximationRun`.
+of every reduced denominator R_n, and every route returns the integers
+D_n P_n. R_n must divide D_n under every method, and the gate is the equality
+of the three lists (``_run_routes``); disagreeing routes raise
+:class:`RouteDisagreement`. A run is one immutable :class:`ApproximationRun`.
 
 Limit and growth-model estimation work on the exact rational data: the limit
 uses a smooth-window weighted tail mean, which handles the sqrt(n)-phase
@@ -47,7 +46,7 @@ import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
 
 from mpmath import mp, mpf, workprec
@@ -144,24 +143,20 @@ def euler_coefficient_recurrence() -> LinearRecurrence:
 
 
 def _closed(beta: Fraction, terms, N: int) -> list:
-    """[(s_n, m_n) for n < N], P_n = s_n/(D_n m_n) (``_denominators``) the sum over
-    k of (-1)^k binom(n+beta-1, n-k) u_k / (v_k k!), (u_k, v_k) = terms(N)[k]."""
+    """[D_n P_n for n < N] (``_denominators``), P_n the sum over k of
+    (-1)^k binom(n+beta-1, n-k) u_k / (v_k k!), (u_k, v_k) = terms(N)[k]."""
     from .kernels import binomial_transform
 
     # With beta = s/q and c_n = prod_{j<n} (s+jq) (nonzero unless beta is an
     # integer <= 0), binom(n+beta-1, n-k) = (c_n/c_k) / (q^(n-k) (n-k)!), so
-    # D_n P_n = sum_k binom(n,k) (-1)^k q^k (c_n/c_k) u_k (L_n/v_k). Times the
-    # cofactor m_n = (c_{N-1}/c_n) (L_{N-1}/L_n), term k no longer depends on n:
-    # it is a_k = (-1)^k q^k u_k m_k (L_k/v_k), and s_n is the transform.
+    # D_n P_n = sum_k binom(n,k) (-q)^k (c_n/c_k) u_k (L_n/v_k): the transform of
+    # b_k = (-q)^k u_k (L_k/v_k) under the factors r_j = (s+jq) L_(j+1)/L_j.
     s, q = beta.numerator, beta.denominator
     pairs = terms(N)
     lcm = list(accumulate((abs(v) for _, v in pairs), math.lcm))  # L_n = lcm_{k<=n} |v_k|
-    m = [1] * N  # a suffix product
-    for n in range(N - 2, -1, -1):
-        m[n] = m[n + 1] * (s + n * q) * (lcm[n + 1] // lcm[n])
-    a = [(-1) ** k * q**k * u * mk * (L // v)
-         for k, ((u, v), mk, L) in enumerate(zip(pairs, m, lcm))]
-    return list(zip(binomial_transform(a), m))
+    qk = accumulate(repeat(-q, N - 1), mul, initial=1)  # (-q)^k
+    b = [x * u * (L // v) for x, (u, v), L in zip(qk, pairs, lcm)]
+    return binomial_transform(b, [(s + j * q) * (lcm[j + 1] // lcm[j]) for j in range(N - 1)])
 
 
 def _gamma_series(alpha: Fraction, N: int) -> list:
@@ -193,20 +188,11 @@ def _denominators(family: _Family, N: int) -> list:
     return list(accumulate((max(q * n, 1) * (L[n + 1] // L[n]) for n in range(N)), mul))
 
 
-def _quotient(pair: tuple) -> int:
-    """The closed route's D_n P_n = s_n/m_n; a remainder means R_n does not divide D_n."""
-    t, r = divmod(*pair)
-    if r:
-        raise RouteDisagreement("s_n is no multiple of m_n")
-    return t
-
-
 def _recurrence_route(family: _Family, D: list) -> list:
     from .holonomic import unroll
 
     rec = family.recurrence()
-    seeds = _closed(family.beta, family.terms, rec.order)
-    return unroll(rec, list(map(_quotient, seeds)), D)
+    return unroll(rec, _closed(family.beta, family.terms, rec.order), D)
 
 
 _METHODS = {
@@ -239,11 +225,11 @@ def euler_seq(N: int, method: str = "all", prec: int = DEFAULT_PREC) -> Approxim
 def _run_routes(what: str, family: _Family, N: int, method: str, prec: int,
                 extra: dict) -> ApproximationRun:
     """Run one route, or all of them under the exact-agreement gate, and
-    estimate the limit. Alone, a route reports the integers T_n = D_n P_n (the
-    closed route s_n // m_n), and a term that is no integer raises. Under "all"
-    the recurrence route's T_n must be the series route's S_n (Euler's is
-    gamma's kernel at alpha = 0, negated) and each closed s_n must be S_n m_n,
-    with no division. The one reduction is Fraction(T_n, D_n), in ``_reduced``."""
+    estimate the limit. Every route returns the integers T_n = D_n P_n; the
+    recurrence route divides, and a term that is no integer raises. Under
+    "all" the three lists must be equal (Euler's series route is gamma's
+    kernel at alpha = 0, negated). The one reduction is Fraction(T_n, D_n),
+    in ``_reduced``."""
     if N < 1:
         raise DomainError("need N >= 1")
     if method != "all" and method not in _METHODS:
@@ -252,13 +238,11 @@ def _run_routes(what: str, family: _Family, N: int, method: str, prec: int,
     D = _denominators(family, N)
     try:
         routes = {name: _METHODS[name](family, D) for name in names}
-        if method == "closed":
-            routes["closed"] = list(map(_quotient, routes["closed"]))
     except RouteDisagreement:
         raise RouteDisagreement(f"a denominator of {what} does not divide D_n") from None
     meta = {"methods": names}
     if method == "all":
-        if not _gate(routes["recurrence"], routes["closed"], routes["series"]):
+        if not routes["recurrence"] == routes["series"] == routes["closed"]:
             raise RouteDisagreement(f"method disagreement in {what}")
         meta["exact_agreement"] = True
     vals = _reduced(routes["series" if method == "all" else method], D)
@@ -272,11 +256,6 @@ def _run_routes(what: str, family: _Family, N: int, method: str, prec: int,
 
 def _reduced(T: list, D: list) -> list:
     return list(map(Fraction, T, D))
-
-
-def _gate(T: list, closed: list, S: list) -> bool:
-    """Recurrence and series give the same D_n P_n, and each closed s_n is it times m_n."""
-    return T == S and len(closed) == len(S) and all(s == x * m for (s, m), x in zip(closed, S))
 
 
 # ---------------------------------------------------------------------------

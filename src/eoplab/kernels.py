@@ -5,10 +5,12 @@ that a numeric command (``gamma-deriv``, ``asym-check``, ``intseq``) neither
 loads nor compiles it.
 
 :func:`binomial_transform` is the one kernel of the substitution
-z -> -z/(1-z). :func:`int_cauchy`, ``TruncatedSeries.__mul__``'s exact kernel
-(no sequence route multiplies series), packs each integer vector into one
-``Decimal`` of shifted fields, no digit string and no borrows (Kronecker
-substitution), and multiplies the two in numcore's private exact context.
+z -> -z/(1-z); with the factors r_j of a rising product it gives the closed
+route's integers D_n P_n, each term at its own scale. :func:`int_cauchy`,
+``TruncatedSeries.__mul__``'s exact kernel (no sequence route multiplies
+series), packs each integer vector into one ``Decimal`` of shifted fields, no
+digit string and no borrows (Kronecker substitution), and multiplies the two
+in numcore's private exact context.
 
 Results of exact sequences that are needed only to some bits are computed in
 fixed point, on integers floor(v 2^W), with the exact rational path kept as
@@ -29,7 +31,8 @@ from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm, log
+from math import gcd, isqrt, lcm, log
+from operator import mul
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest
@@ -85,14 +88,32 @@ def _pack(v: list, d: int) -> Decimal:
     return binary_split(_EXACT.add, fields, Decimal(0))
 
 
-def binomial_transform(a: list) -> list:
-    """[sum_k binom(n, k) a_k for n < len(a)], the coefficients of A(w)/(1-z) for
-    A(w) = sum_k a_k w^k, w = z/(1-z). By Horner in w: acc <- (a_k + z acc)/(1-z) is
-    one prefix-sum pass, and after j steps only j terms can reach z^(len(a)-1)."""
-    acc = []
-    for c in reversed(a):
-        acc = list(accumulate(acc, initial=c))
-    return acc
+def binomial_transform(a: list, r: list | None = None) -> list:
+    """[sum_k binom(n, k) a_k prod_{k<=j<n} r_j for n < len(a)], for nonzero
+    integers r_j (all 1 when r is None: the coefficients of A(w)/(1-z) for
+    A(w) = sum_k a_k w^k, w = z/(1-z)).
+
+    The classical, addition-only shift (von zur Gathen and Gerhard, ISSAC
+    1997), diagonal by diagonal: d_i = accumulate(d_(i-1), initial=a_i) has
+    entry j = sum_t binom(j, t) a_(i-t), and term i is its last entry. A band
+    of isqrt(len(a)) diagonals ending at e works at the scale of term e: each
+    a_k of it enters times m_k = prod_{k<=j<e} r_j, the diagonal before it is
+    rescaled once, and term n is its last entry over m_n, one small exact
+    division. So no entry is wider than the terms near it.
+    """
+    N = len(a)
+    r, width = (r, isqrt(N)) if r is not None else ([1] * N, N)  # one band, no scale
+    d, out = [], []
+    for lo in range(0, N, max(width, 1)):
+        hi = min(lo + width, N)
+        m = list(accumulate(reversed(r[lo:hi - 1]), mul, initial=1))[::-1]
+        if lo:
+            f = r[lo - 1] * m[0]
+            d = [x * f for x in d]
+        for c, mk in zip(a[lo:hi], m):
+            d = list(accumulate(d, initial=c * mk))
+            out.append(d[-1] // mk)
+    return out
 
 
 def least_squares_line(xs: list, ys: list) -> tuple:

@@ -81,29 +81,23 @@ def test_triple_agreement_small():
     assert run.metadata["exact_agreement"]
 
 
-def _scaled(route):
-    """The route with each closed pair as the equal pair (2 s_n, 2 m_n); the
-    series and recurrence routes' integers D_n P_n have no other form over D_n,
-    and come back unchanged."""
-    return lambda *args: [(2 * v[0], 2 * v[1]) if isinstance(v, tuple) else v
-                          for v in route(*args)]
-
-
 def _off_by_one(route, at):
     """The route with numerator `at` one too large."""
     def broken(*args):
         vals = route(*args)
-        v = vals[at]
-        vals[at] = (v[0] + 1, v[1]) if isinstance(v, tuple) else v + 1
+        vals[at] += 1
         return vals
     return broken
 
 
 @pytest.mark.parametrize("name", ["closed", "series", "recurrence"])
-def test_gate_accepts_equal_unreduced_values(monkeypatch, name):
+def test_gate_accepts_equal_unreduced_values(name):
+    # every route returns D_n P_n over D_n = 7^n n! lcm_{k<=n} |7k-5|, which
+    # is wider than the reduced denominator at almost every n
     want_gamma = gamma_seq(F(-5, 7), 40, method="closed").values
+    D = _explicit_denominators(7, lambda k: 7 * k - 5, 40)
+    assert sum(v.denominator != d for v, d in zip(want_gamma, D)) > 30
     want_euler = euler_seq(40, method="closed").values
-    monkeypatch.setitem(constructions._METHODS, name, _scaled(constructions._METHODS[name]))
     for run, want in ((gamma_seq(F(-5, 7), 40), want_gamma), (euler_seq(40), want_euler)):
         assert run.metadata["exact_agreement"] is True
         assert run.values == want
@@ -125,15 +119,17 @@ def test_gate_rejects_one_numerator_off_by_one(monkeypatch, name, at):
 
 
 def test_all_reports_the_values_of_every_single_route():
-    for alpha in (F(1, 3), F(-5, 7), F(-29, 12)):
-        values = gamma_seq(alpha, 40).values
-        assert all(type(v) is F for v in values)
+    # N = 49, 50 and 226 put a band edge of the closed route's transform
+    # (isqrt(N) diagonals to a band) at the last term or one before it
+    cases = [(functools.partial(gamma_seq, alpha), 40)
+             for alpha in (F(1, 3), F(-5, 7), F(-29, 12))]
+    cases += [(functools.partial(gamma_seq, F(-35, 12)), N) for N in (49, 50, 226)]
+    cases += [(euler_seq, N) for N in (40, 49, 50, 226)]
+    for run, N in cases:
+        values = run(N).values
+        assert all(type(v) is F for v in values) and len(values) == N
         for method in ("closed", "series", "recurrence"):
-            assert gamma_seq(alpha, 40, method=method).values == values
-    values = euler_seq(40).values
-    assert all(type(v) is F for v in values)
-    for method in ("closed", "series", "recurrence"):
-        assert euler_seq(40, method=method).values == values
+            assert run(N, method=method).values == values
 
 
 def _fractions_built(monkeypatch, fn, *args):
@@ -198,17 +194,6 @@ def test_explicit_denominator_clears_every_term_under_every_method(alpha, N):
 BIG_PRIME = 2**61 - 1
 
 
-def _gains_a_prime(route, at):
-    """The closed route with the cofactor of term `at` multiplied by BIG_PRIME."""
-    def broken(*args):
-        vals = route(*args)
-        a, b = vals[at]
-        assert a % BIG_PRIME
-        vals[at] = (a, b * BIG_PRIME)
-        return vals
-    return broken
-
-
 def _primes(r):
     return [p for p in range(2, r + 1) if r % p == 0 and all(p % k for k in range(2, p))]
 
@@ -233,20 +218,16 @@ def _unroll_lacking(m, values, start):
     m.setattr(holonomic, "unroll", lambda rec, seeds, D: real(rec, seeds, _lacking(D, values, start)))
 
 
-@pytest.mark.parametrize("name", ["closed", "recurrence"])
+@pytest.mark.parametrize("name", ["recurrence"])
 @pytest.mark.parametrize("at", [0, 13, 19])
 def test_a_denominator_beyond_the_bound_is_rejected(monkeypatch, name, at):
-    # closed: the cofactor of term `at` gains BIG_PRIME; recurrence: from about
-    # term `at` on, the chain that unroll runs over lacks a prime that a term
-    # needs, so that some D_n P_n is no integer
+    # from about term `at` on, the chain that unroll runs over lacks a prime
+    # that a term needs, so that some D_n P_n is no integer. The closed and
+    # series routes are integer sums at the scale D_n, with nothing to divide.
     runs = [functools.partial(gamma_seq, F(1, 3))] + [euler_seq] * bool(at)  # Euler's P_0 = 0
     for run in runs:
         with monkeypatch.context() as m:
-            if name == "closed":
-                m.setitem(constructions._METHODS, name,
-                          _gains_a_prime(constructions._METHODS[name], at))
-            else:
-                _unroll_lacking(m, run(20, method="closed").values, at)
+            _unroll_lacking(m, run(20, method="closed").values, at)
             for method in (name, "all"):
                 with pytest.raises(RouteDisagreement):
                     run(20, method=method)

@@ -23,7 +23,6 @@ from eoplab.cli import _digits
 from eoplab import constructions
 from eoplab.constructions import (
     _closed,
-    _gate,
     bessel_f,
     _win_weight,
     e_convergents,
@@ -79,7 +78,7 @@ def oracle_int_cauchy(a, b, n):
 
 def neighbour_sum_transform(a):
     """[sum_k binom(n, k) a_k for n < len(a)] by N passes of neighbour sums,
-    the loop the closed routes ran before ``numcore.binomial_transform``."""
+    the loop the closed routes ran before ``kernels.binomial_transform``."""
     out = []
     while a:
         out.append(a[0])
@@ -125,21 +124,23 @@ def explicit_denominators(beta, pairs):
 
 
 def engine_closed(run, N):
-    """The closed route's (s_n, m_n) pairs from the family record that ``run``
+    """The closed route's integers D_n P_n from the family record that ``run``
     builds, and D_n from that record's beta and terms."""
     families = []
     with pytest.MonkeyPatch.context() as m:
         m.setitem(constructions._METHODS, "closed",
-                  lambda family, D: families.append(family) or [(1, 1)] * len(D))
+                  lambda family, D: families.append(family) or [1] * len(D))
         run(1, method="closed")
     family = families[0]
     return _closed(family.beta, family.terms, N), explicit_denominators(family.beta,
                                                                         family.terms(N))
 
 
-def over_d(pairs, D):
-    """The closed route's (s_n, m_n) as (numerator, denominator) pairs."""
-    return [(s, d * m) for (s, m), d in zip(pairs, D)]
+def widened(T, D, pairs):
+    """Each old unreduced pair (s, d) is D_n P_n over D_n, both times the
+    integer d/D_n: the old closed routes' common scale."""
+    return all(d % dn == 0 and s == t * (d // dn) for t, dn, (s, d) in zip(T, D, pairs)) \
+        and len(T) == len(D) == len(pairs)
 
 
 def oracle_gamma_closed(alpha, N):
@@ -235,10 +236,10 @@ small_rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
 @example(F(-7, 11), 2)
 @example(F(-5, 3), 3)
 def test_gamma_closed_matches_fraction_loop(alpha, N):
-    pairs, D = engine_closed(functools.partial(gamma_seq, alpha), N)
-    assert all(type(s) is int and type(m) is int for s, m in pairs)
-    assert over_d(pairs, D) == old_gamma_closed(alpha, N)  # the same unreduced pairs
-    assert [F(a, b) for a, b in over_d(pairs, D)] == oracle_gamma_closed(alpha, N)
+    T, D = engine_closed(functools.partial(gamma_seq, alpha), N)
+    assert all(type(t) is int for t in T)
+    assert widened(T, D, old_gamma_closed(alpha, N))
+    assert list(map(F, T, D)) == oracle_gamma_closed(alpha, N)
 
 
 @given(lengths)
@@ -246,10 +247,10 @@ def test_gamma_closed_matches_fraction_loop(alpha, N):
 @example(2)
 @example(3)
 def test_euler_closed_matches_fraction_loop(N):
-    pairs, D = engine_closed(euler_seq, N)
-    assert all(type(s) is int and type(m) is int for s, m in pairs)
-    assert over_d(pairs, D) == old_euler_closed(N)  # the same unreduced pairs
-    assert [F(a, b) for a, b in over_d(pairs, D)] == oracle_euler_closed(N)
+    T, D = engine_closed(euler_seq, N)
+    assert all(type(t) is int for t in T)
+    assert widened(T, D, old_euler_closed(N))
+    assert list(map(F, T, D)) == oracle_euler_closed(N)
 
 
 def old_gamma_series(alpha, N):
@@ -269,9 +270,9 @@ def test_gamma_series_matches_the_ring_product_and_the_closed_route(alpha, N):
     sums = constructions._gamma_series(alpha, N)  # D_n P_n
     assert all(type(s) is int for s in sums) and len(sums) == N
     vals = [F(a, b) for a, b in old_gamma_series(alpha, N)]
-    pairs, D = engine_closed(functools.partial(gamma_seq, alpha), N)
-    assert [F(s, d) for s, d in zip(sums, D)] == vals
-    assert [F(a, b) for a, b in over_d(pairs, D)] == vals
+    T, D = engine_closed(functools.partial(gamma_seq, alpha), N)
+    assert T == sums  # the same integers at the one scale D_n
+    assert list(map(F, sums, D)) == vals
 
 
 def old_euler_series(N):
@@ -318,11 +319,11 @@ term_pairs = st.lists(st.tuples(st.integers(-99, 99), st.integers(-99, 99).filte
 def test_closed_is_the_binomial_sum_for_any_beta_and_terms(beta, pairs):
     N = len(pairs)
     got = _closed(beta, lambda n: pairs[:n], N)
-    assert all(type(s) is int and type(m) is int for s, m in got)
+    assert all(type(t) is int for t in got)
     want = [sum((-1) ** k * generalized_binomial(n + beta - 1, n - k)
                 * F(u, v * math.factorial(k)) for k, (u, v) in enumerate(pairs[:n + 1]))
             for n in range(N)]
-    assert [F(a, b) for a, b in over_d(got, explicit_denominators(beta, pairs))] == want
+    assert list(map(F, got, explicit_denominators(beta, pairs))) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -340,6 +341,42 @@ def test_binomial_transform_is_the_binomial_sum_and_inverts(a):
     # the inverse transform is the alternating binomial sum
     assert [sum((-1) ** (n - k) * math.comb(n, k) * s[k] for k in range(n + 1))
             for n in range(len(s))] == a
+
+
+def scaled_binomial_sum(b, r):
+    """[sum_k binom(n, k) b_k prod_{k<=j<n} r_j for n < len(b)], term by term."""
+    return [sum(math.comb(n, k) * b[k] * math.prod(r[k:n]) for k in range(n + 1))
+            for n in range(len(b))]
+
+
+nonzero_factors = st.integers(-10**6, 10**6).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 50).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-10**30, 10**30), min_size=n, max_size=n),
+    st.lists(nonzero_factors, min_size=max(n - 1, 0), max_size=max(n - 1, 0)))))
+@example(([], []))
+@example(([5], []))
+@example(([0, 0, 0], [7, -7]))
+def test_scaled_binomial_transform_is_the_scaled_binomial_sum(case):
+    b, r = case
+    got = binomial_transform(b, r)
+    assert got == scaled_binomial_sum(b, r)
+    assert all(type(t) is int for t in got)
+
+
+@pytest.mark.parametrize("N", [1, 2, 4, 5, 9, 10, 49, 50])
+def test_scaled_binomial_transform_across_band_edges(N):
+    # isqrt(N) diagonals to a band: N = 4, 9, 49 end on a full band, and
+    # 5, 10, 50 start a band of one diagonal
+    rng = random.Random(N)
+    b = [rng.randint(-10**20, 10**20) for _ in range(N)]
+    r = [rng.choice([-1, 1]) * rng.randint(1, 99) for _ in range(N - 1)]
+    assert binomial_transform(b, r) == scaled_binomial_sum(b, r)
+    # s + jq for alpha = -29/12 (s = -17, q = 12), every third sign flipped
+    r = [(-17 + 12 * j) * (-1) ** (j % 3) for j in range(N - 1)]
+    assert binomial_transform(b, r) == scaled_binomial_sum(b, r)
 
 
 @given(st.integers(0, 80))
@@ -939,9 +976,9 @@ def test_y_alpha_i_takes_one_linear_factor_per_step(alpha, monkeypatch):
 
 def oracle_gate(D, T, closed, series):
     """The gate as equal cross products: at the scale D_n the values T_n/D_n
-    (recurrence), S_n/D_n (series) and s_n/(D_n m_n) (closed) are equal."""
+    (recurrence), C_n/D_n (closed) and S_n/D_n (series) are equal."""
     return len(T) == len(closed) == len(series) and all(
-        t * d == S * d and s * d == t * d * m for d, t, (s, m), S in zip(D, T, closed, series))
+        t * d == c * d == S * d for d, t, c, S in zip(D, T, closed, series))
 
 
 @st.composite
@@ -949,26 +986,25 @@ def gate_cases(draw):
     """(D, T, closed, series): D_n a nonzero multiple (of either sign) of each
     reduced value's denominator, and routes that equal the values at that
     scale, except at up to two places, where a numerator is off by a little, a
-    cofactor is doubled, or anything goes, zeros included; sometimes a route is
-    a term short."""
-    vals = draw(st.lists(st.builds(F, st.integers(-60, 60), st.integers(1, 60)), max_size=8))
+    closed term is doubled, or anything goes, zeros included; sometimes a
+    route is a term short."""
+    vals = draw(st.lists(st.builds(F, st.integers(-60, 60), st.integers(1, 60)),
+                         min_size=1, max_size=8))
     off = draw(st.sets(st.integers(0, 7), max_size=2))
     D, T, closed, series = [], [], [], []
     for i, x in enumerate(vals):
         d = draw(st.integers(-5, 5).filter(bool)) * x.denominator
-        m = draw(st.integers(-9, 9))
-        t = S = x.numerator * (d // x.denominator)
-        s = S * m
-        kind = draw(st.sampled_from(["numerator", "cofactor", "any"])) if i in off else ""
+        t = c = S = x.numerator * (d // x.denominator)
+        kind = draw(st.sampled_from(["numerator", "doubled", "any"])) if i in off else ""
         if kind == "numerator":
-            t, S, s = (v + draw(st.integers(-2, 2)) for v in (t, S, s))
-        elif kind == "cofactor":
-            m *= 2
+            t, c, S = (v + draw(st.integers(-2, 2)) for v in (t, c, S))
+        elif kind == "doubled":
+            c *= 2
         elif kind == "any":
-            t, m, S, s = (draw(st.integers(-99, 99)) for _ in range(4))
+            t, c, S = (draw(st.integers(-99, 99)) for _ in range(3))
         D.append(d)
         T.append(t)
-        closed.append((s, m))
+        closed.append(c)
         series.append(S)
     for route in (T, closed, series):
         if route and draw(st.integers(0, 5)) == 0:
@@ -976,20 +1012,32 @@ def gate_cases(draw):
     return D, T, closed, series
 
 
+def _gate_passes(D, T, closed, series):
+    """Whether ``_run_routes`` under "all" accepts these routes over this D."""
+    routes = {"recurrence": T, "closed": closed, "series": series}
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(constructions, "_denominators", lambda family, N: list(D))
+        for name, values in routes.items():
+            m.setitem(constructions._METHODS, name, lambda family, D, v=values: list(v))
+        try:
+            constructions._run_routes("gate", None, len(D), "all", 64, {})
+        except RouteDisagreement:
+            return False
+    return True
+
+
 @settings(max_examples=300)
 @given(gate_cases())
-@example(([], [], [], []))
-@example(([8], [6], [(6, 1)], [6]))
-@example(([8], [6], [(6, 2)], [6]))
-@example(([8], [6], [(12, 2)], [6]))
-@example(([6], [0], [(0, 0)], [0]))
-@example(([7], [0], [(0, 3)], [0]))
-@example(([-4], [2], [(6, -3)], [2]))
-@example(([-4], [2], [(-6, -3)], [3]))
-@example(([18], [15], [(15, 1)], [15]))
-@example(([1, 1], [1, 1], [(1, 1)], [1, 1]))
+@example(([8], [6], [6], [6]))
+@example(([8], [6], [12], [6]))
+@example(([6], [0], [0], [0]))
+@example(([7], [0], [1], [0]))
+@example(([-4], [2], [2], [3]))
+@example(([-4], [-2], [-2], [-2]))
+@example(([18], [15], [15], [15]))
+@example(([1, 1], [1, 1], [1], [1, 1]))
 def test_gate_matches_the_cross_products(case):
-    assert _gate(*case[1:]) == oracle_gate(*case)
+    assert _gate_passes(*case) == oracle_gate(*case)
 
 
 def _falling(shift, length):
@@ -1055,16 +1103,12 @@ def test_gamma_recurrence_matches_the_polyq_derivation(alpha):
 
 
 def _mutated(value, mutation):
-    """A closed (s_n, m_n) or series D_n P_n value with its numerator one too
-    large, or its cofactor doubled (the series value, which has none, doubled)."""
-    if isinstance(value, tuple):
-        s, m = value
-        return (s + 1, m) if mutation == "numerator" else (s, 2 * m)
+    """A route's D_n P_n with its numerator one too large, or doubled."""
     return value + 1 if mutation == "numerator" else 2 * value
 
 
 @settings(max_examples=30)
-@given(alphas(), st.sampled_from(["closed", "series"]), st.sampled_from(["numerator", "cofactor"]),
+@given(alphas(), st.sampled_from(["closed", "series"]), st.sampled_from(["numerator", "doubled"]),
        st.integers(16, 60), st.data())
 def test_gate_rejects_a_mutated_route(alpha, name, mutation, N, data):
     route = constructions._METHODS[name]
