@@ -9,7 +9,7 @@ Sequences are produced by independent routes that must agree exactly:
   P_n = sum_k (-1)^k binom(n+beta-1, n-k) f_k (``_closed``), the order-3
   recurrence of gamma's generating ODE (Euler's is that ODE at alpha = 0)
   seeded with the first three closed terms, and the partial sums
-  P_n = sum_{k<=n} L_k^(alpha)(1)/(k+alpha) of ``series.laguerre_sums``
+  P_n = sum_{k<=n} L_k^(alpha)(1)/(k+alpha) of ``kernels.laguerre_sums``
   (Euler's sequence is that sum at alpha = 0, negated), which share nothing
   with the closed route. The ODE is typed in until an operator algebra can
   derive it;
@@ -64,11 +64,10 @@ from .numcore import (
     to_mpf,
 )
 
-# The series and holonomic layers are imported inside the functions that run
-# them, so that intseq, pade, e-convergents and fit load neither; the kernels
-# module likewise, so that intseq does not load it. A function-local import
-# reads the module attribute when it runs, so a wrapper installed there (the
-# benchmark's tracer) is still called.
+# The holonomic and kernels modules are imported inside the functions that run
+# them: intseq and e-convergents load neither, pade and fit only kernels. A
+# function-local import reads the module attribute when it runs, so a wrapper
+# installed there (the benchmark's tracer) is still called.
 
 __all__ = [
     "RouteDisagreement",
@@ -142,9 +141,9 @@ def euler_coefficient_recurrence() -> LinearRecurrence:
     return gamma_coefficient_recurrence(0)
 
 
-def _closed(beta: Fraction, terms, N: int) -> list:
-    """[D_n P_n for n < N] (``_denominators``), P_n the sum over k of
-    (-1)^k binom(n+beta-1, n-k) u_k / (v_k k!), (u_k, v_k) = terms(N)[k]."""
+def _closed(beta: Fraction, terms: list, L: list) -> list:
+    """[D_n P_n for n < len(terms)] (``_denominators``), P_n the sum over k of
+    (-1)^k binom(n+beta-1, n-k) u_k / (v_k k!), (u_k, v_k) = terms[k], L_n = L[n]."""
     from .kernels import binomial_transform
 
     # With beta = s/q and c_n = prod_{j<n} (s+jq) (nonzero unless beta is an
@@ -152,15 +151,14 @@ def _closed(beta: Fraction, terms, N: int) -> list:
     # D_n P_n = sum_k binom(n,k) (-q)^k (c_n/c_k) u_k (L_n/v_k): the transform of
     # b_k = (-q)^k u_k (L_k/v_k) under the factors r_j = (s+jq) L_(j+1)/L_j.
     s, q = beta.numerator, beta.denominator
-    pairs = terms(N)
-    lcm = list(accumulate((abs(v) for _, v in pairs), math.lcm))  # L_n = lcm_{k<=n} |v_k|
+    N = len(terms)
     qk = accumulate(repeat(-q, N - 1), mul, initial=1)  # (-q)^k
-    b = [x * u * (L // v) for x, (u, v), L in zip(qk, pairs, lcm)]
-    return binomial_transform(b, [(s + j * q) * (lcm[j + 1] // lcm[j]) for j in range(N - 1)])
+    b = [x * u * (l // v) for x, (u, v), l in zip(qk, terms, L)]
+    return binomial_transform(b, [(s + j * q) * (L[j + 1] // L[j]) for j in range(N - 1)])
 
 
 def _gamma_series(alpha: Fraction, N: int) -> list:
-    from .series import laguerre_sums
+    from .kernels import laguerre_sums
 
     return laguerre_sums(alpha.numerator, alpha.denominator, N)
 
@@ -171,20 +169,25 @@ def _euler_terms(N: int) -> list:
 
 
 def _euler_series(N: int) -> list:
-    from .series import laguerre_sums
+    from .kernels import laguerre_sums
 
     return [-s for s in laguerre_sums(0, 1, N)]
 
 
-# beta, terms(N) = [(u_k, v_k) for k < N] with k! f_k = u_k/v_k, and its own routes
-_Family = namedtuple("_Family", "beta terms series recurrence")
+# One run of a family: beta, terms = [(u_k, v_k) for k < N] with k! f_k = u_k/v_k,
+# lcm = [L_n = lcm_{k<=n} |v_k| for n < N], and the family's own routes
+_Family = namedtuple("_Family", "beta terms lcm series recurrence")
+
+
+def _family(beta: Fraction, terms: list, series, recurrence) -> _Family:
+    return _Family(beta, terms, list(accumulate((abs(v) for _, v in terms), math.lcm)),
+                   series, recurrence)
 
 
 def _denominators(family: _Family, N: int) -> list:
-    """[D_n = q^n n! lcm_{k<=n} |v_k| for n < N], beta = s/q: one running product
-    of the small ratios D_n/D_{n-1} = q n L_n/L_{n-1}, L_n = lcm_{k<=n} |v_k|."""
-    L = list(accumulate((abs(v) for _, v in family.terms(N)), math.lcm, initial=1))
-    q = family.beta.denominator
+    """[D_n = q^n n! L_n for n < N], beta = s/q: one running product of the
+    small ratios D_n/D_{n-1} = q n L_n/L_{n-1}."""
+    q, L = family.beta.denominator, [1, *family.lcm]
     return list(accumulate((max(q * n, 1) * (L[n + 1] // L[n]) for n in range(N)), mul))
 
 
@@ -192,11 +195,13 @@ def _recurrence_route(family: _Family, D: list) -> list:
     from .holonomic import unroll
 
     rec = family.recurrence()
-    return unroll(rec, _closed(family.beta, family.terms, rec.order), D)
+    seeds = _closed(family.beta, family.terms[:rec.order], family.lcm)
+    # a run no longer than the order is its seeds
+    return unroll(rec, seeds, D) if len(seeds) == rec.order else seeds
 
 
 _METHODS = {
-    "closed": lambda family, D: _closed(family.beta, family.terms, len(D)),
+    "closed": lambda family, D: _closed(family.beta, family.terms, family.lcm),
     "recurrence": _recurrence_route,
     "series": lambda family, D: family.series(len(D)),
 }
@@ -210,7 +215,7 @@ def gamma_seq(
     if alpha >= 1:
         raise DomainError(f"alpha={alpha} violates the convergence condition alpha < 1")
     p, q = alpha.numerator, alpha.denominator
-    family = _Family(alpha + 1, lambda n: [(q, k * q + p) for k in range(n)],  # 1/(k+alpha)
+    family = _family(alpha + 1, [(q, k * q + p) for k in range(N)],  # 1/(k+alpha)
                      functools.partial(_gamma_series, alpha),
                      functools.partial(gamma_coefficient_recurrence, alpha))
     return _run_routes("gamma_seq", family, N, method, prec, {"alpha": str(alpha)})
@@ -218,7 +223,7 @@ def gamma_seq(
 
 def euler_seq(N: int, method: str = "all", prec: int = DEFAULT_PREC) -> ApproximationRun:
     """Exact P_0..P_{N-1} converging to Euler's constant."""
-    family = _Family(Fraction(1), _euler_terms, _euler_series, euler_coefficient_recurrence)
+    family = _family(Fraction(1), _euler_terms(N), _euler_series, euler_coefficient_recurrence)
     return _run_routes("euler_seq", family, N, method, prec, {})
 
 

@@ -6,11 +6,9 @@ loads nor compiles it.
 
 :func:`binomial_transform` is the one kernel of the substitution
 z -> -z/(1-z); with the factors r_j of a rising product it gives the closed
-route's integers D_n P_n, each term at its own scale. :func:`int_cauchy`,
-``TruncatedSeries.__mul__``'s exact kernel (no sequence route multiplies
-series), packs each integer vector into one ``Decimal`` of shifted fields, no
-digit string and no borrows (Kronecker substitution), and multiplies the two
-in numcore's private exact context.
+route's integers D_n P_n, each term at its own scale. :func:`laguerre_sums`
+gives the series route's, partial sums of the Laguerre recurrence with no
+series product.
 
 Results of exact sequences that are needed only to some bits are computed in
 fixed point, on integers floor(v 2^W), with the exact rational path kept as
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, isqrt, lcm, log
@@ -37,55 +34,7 @@ from operator import mul
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest
 
-from .numcore import (DomainError, Rational, _EXACT, _parse_int, _to_decimal, binary_split,
-                      small_cauchy)
-
-
-def int_cauchy(a: list, b: list, n: int) -> list:
-    """The first n coefficients of (sum_i a_i z^i)(sum_j b_j z^j), integer vectors.
-
-    The product is one big multiplication (Kronecker substitution z = 10^d;
-    Brent and Zimmermann, *Modern Computer Arithmetic*, 1.3): each vector is
-    packed into one exact ``Decimal``, sum_i v_i 10^(d i), with
-    10^d > 2 n max|a| max|b|, and the two are multiplied once (libmpdec
-    switches to a number-theoretic transform for large operands, where
-    CPython's int product is Karatsuba). Each field is converted by
-    :func:`_to_decimal`, shifted by ``scaleb`` and summed pairwise: no digit
-    string, no borrows. The low n fields of |product| are read back as
-    balanced signed digits, the sign restored, one field at a time (the whole
-    product at once would be quadratic) by :func:`_parse_int`. The thread's
-    decimal context is not changed.
-    """
-    if n <= 0:
-        return []
-    a, b = a[:n], b[:n]
-    bound = 2 * n * max(map(abs, a), default=0) * max(map(abs, b), default=0)
-    if bound == 0:  # a zero vector; the fields below would not hold the other one
-        return [0] * n
-    # 10^d > 2^bit_length > bound, as 0.30103 > log10(2)
-    d = bound.bit_length() * 30103 // 100000 + 1
-    base = 10**d
-    product = _EXACT.multiply(_pack(a, d), _pack(b, d))
-    sign = -1 if product.is_signed() else 1
-    product = product.copy_abs()
-    # "f": leading zero fields give the product a positive exponent, which
-    # str() would write in exponent notation
-    digits = format(product, "f").rjust(n * d, "0")
-    top = len(digits)
-    out = []
-    carry = False
-    half = base >> 1
-    for k in range(n):
-        v = _parse_int(digits[top - (k + 1) * d:top - k * d]) + carry
-        carry = v >= half
-        out.append(sign * (v - base if carry else v))
-    return out
-
-
-def _pack(v: list, d: int) -> Decimal:
-    """sum_i v_i 10^(d i) as one exact Decimal, its nonzero fields summed pairwise."""
-    fields = [_EXACT.scaleb(_to_decimal(x), d * i) for i, x in enumerate(v) if x]
-    return binary_split(_EXACT.add, fields, Decimal(0))
+from .numcore import DomainError, Rational, small_cauchy
 
 
 def binomial_transform(a: list, r: list | None = None) -> list:
@@ -114,6 +63,32 @@ def binomial_transform(a: list, r: list | None = None) -> list:
             d = list(accumulate(d, initial=c * mk))
             out.append(d[-1] // mk)
     return out
+
+
+def laguerre_sums(p: int, q: int, order: int) -> list:
+    """[D_n sum_{k<=n} L_k^(a)(1)/(k+a) for n < order], integers, a = p/q in
+    lowest terms (q > 0) off the poles -1, -2, ..., D_n = q^n n! L_n and
+    L_n = lcm_{k<=n} |kq+p| over the nonzero factors; with p = 0 the term k = 0
+    is left out, and the sums are minus D_n times Euler's sequence.
+
+    E_a is annihilated by (D-1)(theta+a), so through z -> -z/(1-z) and the
+    factor (1-z)^(-a-1), (theta+a)[(1-z)P] is the Laguerre generating function
+    (1-z)^(-a-1) exp(-z/(1-z)) = sum_n L_n^(a)(1) z^n (Szego (5.1.9)), and P_n
+    is the partial sum. l_k = q^k k! L_k^(a)(1) = sum_j binom(k, j) (-q)^j
+    prod_{j<i<=k} (p+iq) is an integer, with l_0 = 1, l_1 = p and
+    l_{k+1} = (2kq+p) l_k - (kq+p) q k l_{k-1} (Szego (5.1.10) at x = 1), and
+    S_n = D_n P_n = S_{n-1} (D_n/D_{n-1}) + q l_n (L_n/(nq+p)): no division.
+    """
+    lin = [k * q + p for k in range(order)]
+    lam = [1, p]
+    for k in range(1, order - 1):
+        lam.append((lin[k] + k * q) * lam[k] - lin[k] * q * k * lam[k - 1])
+    L = list(accumulate((m or 1 for m in lin), lcm, initial=1))  # L[n+1] = L_n
+    sums, s = [], 0
+    for n, m in enumerate(lin):
+        s = s * q * n * (L[n + 1] // L[n]) + (q * lam[n] * (L[n + 1] // m) if m else 0)
+        sums.append(s)
+    return sums
 
 
 def least_squares_line(xs: list, ys: list) -> tuple:

@@ -18,9 +18,9 @@ writes an integer past it, by the divide-and-conquer conversion
 :func:`_to_decimal` in a private exact ``Decimal`` context, and
 :func:`_parse_int` reads one back, each only after ``str`` or ``int`` has
 refused; :func:`_digits` prints an mpf to a digit count. :func:`small_cauchy`
-is the schoolbook loop for short vectors of ``Fraction`` or ``mpf`` entries
-(polynomial and Taylor-jet products), and :func:`binary_split` adds or
-multiplies many small rationals as a balanced tree.
+is the package's one Cauchy product, a schoolbook loop (polynomial, Taylor-jet
+and truncated-series products), and :func:`binary_split` adds or multiplies
+many small rationals as a balanced tree.
 
 :func:`off_poles` is the one pole test (Gamma and the E_alpha family have
 their poles at the nonpositive integers), :func:`exact_real` the one exact
@@ -197,8 +197,8 @@ def _digits(value, d: int) -> str:
 
 def small_cauchy(a, b, n: int) -> list:
     """The first n coefficients of (sum_i a_i z^i)(sum_j b_j z^j), by the schoolbook
-    loop, for short vectors whose entries are all Fraction or all mpf; the sums
-    start from a zero of that type, and zero entries of a are skipped."""
+    loop, for vectors whose entries are all int, all Fraction or all mpf; the
+    sums start from a zero of that type, and zero entries of a are skipped."""
     out = [0 * a[0] if a else 0] * n
     for i, ai in enumerate(a[:n]):
         if ai == 0:

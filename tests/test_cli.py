@@ -491,7 +491,8 @@ print(sorted(m for m in ("csv", "dataclasses", "eoplab.exactrows", "eoplab.holon
 
 # the modules that no numeric command (gamma-deriv, asym-check, intseq) loads
 _EXACT_ONLY = ("eoplab.exactrows", "eoplab.holonomic", "eoplab.kernels", "eoplab.series")
-_SEQUENCE_MODULES = ["eoplab.constructions", *_EXACT_ONLY]
+_SEQUENCE_MODULES = ["eoplab.constructions", "eoplab.exactrows", "eoplab.holonomic",
+                     "eoplab.kernels"]
 
 
 @pytest.mark.parametrize("argv,added", [

@@ -44,27 +44,25 @@ from eoplab.holonomic import (
 from eoplab import gammajets
 from eoplab.gammajets import y_alpha_i
 from eoplab.gammalab import _add_ratios, _inverse_power_sum
-from eoplab.kernels import (PolyQ, binomial_transform, decay_exponent, int_cauchy,
+from eoplab.kernels import (PolyQ, binomial_transform, decay_exponent, laguerre_sums,
                             least_squares_line, poly_gcd, weighted_mean)
 from eoplab.numcore import (GUARD_BITS, DomainError, PrecisionError, RouteDisagreement,
                             _decimal_str, _parse_int, binary_split, small_cauchy, to_mpf)
 from eoplab.series import (
     TruncatedSeries,
-    _canonical,
-    _tail_products,
     binomial_series,
     e_alpha_series,
     e_log_series,
     euler_substitution,
     exp_series,
-    laguerre_sums,
     log_over_one_minus_z,
     partial_sums,
 )
 
 
 def oracle_int_cauchy(a, b, n):
-    """The double loop that TruncatedSeries.__mul__ ran before int_cauchy."""
+    """The double loop that TruncatedSeries.__mul__ ran before its Kronecker
+    product, which small_cauchy has since replaced."""
     out = [0] * n
     for i, x in enumerate(a[:n]):
         if x == 0:
@@ -130,10 +128,10 @@ def engine_closed(run, N):
     with pytest.MonkeyPatch.context() as m:
         m.setitem(constructions._METHODS, "closed",
                   lambda family, D: families.append(family) or [1] * len(D))
-        run(1, method="closed")
+        run(N, method="closed")
     family = families[0]
-    return _closed(family.beta, family.terms, N), explicit_denominators(family.beta,
-                                                                        family.terms(N))
+    return _closed(family.beta, family.terms, family.lcm), explicit_denominators(family.beta,
+                                                                                 family.terms)
 
 
 def widened(T, D, pairs):
@@ -254,7 +252,7 @@ def test_euler_closed_matches_fraction_loop(N):
 
 
 def old_gamma_series(alpha, N):
-    """The gamma series route before ``series.laguerre_sums``: the ring product
+    """The gamma series route before ``kernels.laguerre_sums``: the ring product
     (1-z)^(-alpha-1) E_alpha(-z/(1-z)), with its unreduced pairs."""
     inner = euler_substitution(e_alpha_series(alpha, N))
     prod = binomial_series(alpha + 1, N) * inner
@@ -276,7 +274,7 @@ def test_gamma_series_matches_the_ring_product_and_the_closed_route(alpha, N):
 
 
 def old_euler_series(N):
-    """The Euler series route before ``series.laguerre_sums``: the ring form
+    """The Euler series route before ``kernels.laguerre_sums``: the ring form
     log(1-z)/(1-z) - partial_sums(E(-z/(1-z))), with its unreduced pairs."""
     total = log_over_one_minus_z(N) - partial_sums(euler_substitution(e_log_series(N)))
     return [(c, total.den) for c in total.nums]
@@ -318,7 +316,7 @@ term_pairs = st.lists(st.tuples(st.integers(-99, 99), st.integers(-99, 99).filte
 @example(F(2), [(0, 7), (1, 1), (9, -8)])
 def test_closed_is_the_binomial_sum_for_any_beta_and_terms(beta, pairs):
     N = len(pairs)
-    got = _closed(beta, lambda n: pairs[:n], N)
+    got = _closed(beta, pairs, [math.lcm(*(v for _, v in pairs[:n + 1])) for n in range(N)])
     assert all(type(t) is int for t in got)
     want = [sum((-1) ** k * generalized_binomial(n + beta - 1, n - k)
                 * F(u, v * math.factorial(k)) for k, (u, v) in enumerate(pairs[:n + 1]))
@@ -448,70 +446,6 @@ def test_both_unrolls_stop_at_the_same_vanishing_index(r, root, cofactor, data):
     assert new.value.n == old.value.n <= root
 
 
-# Entries of a few bits up to about 1 300 digits, zeros included, so that the
-# products' fields span the str and Decimal conversions.
-entries = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2**64, 2**64),
-                    st.integers(-10**1300, 10**1300))
-sizes = st.one_of(st.integers(0, 6), st.integers(120, 170))
-
-
-@st.composite
-def cauchy_cases(draw):
-    """(a, b, n): vectors as long as n, or a little shorter or longer."""
-    n = draw(sizes)
-    a = draw(st.lists(entries, min_size=max(0, n - 2), max_size=n + 2))
-    b = draw(st.lists(entries, min_size=max(0, n - 2), max_size=n + 2))
-    return a, b, n
-
-
-@settings(max_examples=60, deadline=None)
-@given(cauchy_cases())
-@example(([], [], 0))
-@example(([5], [-7], 1))
-@example(([1, -2], [-3, 4], 2))
-@example(([0] * 200, [1] * 200, 200))
-@example(([0, 0], [0, -11], 2))
-@example(([-1], [-1], 1))
-@example(([0, 0, 3], [0, 5, -7], 3))
-@example(([4, -9], [2, 3], 2))
-@example(([6, 0, -10**700], [-1, 2], 3))
-@example(([0, 2], [0, -3, 1], 3))
-@example(([0, 0, 0, 5], [0, 0, 7, -1], 4))
-def test_int_cauchy_matches_the_double_loop(case):
-    # small sizes reach the edge cases of the packing: one field, a negative
-    # top field (a negative packed operand), leading zero fields (a packed
-    # operand and product with a positive exponent), a product with some but
-    # not all of its low fields zero, all-zero vectors
-    a, b, n = case
-    assert int_cauchy(a, b, n) == oracle_int_cauchy(a, b, n)
-
-
-def test_int_cauchy_all_negative_product():
-    n = 150
-    a = [-(3 * i + 1) ** 5 for i in range(n)]
-    b = [(7 * i + 2) ** 9 for i in range(n)]
-    got = int_cauchy(a, b, n)
-    assert all(c < 0 for c in got)
-    assert got == oracle_int_cauchy(a, b, n)
-
-
-def test_int_cauchy_wide_field_leaves_process_state_alone():
-    # a coefficient past the int/str digit limit goes through Decimal; neither
-    # that limit nor the thread's decimal context may change
-    n = 12
-    a = [-(10**4400) - 7] + [(-1) ** i * (i + 1) for i in range(1, n)]
-    b = [3**i for i in range(n)]
-    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # Python >= 3.10.7
-    limit = get_limit()
-    ctx = decimal.getcontext()
-    before = repr(ctx)
-    got = int_cauchy(a, b, n)
-    assert got == oracle_int_cauchy(a, b, n)
-    assert got[0].bit_length() > 4300 * 3.32
-    assert get_limit() == limit
-    assert decimal.getcontext() is ctx and repr(ctx) == before
-
-
 @contextlib.contextmanager
 def int_str_limit(digits):
     """Python's int/str digit limit set to ``digits`` (0: no limit), then restored."""
@@ -523,45 +457,20 @@ def int_str_limit(digits):
         sys.set_int_max_str_digits(before)
 
 
-def _field_digits(a, b, n):
-    """The field width d that int_cauchy packs a and b with."""
-    bound = 2 * n * max(map(abs, a)) * max(map(abs, b))
-    return bound.bit_length() * 30103 // 100000 + 1
-
-
-def test_int_cauchy_splits_wide_fields_until_within_the_limit():
-    # with the limit at its least, 640 digits, a field of over 2 560 digits is
-    # halved twice or more before int() reads it
-    n = 40
-    a = [(-1) ** i * 7 ** (1500 + i) for i in range(n)]
-    b = [11 ** (1300 + i) - 10**1400 for i in range(n)]
-    assert _field_digits(a, b, n) > 4 * 640
-    with int_str_limit(640):
-        got = int_cauchy(a, b, n)
-    assert got == oracle_int_cauchy(a, b, n)
-
-
-def test_int_cauchy_without_the_int_str_digit_limit():
-    # fields past the default limit of 4 300 digits, read by int() at once
-    n = 30
-    a = [(-1) ** i * 5 ** (6000 + i) for i in range(n)]
-    b = [11 ** (1200 + i) - 7**i for i in range(n)]
-    assert _field_digits(a, b, n) > 4300
-    with int_str_limit(0):
-        got = int_cauchy(a, b, n)
-    assert got == oracle_int_cauchy(a, b, n)
-
-
 @pytest.mark.parametrize("digits", [4299, 4300, 4301, 9000])
 def test_parse_int_reads_what_decimal_str_writes(digits):
     rng = random.Random(digits)
     x = rng.randrange(10 ** (digits - 1), 10**digits)
-    for v in (x, -x, 10**digits - 1, -(10**digits) + 1, 10 ** (digits - 1)):
-        assert _parse_int(_decimal_str(v)) == v
-    # leading zeros count as digits, and are read by halves past the limit too
-    assert _parse_int("0" * digits + "12") == 12
-    assert _parse_int("-" + "0" * (digits - 1) + "7") == -7
-    assert _parse_int(" 12 ") == 12
+    # under the default limit, and under its least, 640 digits, where each
+    # string is halved three times or more
+    for limit in (sys.get_int_max_str_digits(), 640):
+        with int_str_limit(limit):
+            for v in (x, -x, 10**digits - 1, -(10**digits) + 1, 10 ** (digits - 1)):
+                assert _parse_int(_decimal_str(v)) == v
+            # leading zeros count as digits, and are read by halves past the limit too
+            assert _parse_int("0" * digits + "12") == 12
+            assert _parse_int("-" + "0" * (digits - 1) + "7") == -7
+            assert _parse_int(" 12 ") == 12
 
 
 @pytest.mark.parametrize("bad", ["1 2" * 2000, "12-3" * 1200, "+" + "9" * 5000 + "x",
@@ -584,11 +493,16 @@ def oracle_polyq_mul(a, b):
 
 fraction_lists = st.lists(st.one_of(st.just(F(0)), small_rationals), max_size=6)
 mpfs = st.floats(-1e6, 1e6, allow_nan=False).map(mpf)
+# integers of a few bits up to about 1 300 digits, zeros included: the
+# numerators that TruncatedSeries.__mul__ multiplies
+int_lists = st.lists(st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2**64, 2**64),
+                               st.integers(-10**1300, 10**1300)), max_size=8)
 
 
 @given(st.one_of(st.tuples(fraction_lists, fraction_lists),
                  st.tuples(st.lists(mpfs, min_size=1, max_size=6),
-                           st.lists(mpfs, max_size=6))),
+                           st.lists(mpfs, max_size=6)),
+                 st.tuples(int_lists, int_lists)),
        st.integers(0, 12))
 @example(([], []), 0)
 @example(([], [F(2)]), 1)
@@ -596,6 +510,7 @@ mpfs = st.floats(-1e6, 1e6, allow_nan=False).map(mpf)
 @example(([F(0)], [F(-5, 2)]), 1)
 @example(([F(0), F(0)], [F(1), F(1)]), 3)
 @example(([mpf(0), mpf(2)], [mpf(-1)]), 3)
+@example(([6, 0, -10**700], [-1, 2]), 3)
 def test_small_cauchy_matches_the_double_loop(case, n):
     # the truncated product is the full one cut to n terms, summed in the same
     # order, and keeps the entry type; PolyQ products are the full one
@@ -728,19 +643,9 @@ def test_e_alpha_series_matches_fraction_loop(alpha, order):
     _same_series(e_alpha_series(alpha, order), oracle_e_alpha_series(alpha, order))
 
 
-def old_e_log_series(order):
-    """The integer builder e_log_series had before it shared e_alpha_series's:
-    sum_{n>=1} z^n / (n! n) over (N-1)! lcm(1..N-1)."""
-    lcm = math.lcm(*range(1, order))
-    tail = _tail_products(range(order))  # (N-1)!/n!
-    nums = [0] + [t * (lcm // n) for n, t in enumerate(tail[1:], 1)]
-    return _canonical(nums[:order], tail[0] * lcm)
-
-
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 17, 60, 200])
 def test_fixed_constructors_match_fraction_loops(order):
     _same_series(e_log_series(order), oracle_e_log_series(order))
-    assert e_log_series(order) == old_e_log_series(order)  # same nums and den
     _same_series(log_over_one_minus_z(order), oracle_log_over_one_minus_z(order))
     _same_series(exp_series(order), oracle_exp_series(order))
     # the Euler series route's inner series

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from eoplab.kernels import laguerre_sums
 from eoplab.numcore import DomainError
 from eoplab.series import (
     TruncatedSeries,
@@ -13,7 +14,6 @@ from eoplab.series import (
     e_log_series,
     euler_substitution,
     exp_series,
-    laguerre_sums,
     log_over_one_minus_z,
     partial_sums,
 )

@@ -57,7 +57,7 @@ def test_tracer_wraps_every_target_and_restores_it():
 # The spans that one gamma_seq(1/3, 20) or euler_seq(20) call records for each
 # traced series and holonomic function: work that moves into an untraced
 # function shows up as a missing span. The series route of both families,
-# series.laguerre_sums, is no tracer target, and no route calls the series ring.
+# kernels.laguerre_sums, is no tracer target, and no route calls the series ring.
 SEQUENCE_SPANS = {
     "gamma": {"holonomic.unroll": 1},
     "euler": {"holonomic.unroll": 1},
